@@ -23,8 +23,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CertificateError
-from .sets import MultSet, frac_str, is_product_free
+from .errors import BudgetExceededError, CertificateError
+from .sets import DEFAULT_PRODUCT_BUDGET, MultSet, frac_str, is_product_free
 
 _TOKEN = re.compile(r"\s*(<=|>=|==|<|>|\*|-?\d+/\d+|-?\d+|[A-Za-z_][A-Za-z0-9_]*)")
 _CMP_OPS = {
@@ -245,7 +245,17 @@ def verify_certificate(
         problems.append(
             f"achieved_size {cert.achieved_size} != witness length {len(cert.witness)}"
         )
-    recomputed_free = bool(len(witness)) and is_product_free(witness)
+    # freeness straight from the oracle's kmul, independent of the set
+    # calculus that built the witness, under is_product_free's pair budget
+    n = len(witness)
+    if n * n > DEFAULT_PRODUCT_BUDGET:
+        raise BudgetExceededError(
+            f"{n}^2 pairs exceed budget {DEFAULT_PRODUCT_BUDGET}"
+        )
+    kmul, member = x.oracle.kmul, witness.key_set()
+    recomputed_free = bool(n) and not any(
+        kmul(a, b) in member for a in witness.keys for b in witness.keys
+    )
     if not cert.verified_product_free:
         problems.append("certificate does not claim product-freeness")
     if not recomputed_free:

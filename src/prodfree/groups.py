@@ -210,9 +210,6 @@ class GroupOracle:
             raise GroupSpecError(f"{self.domain!r} has no decoder")
         return Element(self.domain, self.kdecode(text))
 
-    def same_group_as(self, other: "GroupOracle") -> bool:
-        return self.domain == other.domain
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -622,9 +619,6 @@ class ProjectionMap:
         self.domain_from = domain_from
         self.domain_to = domain_to
         self.key_map = key_map
-
-    def map_key(self, k):
-        return self.key_map[k]
 
     def __call__(self, a: Element) -> Element:
         if a.domain != self.domain_from:

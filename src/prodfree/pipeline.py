@@ -40,6 +40,8 @@ from .groups import Element, GroupOracle
 from .sets import (
     DEFAULT_PRODUCT_BUDGET,
     MultSet,
+    _int64_keys,
+    _product_counts,
     frac_str,
     inverse_set,
     is_product_free,
@@ -410,29 +412,39 @@ def _bucket_best(
 ) -> tuple[object, object, int, int]:
     """Best (g, h) bucket of the (u z, z w) decomposition and the exact
     total count, which group cancellation makes equal to |U||V||W|."""
-    if oracle.kind in ("int", "cyclic"):
-        ua = np.asarray(u.keys, dtype=np.int64)
-        va = np.asarray(v.keys, dtype=np.int64)
-        wa = np.asarray(w.keys, dtype=np.int64)
+    ua, va, wa = _int64_keys(u), _int64_keys(v), _int64_keys(w)
+    if ua is not None and va is not None and wa is not None:
+        g_grid = ua[:, None] + va[None, :]
+        h_grid = va[:, None] + wa[None, :]
         if oracle.kind == "cyclic":
-            g_grid = (ua[:, None] + va[None, :]) % oracle.order
-            h_grid = (va[:, None] + wa[None, :]) % oracle.order
-        else:
-            g_grid = ua[:, None] + va[None, :]
-            h_grid = va[:, None] + wa[None, :]
+            g_grid %= oracle.order
+            h_grid %= oracle.order
         g_lo = int(g_grid.min())
         h_lo, h_hi = int(h_grid.min()), int(h_grid.max())
         span = h_hi - h_lo + 1
-        if (int(g_grid.max()) - g_lo + 1) * span < 2**62:
-            parts = []
-            for j in range(len(va)):
-                comp = (g_grid[:, j, None] - g_lo) * span + (h_grid[j, None, :] - h_lo)
-                parts.append(comp.ravel())
-            allc = np.concatenate(parts)
-            vals, counts = np.unique(allc, return_counts=True)
-            total = int(counts.sum())
-            best_count = int(counts.max())
-            best_val = int(vals[counts == best_count].min())
+        bins = (int(g_grid.max()) - g_lo + 1) * span
+        if bins < 2**62:
+            # composite code (g - g_lo) * span + (h - h_lo), ordered as (g, h)
+            g_code = (g_grid - g_lo) * span
+            h_code = h_grid - h_lo
+            if bins <= len(ua) * len(va) * len(wa):
+                # chunks over V of at least max(2^22, bins) codes keep the
+                # O(bins) cost of each bincount below that of its codes
+                rows = max(1, max(2**22, bins) // (len(ua) * len(wa)))
+                counts = np.zeros(bins, dtype=np.int64)
+                for j in range(0, len(va), rows):
+                    g_rows = g_code[:, j : j + rows].T[:, :, None]
+                    codes = g_rows + h_code[j : j + rows, None, :]
+                    counts += np.bincount(codes.ravel(), minlength=bins)
+                best_val = int(counts.argmax())
+                best_count = int(counts[best_val])
+                total = int(counts.sum())
+            else:
+                codes = g_code.T[:, :, None] + h_code[:, None, :]
+                vals, counts = np.unique(codes, return_counts=True)
+                total = int(counts.sum())
+                best_count = int(counts.max())
+                best_val = int(vals[counts == best_count].min())
             return best_val // span + g_lo, best_val % span + h_lo, best_count, total
     kmul = oracle.kmul
     buckets: Counter = Counter()
@@ -642,15 +654,12 @@ def product_free_extract(
         )
 
         stage = "pigeonhole"
-        kmul, kinv = oracle.kmul, oracle.kinv
+        kmul = oracle.kmul
         zzz_set = loc.zzz.key_set()
-        shifts: Counter = Counter()
-        z_inv_keys = [kinv(zk) for zk in loc.z.keys]
-        for yk in y.keys:
-            for zik in z_inv_keys:
-                gk = kmul(yk, zik)
-                if gk not in zzz_set:
-                    shifts[gk] += 1
+        # no budget here: |Y||Z| <= |Y|^2, the pairs of Y^3's first product
+        shifts = _product_counts(y, inverse_set(loc.z))
+        for gk in zzz_set:
+            shifts.pop(gk, None)
         if not shifts:
             raise InvariantViolationError(
                 "every shift bucket fell inside Z^-1 Z Z^-1"

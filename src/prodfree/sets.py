@@ -2,15 +2,32 @@
 
 A :class:`MultSet` is an immutable finite subset of one ambient oracle.
 Internally it stores sorted raw payload keys; elements materialise on
-demand.  Heavy product loops have a numpy fast path for integer and
-cyclic domains, everything else runs through the oracle key functions.
+demand.
+
+Products in ``int`` and full ``cyclic:N`` groups with at least
+:data:`NUMPY_MIN_PAIRS` pairs go through one exact counting kernel,
+:func:`_pair_counts`: for sorted keys A and B it returns every sum a + b
+(mod N in a cyclic group) with the number of pairs giving it.  The
+counts are the convolution of the two indicator vectors, computed with a
+real FFT of length n: the key range L of A + B rounded up to a power of
+two in ``int``, N in ``cyclic:N``.  That path runs when n <= |A||B|, so
+none of its arrays is larger than the |A||B| outer-sum array it replaces.
+It is exact: the convolution's rounding error is about
+u log2(n) sqrt(|A||B|) with u = 2^-53, far below 1/2, and a runtime guard
+checks that every entry lies within 1/4 of an integer.  Sparser inputs,
+and any input the guard rejects, take the exact outer-sum path with
+``np.unique``.  Every other group runs through the oracle's ``kmul``.
+Budgets count pairs |A||B| on every path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -110,24 +127,58 @@ def _require_same(x: MultSet, y: MultSet) -> None:
         )
 
 
-def _numpy_pair_keys(x: MultSet, y: MultSet):
-    """Pairwise product keys via numpy when the domain is int or cyclic."""
-    import numpy as np
+def _int64_keys(x: MultSet):
+    """X's keys as an int64 array, or None when X needs the kmul path.
 
-    kind = x.oracle.kind
-    xs = np.fromiter(x.keys, dtype=np.int64, count=len(x.keys))
-    ys = np.fromiter(y.keys, dtype=np.int64, count=len(y.keys))
-    sums = np.add.outer(xs, ys)
-    if kind == "cyclic":
-        sums %= x.oracle.order
-    return np.unique(sums)
+    Only ``int`` and full ``cyclic:N`` oracles qualify.  Subgroup views keep
+    kind ``cyclic`` but report the subgroup's order rather than the modulus
+    their kmul reduces by.  Keys stay below 2^60 in absolute value, so sums
+    of a few keys and the bucket codes built from them fit in int64.
+    """
+    o = x.oracle
+    if o.kind == "int":
+        fits = all(abs(k) < 2**60 for k in x.keys[:1] + x.keys[-1:])
+    else:
+        fits = (
+            o.kind == "cyclic" and o.component_moduli == (o.order,) and o.order < 2**60
+        )
+    return np.fromiter(x.keys, dtype=np.int64, count=len(x.keys)) if fits else None
 
 
-def _int_like(x: MultSet) -> bool:
-    if x.oracle.kind == "int":
-        # stay clear of int64 overflow for exotic inputs
-        return all(abs(k) < 2**60 for k in (x.keys[:1] + x.keys[-1:]))
-    return x.oracle.kind == "cyclic"
+def _pair_counts(a, b, order: int | None = None):
+    """Sorted distinct sums a_i + b_j (mod ``order`` when given) and the
+    exact number of pairs (i, j) giving each.  a and b are sorted int64."""
+    a0, b0 = (0, 0) if order else (int(a[0]), int(b[0]))
+    length = order or int(a[-1] + b[-1]) - a0 - b0 + 1
+    n = order or 1 << (length - 1).bit_length()
+    if n <= len(a) * len(b):
+        # dense: convolve indicator vectors.  The FFT's absolute error is
+        # about u log2(n) ||1_A||_2 ||1_B||_2 = u log2(n) sqrt(|A||B|), with
+        # u = 2^-53; below 1e-8 for any array that fits in memory, so
+        # rounding gives the exact count.  The guard below checks that.
+        fa = np.zeros(n)
+        fb = np.zeros(n)
+        fa[a - a0] = 1.0
+        fb[b - b0] = 1.0
+        f = np.fft.irfft(np.fft.rfft(fa) * np.fft.rfft(fb), n)[:length]
+        counts = np.rint(f)
+        if np.abs(f - counts).max() < 0.25:
+            hit = np.flatnonzero(counts)
+            return hit + (a0 + b0), counts[hit].astype(np.int64)
+    sums = np.add.outer(a, b).ravel()
+    if order:
+        sums %= order
+    return np.unique(sums, return_counts=True)
+
+
+def _kernel_operands(x: MultSet, y: MultSet):
+    """Arguments of :func:`_pair_counts` for X Y, or None for the kmul path."""
+    if len(x) * len(y) < NUMPY_MIN_PAIRS:
+        return None
+    a, b = _int64_keys(x), _int64_keys(y)
+    if a is None or b is None:
+        return None
+    return a, b, x.oracle.order if x.oracle.kind == "cyclic" else None
 
 
 def product_set(
@@ -137,12 +188,13 @@ def product_set(
     _require_same(x, y)
     if len(x) == 0 or len(y) == 0:
         return MultSet(x.oracle, ())
-    if _int_like(x) and len(x) * len(y) >= NUMPY_MIN_PAIRS:
+    operands = _kernel_operands(x, y)
+    if operands is not None:
         if len(x) * len(y) > budget:
             raise BudgetExceededError(
                 f"product pairs {len(x) * len(y)} exceed budget {budget}"
             )
-        return MultSet(x.oracle, _numpy_pair_keys(x, y).tolist())
+        return MultSet(x.oracle, _pair_counts(*operands)[0].tolist())
     kmul = x.oracle.kmul
     out: set = set()
     for a in x.keys:
@@ -153,6 +205,20 @@ def product_set(
                 f"product set grew past budget {budget}"
             )
     return MultSet(x.oracle, out)
+
+
+def _product_counts(x: MultSet, y: MultSet) -> Counter:
+    """How many pairs (a, b) in X x Y give each product a b.
+
+    Takes no budget: callers bound |X||Y| before calling.
+    """
+    _require_same(x, y)
+    operands = _kernel_operands(x, y)
+    if operands is not None:
+        sums, counts = _pair_counts(*operands)
+        return Counter(dict(zip(sums.tolist(), counts.tolist())))
+    kmul = x.oracle.kmul
+    return Counter(kmul(a, b) for a in x.keys for b in y.keys)
 
 
 def inverse_set(x: MultSet) -> MultSet:
@@ -170,19 +236,24 @@ def power_set(x: MultSet, n: int, budget: int = DEFAULT_PRODUCT_BUDGET) -> MultS
     return acc
 
 
+def _kernel_incident_pairs(x: MultSet) -> int | None:
+    """Pairs in X^2 whose product lies in X, read off the counting kernel at
+    the keys of X; None when X takes the kmul path."""
+    operands = _kernel_operands(x, x)
+    if operands is None:
+        return None
+    sums, counts = _pair_counts(*operands)
+    return int(counts[np.isin(sums, operands[0])].sum())
+
+
 def is_product_free(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> bool:
     """Whether no product of two elements of X lands back in X."""
     n = len(x)
     if n * n > budget:
         raise BudgetExceededError(f"{n}^2 pairs exceed budget {budget}")
-    if _int_like(x) and n * n >= NUMPY_MIN_PAIRS:
-        import numpy as np
-
-        xs = np.fromiter(x.keys, dtype=np.int64, count=n)
-        sums = np.add.outer(xs, xs).ravel()
-        if x.oracle.kind == "cyclic":
-            sums %= x.oracle.order
-        return not np.isin(sums, xs).any()
+    incident = _kernel_incident_pairs(x)
+    if incident is not None:
+        return incident == 0
     kmul = x.oracle.kmul
     member = x._keyset
     for a in x.keys:
@@ -197,14 +268,9 @@ def count_incident_pairs(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> in
     n = len(x)
     if n * n > budget:
         raise BudgetExceededError(f"{n}^2 pairs exceed budget {budget}")
-    if _int_like(x) and n * n >= NUMPY_MIN_PAIRS:
-        import numpy as np
-
-        xs = np.fromiter(x.keys, dtype=np.int64, count=n)
-        sums = np.add.outer(xs, xs).ravel()
-        if x.oracle.kind == "cyclic":
-            sums %= x.oracle.order
-        return int(np.isin(sums, xs).sum())
+    incident = _kernel_incident_pairs(x)
+    if incident is not None:
+        return incident
     kmul = x.oracle.kmul
     member = x._keyset
     return sum(

@@ -1,8 +1,10 @@
+import hashlib
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prodfree import (
@@ -23,6 +25,7 @@ from prodfree import (
     seh_halving,
     verify_certificate,
 )
+from prodfree.pipeline import _bucket_best
 from conftest import (
     naive_is_product_free,
     naive_product_keys,
@@ -292,6 +295,45 @@ def test_localize_matches_naive_buckets_random(int_group):
         assert res.pair_total == len(u) * len(v) * len(w)
 
 
+def _naive_best_bucket(g, u, v, w):
+    buckets = _naive_buckets(g, u.keys, v.keys, w.keys)
+    best = max(buckets.values())
+    gh = min(k for k, c in buckets.items() if c == best)
+    return (*gh, best, sum(buckets.values()))
+
+
+@pytest.mark.parametrize("base", [2**62, 2**63])
+def test_bucket_best_huge_int_keys_match_counter(int_group, base):
+    # sums of these keys leave int64, so the numpy path must not see them
+    u = v = w = MultSet(int_group, [base + 1, base + 2, base + 4])
+    got = _bucket_best(int_group, u, v, w)
+    assert got == _naive_best_bucket(int_group, u, v, w)
+    assert got[:2] == (2 * base + 3, 2 * base + 3)
+
+
+@pytest.mark.parametrize(
+    "spec,pool,sizes,path",
+    [
+        ("int", range(-8, 8), (10, 16), "bincount"),
+        ("int", range(-10**6, 10**6), (5, 25), "unique"),
+        ("cyclic:101", range(101), (22, 25), "bincount"),
+        ("cyclic:5003", range(5003), (5, 25), "unique"),
+    ],
+)
+def test_bucket_best_matches_counter(spec, pool, sizes, path, monkeypatch):
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(
+        np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k)
+    )
+    g = build_group(spec)
+    rng = random.Random(spec)
+    for _ in range(4):
+        u, v, w = (MultSet(g, rng.sample(pool, rng.randint(*sizes))) for _ in range(3))
+        assert _bucket_best(g, u, v, w) == _naive_best_bucket(g, u, v, w)
+    assert len(calls) == (4 if path == "bincount" else 0)
+
+
 def test_localize_generic_path_heisenberg():
     g = build_group("heisenberg:3")
     y = MultSet(g, g.enum_keys)
@@ -391,6 +433,25 @@ def test_extract_is_deterministic(int_group):
     a = product_free_extract(x)
     b = product_free_extract(x)
     assert a.to_json() == b.to_json()
+
+
+# sha256 of the certificate JSON, frozen from the outer-sum implementation
+FROZEN_THM33_SHA256 = {
+    "interval:50": "3db43ec7a93e0612065accb52b32fc5e8ac357b26de091768b35e0827f28e127",
+    "interval:300": "4821bf9729e69f9a2a87c766d271c266f632179e8c08afd9d27ce8d96374024f",
+    "gap:2:10,10:1,100": "64feee9c3a66fc75681e05a7746bca2495b59f19066a7284fb211935a1e194d7",
+    "gap:3:5,5,5:1,11,121": "5783037936b9f1a6384cde76e0e5221bf4a454c0ba89f79de2f962070525d0df",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FROZEN_THM33_SHA256))
+def test_extract_certificate_bytes_are_frozen(spec):
+    x = generate(spec)
+    digests = [
+        hashlib.sha256(product_free_extract(x).to_json().encode()).hexdigest()
+        for _ in range(2)
+    ]
+    assert digests == [FROZEN_THM33_SHA256[spec]] * 2
 
 
 def test_extract_respects_custom_profile(int_group):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prodfree import (
@@ -18,6 +19,8 @@ from prodfree import (
     power_set,
     product_set,
 )
+from prodfree.groups import subgroup_view
+from prodfree.sets import NUMPY_MIN_PAIRS
 from conftest import naive_incident_pairs, naive_is_product_free, naive_product_keys
 
 
@@ -88,6 +91,91 @@ def test_numpy_path_agrees_with_naive(int_group):
     xc = MultSet(g, rng.sample(range(997), 71))
     wantc = naive_product_keys(g, xc.keys, xc.keys)
     assert product_set(xc, xc).key_set() == frozenset(wantc)
+
+
+# Inputs of the counting kernel and the path each takes: "fft" when the FFT
+# length (key range rounded up to a power of two, or N in cyclic:N) is at
+# most |A||B|, "exact" for sparser keys, "kmul" below NUMPY_MIN_PAIRS.
+KERNEL_CASES = [
+    ("int", "dense", lambda r: r.sample(range(-100, 300), 80), "fft"),
+    ("int", "negative", lambda r: r.sample(range(-5000, -4400), 70), "fft"),
+    ("int", "sparse", lambda r: r.sample(range(-10**9, 10**9), 70), "exact"),
+    ("int", "odd", lambda r: range(-201, 200, 2), "fft"),
+    ("int", "below-threshold", lambda r: r.sample(range(-100, 100), 63), "kmul"),
+    ("int", "above-threshold", lambda r: r.sample(range(-100, 100), 65), "fft"),
+    ("cyclic:997", "prime", lambda r: r.sample(range(997), 70), "fft"),
+    ("cyclic:1000", "composite", lambda r: r.sample(range(1000), 70), "fft"),
+    ("cyclic:999", "middle-third", lambda r: range(333, 666), "fft"),
+    ("cyclic:100000", "sparse", lambda r: r.sample(range(100000), 70), "exact"),
+]
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    calls = []
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec,shape,keys,path", KERNEL_CASES, ids=[f"{c[0]}-{c[1]}" for c in KERNEL_CASES]
+)
+def test_counting_kernel_matches_naive(spec, shape, keys, path, fft_calls):
+    g = build_group(spec)
+    x = MultSet(g, keys(random.Random(shape)))
+    assert (len(x) ** 2 >= NUMPY_MIN_PAIRS) == (path != "kmul")
+    half = MultSet(g, x.keys[::2])
+    assert product_set(x, x).key_set() == frozenset(naive_product_keys(g, x.keys, x.keys))
+    assert product_set(x, half).key_set() == frozenset(
+        naive_product_keys(g, x.keys, half.keys)
+    )
+    assert is_product_free(x) == naive_is_product_free(g, x.keys)
+    assert count_incident_pairs(x) == naive_incident_pairs(g, x.keys)
+    assert bool(fft_calls) == (path == "fft")
+
+
+def test_counting_kernel_guard_failure_falls_back_exactly(monkeypatch):
+    rng = random.Random(5)
+    sets = [
+        MultSet(build_group("int"), rng.sample(range(-300, 300), 90)),
+        MultSet(build_group("cyclic:997"), rng.sample(range(997), 90)),
+        MultSet(build_group("cyclic:999"), range(333, 666)),
+    ]
+    want = [
+        (product_set(x, x), is_product_free(x), count_incident_pairs(x)) for x in sets
+    ]
+    calls = []
+    irfft = np.fft.irfft
+
+    def off_by_0_4(*args, **kwargs):
+        calls.append(1)
+        return irfft(*args, **kwargs) + 0.4
+
+    monkeypatch.setattr(np.fft, "irfft", off_by_0_4)
+    got = [
+        (product_set(x, x), is_product_free(x), count_incident_pairs(x)) for x in sets
+    ]
+    assert len(calls) == 3 * len(sets)
+    assert got == want
+    for x, (square, free, incident) in zip(sets, got):
+        g = x.oracle
+        assert square.key_set() == frozenset(naive_product_keys(g, x.keys, x.keys))
+        assert free == naive_is_product_free(g, x.keys)
+        assert incident == naive_incident_pairs(g, x.keys)
+
+
+def test_cyclic_subgroup_view_reduces_by_the_ambient_modulus():
+    g = build_group("cyclic:1000")
+    h = subgroup_view(g, range(0, 1000, 10))
+    x = MultSet(h, range(0, 1000, 10))  # 10^4 pairs, past the threshold
+    assert product_set(x, x).key_set() == frozenset(naive_product_keys(g, x.keys, x.keys))
+    assert count_incident_pairs(x) == naive_incident_pairs(g, x.keys)
 
 
 def test_product_set_empty_operand(int_group):
