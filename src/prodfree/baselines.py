@@ -33,7 +33,7 @@ class _PartialSet:
                 return False
         return True
 
-    def add(self, k) -> list:
+    def add(self, k) -> None:
         kmul = self.kmul
         added = [kmul(k, k)]
         for m in self.members:
@@ -41,7 +41,6 @@ class _PartialSet:
             added.append(kmul(m, k))
         self.members.add(k)
         self.pair_products.update(added)
-        return added
 
 
 def greedy_product_free(x: MultSet) -> MultSet:

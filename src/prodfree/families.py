@@ -25,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupSpecError, NotEnumerableError, PreconditionError
-from .groups import GroupOracle, build_group, closure_keys, group_spec_token_count
+from .groups import (
+    GroupOracle,
+    _left_cosets,
+    build_group,
+    closure_keys,
+    group_spec_token_count,
+)
 from .sets import MultSet
 
 MAX_FAMILY_SIZE = 10**5
@@ -161,23 +167,13 @@ def generate_with_info(spec, seed: int | None = None):
             raise GroupSpecError("coset-union needs at least one generator")
         m = int(rest[1])
         h_keys = closure_keys(oracle, gen_keys)
-        seen: set = set()
-        reps = []
-        for k in oracle.enum_keys:
-            if k in seen:
-                continue
-            coset = sorted(oracle.kmul(k, hk) for hk in h_keys)
-            seen.update(coset)
-            reps.append(coset[0])
-        if not 1 <= m <= len(reps):
+        cosets = _left_cosets(oracle, h_keys)
+        if not 1 <= m <= len(cosets):
             raise GroupSpecError(
-                f"coset-union count must lie in 1..{len(reps)}, got {m}"
+                f"coset-union count must lie in 1..{len(cosets)}, got {m}"
             )
-        picked: set = set()
-        for rep in sorted(reps)[:m]:
-            picked.update(oracle.kmul(rep, hk) for hk in h_keys)
-        _cap(len(picked), "coset union")
-        x = MultSet(oracle, picked)
+        _cap(m * len(h_keys), "coset union")
+        x = MultSet(oracle, itertools.chain.from_iterable(cosets[:m]))
         info["nominal_size"] = m * len(h_keys)
 
     elif spec.name == "random":

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .errors import (
-    DomainMismatchError,
     GroupAxiomError,
     GroupSpecError,
     NotASubgroupError,
@@ -176,34 +175,8 @@ class GroupOracle:
     _coords: tuple | None = field(default=None, repr=False)
 
     # -- element-level conveniences -------------------------------------
-    @property
-    def identity(self) -> Element:
-        return Element(self.domain, self.identity_key)
-
     def wrap(self, key: Any) -> Element:
         return Element(self.domain, key)
-
-    def mul(self, a: Element, b: Element) -> Element:
-        if a.domain != self.domain or b.domain != self.domain:
-            raise DomainMismatchError(
-                f"operands from {a.domain!r}/{b.domain!r}, oracle {self.domain!r}"
-            )
-        return Element(self.domain, self.kmul(a.key, b.key))
-
-    def inv(self, a: Element) -> Element:
-        if a.domain != self.domain:
-            raise DomainMismatchError(
-                f"operand from {a.domain!r}, oracle {self.domain!r}"
-            )
-        return Element(self.domain, self.kinv(a.key))
-
-    def elements(self) -> tuple[Element, ...]:
-        if self.enum_keys is None:
-            raise NotEnumerableError(f"{self.domain!r} has no finite enumeration")
-        return tuple(Element(self.domain, k) for k in self.enum_keys)
-
-    def encode(self, a: Element) -> str:
-        return self.kencode(a.key)
 
     def decode(self, text: str) -> Element:
         if self.kdecode is None:
@@ -213,10 +186,6 @@ class GroupOracle:
 
 # ---------------------------------------------------------------------------
 # builders
-
-
-def _int_codec():
-    return str, int
 
 
 def _vector_encode(key: tuple) -> str:
@@ -282,7 +251,6 @@ def _matrix_decode_factory(d: int, m: int, unitriangular: bool):
 
 
 def _build_int() -> GroupOracle:
-    enc, dec = _int_codec()
     return GroupOracle(
         domain="int",
         kind="int",
@@ -291,8 +259,8 @@ def _build_int() -> GroupOracle:
         identity_key=0,
         abelian=True,
         order=None,
-        kencode=enc,
-        kdecode=dec,
+        kencode=str,
+        kdecode=int,
         ksample=lambda rng: int(rng.integers(-(10**6), 10**6 + 1)),
     )
 
@@ -394,6 +362,13 @@ def _build_dihedral(n: int) -> GroupOracle:
         keys.add(tuple((k - i) % n for i in range(n)))  # reflections
     if len(keys) != 2 * n:
         raise GroupSpecError(f"dihedral construction degenerate for n={n}")
+
+    def dec(text: str) -> tuple:
+        key = tuple(int(t) for t in text.split(","))
+        if key not in keys:
+            raise GroupSpecError(f"not a symmetry of the {n}-gon: {text!r}")
+        return key
+
     return GroupOracle(
         domain=f"dihedral:{n}",
         kind="perm",
@@ -404,7 +379,7 @@ def _build_dihedral(n: int) -> GroupOracle:
         order=2 * n,
         enum_keys=tuple(sorted(keys)),
         kencode=_vector_encode,
-        kdecode=_perm_decode_factory(n),
+        kdecode=dec,
     )
 
 
@@ -569,11 +544,12 @@ def _check_subgroup(oracle: GroupOracle, keys: frozenset) -> None:
         raise NotASubgroupError("not closed under multiplication")
 
 
-def _pairwise_commute(oracle: GroupOracle, keys: Iterable[Any]) -> bool:
-    ks = list(keys)
+def _generators_commute(oracle: GroupOracle) -> bool:
+    """Abelian test for a finite oracle: do its greedy generators commute?"""
     kmul = oracle.kmul
     return all(
-        kmul(a, b) == kmul(b, a) for a, b in itertools.combinations(ks, 2)
+        kmul(a, b) == kmul(b, a)
+        for a, b in itertools.combinations(generating_keys(oracle), 2)
     )
 
 
@@ -590,20 +566,21 @@ def subgroup_view(
     )
     if verify:
         _check_subgroup(parent, keys)
-    gens = generating_keys(parent, keys) if len(keys) > 1 else []
-    return GroupOracle(
+    view = GroupOracle(
         domain=parent.domain,
         kind=parent.kind,
         kmul=parent.kmul,
         kinv=parent.kinv,
         identity_key=parent.identity_key,
-        abelian=_pairwise_commute(parent, gens),
+        abelian=False,  # set below from the view's own generators
         order=len(keys),
         enum_keys=tuple(sorted(keys)),
         component_moduli=None,
         kencode=parent.kencode,
         kdecode=parent.kdecode,
     )
+    view.abelian = _generators_commute(view)
+    return view
 
 
 def generated_subgroup(parent: GroupOracle, generators: Iterable) -> GroupOracle:
@@ -612,20 +589,11 @@ def generated_subgroup(parent: GroupOracle, generators: Iterable) -> GroupOracle
     return subgroup_view(parent, closure_keys(parent, seeds), verify=False)
 
 
+@dataclass
 class ProjectionMap:
-    """Quotient map G -> G/H as an element-level callable."""
+    """Quotient map G -> G/H: each key of G to its coset representative."""
 
-    def __init__(self, domain_from: str, domain_to: str, key_map: dict):
-        self.domain_from = domain_from
-        self.domain_to = domain_to
-        self.key_map = key_map
-
-    def __call__(self, a: Element) -> Element:
-        if a.domain != self.domain_from:
-            raise DomainMismatchError(
-                f"element from {a.domain!r}, projection from {self.domain_from!r}"
-            )
-        return Element(self.domain_to, self.key_map[a.key])
+    key_map: dict
 
 
 def _subset_digest(oracle: GroupOracle, keys: Iterable[Any]) -> str:
@@ -633,13 +601,30 @@ def _subset_digest(oracle: GroupOracle, keys: Iterable[Any]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:8]
 
 
+def _left_cosets(oracle: GroupOracle, h_keys: frozenset) -> list[list]:
+    """The left cosets a H of a finite oracle, each sorted, ordered by their
+    least elements."""
+    kmul = oracle.kmul
+    seen: set = set()
+    cosets = []
+    for a in oracle.enum_keys:
+        if a in seen:
+            continue
+        coset = sorted(kmul(a, h) for h in h_keys)
+        if len(set(coset)) != len(h_keys):
+            raise NotASubgroupError("coset size mismatch; H is not a subgroup")
+        seen.update(coset)
+        cosets.append(coset)
+    cosets.sort()
+    return cosets
+
+
 def _quotient_build(
     parent: GroupOracle, h_keys: frozenset, *, verify: bool
 ) -> tuple[GroupOracle, ProjectionMap]:
     if parent.enum_keys is None:
         raise NotEnumerableError("quotient needs a finite parent enumeration")
-    all_keys = parent.enum_keys
-    if not h_keys <= set(all_keys):
+    if not h_keys <= set(parent.enum_keys):
         raise NotASubgroupError("subgroup not contained in parent enumeration")
     if verify:
         _check_subgroup(parent, h_keys)
@@ -655,17 +640,10 @@ def _quotient_build(
     kmul = parent.kmul
     rep_of: dict = {}
     reps = []
-    for a in all_keys:  # canonical order, so each rep is its coset minimum
-        if a in rep_of:
-            continue
-        coset = sorted(kmul(a, h) for h in h_keys)
-        if len(set(coset)) != len(h_keys):
-            raise NotASubgroupError("coset size mismatch; H is not a subgroup")
-        rep = coset[0]
+    for coset in _left_cosets(parent, h_keys):
+        reps.append(coset[0])
         for c in coset:
-            rep_of[c] = rep
-        reps.append(rep)
-    reps.sort()
+            rep_of[c] = coset[0]
 
     qdomain = f"{parent.domain}/{_subset_digest(parent, h_keys)}"
 
@@ -675,7 +653,6 @@ def _quotient_build(
     def qinv(a):
         return rep_of[parent.kinv(a)]
 
-    enc = parent.kencode
     dec_parent = parent.kdecode
 
     def qdec(text: str):
@@ -686,52 +663,20 @@ def _quotient_build(
             raise GroupSpecError(f"{text!r} is not a canonical coset representative")
         return k
 
-    gens_q = generating_keys_from(qmul, rep_of[parent.identity_key], reps)
     quotient = GroupOracle(
         domain=qdomain,
         kind="quotient",
         kmul=qmul,
         kinv=qinv,
         identity_key=rep_of[parent.identity_key],
-        abelian=_pairwise_commute_fn(qmul, gens_q),
+        abelian=False,  # set below from the quotient's own generators
         order=len(reps),
         enum_keys=tuple(reps),
-        kencode=enc,
+        kencode=parent.kencode,
         kdecode=qdec,
     )
-    proj = ProjectionMap(parent.domain, qdomain, rep_of)
-    return quotient, proj
-
-
-def generating_keys_from(kmul, identity_key, pool: list) -> list:
-    gens: list = []
-    generated = {identity_key}
-    for k in sorted(pool):
-        if k not in generated:
-            gens.append(k)
-            # closure under the quotient multiplication
-            done = {identity_key}
-            frontier = [identity_key]
-            while frontier:
-                nxt = []
-                for t in frontier:
-                    for s in gens:
-                        p = kmul(t, s)
-                        if p not in done:
-                            done.add(p)
-                            nxt.append(p)
-                frontier = nxt
-            generated = done
-            if len(generated) == len(pool):
-                break
-    return gens
-
-
-def _pairwise_commute_fn(kmul, keys: Iterable[Any]) -> bool:
-    ks = list(keys)
-    return all(
-        kmul(a, b) == kmul(b, a) for a, b in itertools.combinations(ks, 2)
-    )
+    quotient.abelian = _generators_commute(quotient)
+    return quotient, ProjectionMap(rep_of)
 
 
 def quotient_projection(
@@ -1014,8 +959,6 @@ def subnormal_series_from_chain(
     steps = []
     for lvl, nxt in zip(levels, key_chain[1:]):
         q, p = quotient_projection(lvl, nxt)
-        if not q.abelian:
-            raise PreconditionError(f"factor {q.domain!r} is not abelian")
         steps.append(QuotientStep(q, p))
     series = SubnormalSeries(tuple(levels), tuple(steps))
     series.validate()

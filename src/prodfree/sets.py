@@ -17,7 +17,9 @@ u log2(n) sqrt(|A||B|) with u = 2^-53, far below 1/2, and a runtime guard
 checks that every entry lies within 1/4 of an integer.  Sparser inputs,
 and any input the guard rejects, take the exact outer-sum path with
 ``np.unique``.  Every other group runs through the oracle's ``kmul``.
-Budgets count pairs |A||B| on every path.
+Budgets bound the |A||B| pairs of a product on the kernel path and the
+|X|^2 pairs of the freeness and incident-pair counts; a product on the
+``kmul`` path is bounded by its number of distinct products instead.
 """
 
 from __future__ import annotations
@@ -96,10 +98,6 @@ class MultSet:
         return f"MultSet({self.oracle.domain!r}, {{{shown}{more}}})"
 
     # -- conveniences ----------------------------------------------------
-    def elements(self) -> tuple[Element, ...]:
-        d = self.oracle.domain
-        return tuple(Element(d, k) for k in self.keys)
-
     def key_set(self) -> frozenset:
         return self._keyset
 
@@ -236,31 +234,9 @@ def power_set(x: MultSet, n: int, budget: int = DEFAULT_PRODUCT_BUDGET) -> MultS
     return acc
 
 
-def _kernel_incident_pairs(x: MultSet) -> int | None:
-    """Pairs in X^2 whose product lies in X, read off the counting kernel at
-    the keys of X; None when X takes the kmul path."""
-    operands = _kernel_operands(x, x)
-    if operands is None:
-        return None
-    sums, counts = _pair_counts(*operands)
-    return int(counts[np.isin(sums, operands[0])].sum())
-
-
 def is_product_free(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> bool:
     """Whether no product of two elements of X lands back in X."""
-    n = len(x)
-    if n * n > budget:
-        raise BudgetExceededError(f"{n}^2 pairs exceed budget {budget}")
-    incident = _kernel_incident_pairs(x)
-    if incident is not None:
-        return incident == 0
-    kmul = x.oracle.kmul
-    member = x._keyset
-    for a in x.keys:
-        for b in x.keys:
-            if kmul(a, b) in member:
-                return False
-    return True
+    return count_incident_pairs(x, budget) == 0
 
 
 def count_incident_pairs(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> int:
@@ -268,9 +244,11 @@ def count_incident_pairs(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> in
     n = len(x)
     if n * n > budget:
         raise BudgetExceededError(f"{n}^2 pairs exceed budget {budget}")
-    incident = _kernel_incident_pairs(x)
-    if incident is not None:
-        return incident
+    operands = _kernel_operands(x, x)
+    if operands is not None:
+        # read the counting kernel's pair counts at the keys of X
+        sums, counts = _pair_counts(*operands)
+        return int(counts[np.isin(sums, operands[0])].sum())
     kmul = x.oracle.kmul
     member = x._keyset
     return sum(

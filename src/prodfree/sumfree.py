@@ -27,7 +27,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .groups import GroupOracle, SubnormalSeries, abelian_coords, build_group, cyclic_subgroups
-from .sets import MultSet, frac_str
+from .sets import MultSet, frac_str, is_product_free
 
 # density constant of the middle-third interval
 SUMFREE_ALPHA = Fraction(1, 4)
@@ -57,14 +57,8 @@ def cyclic_interval(n: int) -> MultSet:
     result = MultSet(oracle, range(lo, hi + 1))
 
     if n <= INTERVAL_VERIFY_CAP:
-        pts = np.arange(lo, hi + 1, dtype=np.int64)
-        member = np.zeros(n, dtype=bool)
-        member[pts] = True
-        for start in range(0, len(pts), 512):
-            chunk = pts[start : start + 512]
-            sums = (chunk[:, None] + pts[None, :]) % n
-            if member[sums].any():
-                raise InvariantViolationError(f"interval in Z/{n} is not sum-free")
+        if not is_product_free(result, budget=len(result) ** 2):
+            raise InvariantViolationError(f"interval in Z/{n} is not sum-free")
         for sub in cyclic_subgroups(oracle)[1:]:  # skip the zero subgroup
             hits = sum(1 for el in sub if lo <= el.key <= hi)
             if 4 * hits < len(sub):

@@ -107,6 +107,13 @@ def test_coset_union_nonabelian():
     assert frozenset(g.enum_keys[0:1]) <= h_keys  # identity in the subgroup
 
 
+def test_coset_union_generators_must_lie_in_the_group():
+    # a transposition of the hexagon's vertices is no symmetry of it, so it
+    # cannot generate a subgroup of dihedral:6 (it would generate Sym(6))
+    with pytest.raises(GroupSpecError):
+        generate("coset-union:dihedral:6:1,0,2,3,4,5|1,2,3,4,5,0:1")
+
+
 def test_random_family_determinism():
     a = generate("random:cyclic:50:8:seed=4")
     b = generate("random:cyclic:50:8:seed=4")

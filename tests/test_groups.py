@@ -240,6 +240,34 @@ def test_derived_series_q8():
     assert series.exponent == 1
 
 
+@pytest.mark.parametrize("spec", ["sym:4", "dihedral:12", "heisenberg:5", "q8"])
+def test_series_levels_and_quotients_carry_the_right_abelian_flag(spec):
+    if spec == "q8":
+        g = generated_subgroup(build_group("matrix:2:3"), Q8_GENS)
+    else:
+        g = build_group(spec)
+    series = derived_subnormal_series(g)
+    oracles = list(series.levels) + [step.quotient for step in series.steps]
+    assert not series.levels[0].abelian
+    for o in oracles:
+        ks = o.enum_keys
+        commutes = all(o.kmul(a, b) == o.kmul(b, a) for a in ks for b in ks)
+        assert o.abelian == commutes, o.domain
+        # exhaustive, so the flag is checked both ways, below order 100;
+        # the 125-element top of heisenberg:5 is sampled
+        verify_group_axioms(o, exhaustive_cap=100)
+
+
+def test_dihedral_decoder_accepts_only_rotations_and_reflections():
+    g = build_group("dihedral:6")
+    assert [g.kdecode(g.kencode(k)) for k in g.enum_keys] == list(g.enum_keys)
+    assert g.kdecode("2,3,4,5,0,1") == (2, 3, 4, 5, 0, 1)  # rotation
+    assert g.kdecode("2,1,0,5,4,3") == (2, 1, 0, 5, 4, 3)  # reflection
+    for bad in ("1,0,2,3,4,5", "0,2,1,3,4,5", "0,1,2,3,4", "0,1,2,3,4,5,6"):
+        with pytest.raises(GroupSpecError):
+            g.kdecode(bad)
+
+
 def test_derived_series_rejects_non_solvable():
     with pytest.raises(NotSolvableError):
         derived_subnormal_series(build_group("sym:5"))

@@ -25,7 +25,9 @@ from prodfree import (
     seh_halving,
     verify_certificate,
 )
+from prodfree.cli import _run_algorithm
 from prodfree.pipeline import _bucket_best
+from prodfree.sets import DEFAULT_PRODUCT_BUDGET
 from conftest import (
     naive_is_product_free,
     naive_product_keys,
@@ -435,23 +437,33 @@ def test_extract_is_deterministic(int_group):
     assert a.to_json() == b.to_json()
 
 
-# sha256 of the certificate JSON, frozen from the outer-sum implementation
-FROZEN_THM33_SHA256 = {
-    "interval:50": "3db43ec7a93e0612065accb52b32fc5e8ac357b26de091768b35e0827f28e127",
-    "interval:300": "4821bf9729e69f9a2a87c766d271c266f632179e8c08afd9d27ce8d96374024f",
-    "gap:2:10,10:1,100": "64feee9c3a66fc75681e05a7746bca2495b59f19066a7284fb211935a1e194d7",
-    "gap:3:5,5,5:1,11,121": "5783037936b9f1a6384cde76e0e5221bf4a454c0ba89f79de2f962070525d0df",
+# spec -> (algorithm, sha256 of the certificate JSON it gives under the CLI
+# defaults): rewrites of the set, group and certificate code keep these bytes
+FROZEN_CERT_SHA256 = {
+    "interval:50": ("thm33", "3db43ec7a93e0612065accb52b32fc5e8ac357b26de091768b35e0827f28e127"),
+    "interval:300": ("thm33", "4821bf9729e69f9a2a87c766d271c266f632179e8c08afd9d27ce8d96374024f"),
+    "gap:2:10,10:1,100": ("thm33", "64feee9c3a66fc75681e05a7746bca2495b59f19066a7284fb211935a1e194d7"),
+    "gap:3:5,5,5:1,11,121": ("thm33", "5783037936b9f1a6384cde76e0e5221bf4a454c0ba89f79de2f962070525d0df"),
+    "full-group-minus-identity:sym:4": ("solvable", "4cc87acfbfee9d84b79147d621d421c21fa21717d33d333bc52c174067bda13b"),
+    "full-group-minus-identity:dihedral:12": ("solvable", "91c23260f1cf97b707ad3a37f96e3a0347fd50c2e3f968fdf160c6ae96d44394"),
+    "full-group-minus-identity:heisenberg:5": ("solvable", "a7d4a1080f30cbcf9c28d4130ed5cc8e68a66d5b89d0358d6c4c974f7113e582"),
+    "full-group-minus-identity:abelian:6,10": ("alon-kleitman", "151751d999ad5a7a0435647b0273b92aac2907d819a0b912939a7dc81afb0172"),
 }
 
 
-@pytest.mark.parametrize("spec", sorted(FROZEN_THM33_SHA256))
+@pytest.mark.parametrize("spec", sorted(FROZEN_CERT_SHA256))
 def test_extract_certificate_bytes_are_frozen(spec):
+    algorithm, frozen = FROZEN_CERT_SHA256[spec]
     x = generate(spec)
     digests = [
-        hashlib.sha256(product_free_extract(x).to_json().encode()).hexdigest()
+        hashlib.sha256(
+            _run_algorithm(
+                algorithm, x, delta=TWO_FIFTHS, alpha=HALF, budget=DEFAULT_PRODUCT_BUDGET
+            ).to_json().encode()
+        ).hexdigest()
         for _ in range(2)
     ]
-    assert digests == [FROZEN_THM33_SHA256[spec]] * 2
+    assert digests == [frozen] * 2
 
 
 def test_extract_respects_custom_profile(int_group):

@@ -42,6 +42,13 @@ def test_read_reports_bad_group_line(tmp_path):
         read_set(path)
 
 
+def test_read_rejects_keys_outside_the_dihedral_group(tmp_path):
+    path = tmp_path / "hexagon.txt"
+    path.write_text("dihedral:6\n1,2,3,4,5,0\n1,0,2,3,4,5\n")
+    with pytest.raises(GroupSpecError):
+        read_set(path)
+
+
 def test_read_reports_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing but comments\n")
