@@ -237,6 +237,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _fraction(text: str) -> Fraction:
+    """p/q flag values; argparse only turns ValueError into a usage error,
+    and Fraction raises ZeroDivisionError on a zero denominator."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_PRODUCT_BUDGET,
                    help="pair budget for product-set computation")
@@ -246,9 +255,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_profile(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta", type=Fraction, default=Fraction(2, 5),
+    p.add_argument("--delta", type=_fraction, default=Fraction(2, 5),
                    help="target density for the halving-step finder (p/q)")
-    p.add_argument("--alpha", type=Fraction, default=Fraction(1, 2),
+    p.add_argument("--alpha", type=_fraction, default=Fraction(1, 2),
                    help="target shrink factor of the halving loop (p/q)")
 
 
@@ -258,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="doubling, covering, and freeness diagnostics")
     pa.add_argument("source", help="family spec, group spec, or file:PATH")
-    pa.add_argument("--k", type=Fraction, default=None,
+    pa.add_argument("--k", type=_fraction, default=None,
                     help="also decide k-approximate-group membership for this k")
     pa.add_argument("--side", choices=("left", "right", "two-sided"), default="left",
                     help="translate side for the covering search")

@@ -41,6 +41,7 @@ from .sets import (
     DEFAULT_PRODUCT_BUDGET,
     MultSet,
     _int64_keys,
+    _pair_counts,
     _product_counts,
     frac_str,
     inverse_set,
@@ -210,7 +211,6 @@ def find_homogeneous_tuple(
     v3: MultSet,
     target_delta,
     *,
-    trials: int = FINDER_TRIALS,
     pair_budget: int = DEFAULT_PRODUCT_BUDGET,
 ) -> HomogeneousTuple:
     """Subsets of six input sets, each of density >= target_delta and size
@@ -270,7 +270,7 @@ def find_homogeneous_tuple(
 
     seed = _digest_seed(*inputs, extra=f"homog:{delta}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for _ in range(trials):
+    for _ in range(FINDER_TRIALS):
         picks = []
         for s, m in zip(inputs, need):
             idx = sorted(rng.choice(len(s.keys), size=m, replace=False).tolist())
@@ -303,7 +303,7 @@ def find_homogeneous_tuple(
                     return got
     raise SearchExhaustedError(
         f"no homogeneous tuple of density {delta} found "
-        f"({trials} sampled candidates)"
+        f"({FINDER_TRIALS} sampled candidates)"
     )
 
 
@@ -332,7 +332,6 @@ def seh_halving(
     finder_delta=Fraction(1, 2),
     *,
     budget: int = DEFAULT_PRODUCT_BUDGET,
-    finder_trials: int = FINDER_TRIALS,
 ) -> SehHalvingResult:
     """Nested triples U, V, W inside Y with |UVW| <= alpha |Y|.
 
@@ -379,9 +378,7 @@ def seh_halving(
     while len(cur) * alpha.denominator > alpha.numerator * len(y):
         if transitions >= t:
             raise InvariantViolationError("halving exceeded its planned step count")
-        tup = find_homogeneous_tuple(
-            u, v, w, u, v, w, delta, trials=finder_trials, pair_budget=budget
-        )
+        tup = find_homogeneous_tuple(u, v, w, u, v, w, delta, pair_budget=budget)
         nu, nv, nw = tup.chosen()
         nxt = product_set(product_set(nu, nv, budget=budget), nw, budget=budget)
         for new, old in ((nu, u), (nv, v), (nw, w)):
@@ -414,38 +411,26 @@ def _bucket_best(
     total count, which group cancellation makes equal to |U||V||W|."""
     ua, va, wa = _int64_keys(u), _int64_keys(v), _int64_keys(w)
     if ua is not None and va is not None and wa is not None:
-        g_grid = ua[:, None] + va[None, :]
-        h_grid = va[:, None] + wa[None, :]
-        if oracle.kind == "cyclic":
-            g_grid %= oracle.order
-            h_grid %= oracle.order
-        g_lo = int(g_grid.min())
-        h_lo, h_hi = int(h_grid.min()), int(h_grid.max())
-        span = h_hi - h_lo + 1
-        bins = (int(g_grid.max()) - g_lo + 1) * span
-        if bins < 2**62:
-            # composite code (g - g_lo) * span + (h - h_lo), ordered as (g, h)
-            g_code = (g_grid - g_lo) * span
-            h_code = h_grid - h_lo
-            if bins <= len(ua) * len(va) * len(wa):
-                # chunks over V of at least max(2^22, bins) codes keep the
-                # O(bins) cost of each bincount below that of its codes
-                rows = max(1, max(2**22, bins) // (len(ua) * len(wa)))
-                counts = np.zeros(bins, dtype=np.int64)
-                for j in range(0, len(va), rows):
-                    g_rows = g_code[:, j : j + rows].T[:, :, None]
-                    codes = g_rows + h_code[j : j + rows, None, :]
-                    counts += np.bincount(codes.ravel(), minlength=bins)
-                best_val = int(counts.argmax())
-                best_count = int(counts[best_val])
-                total = int(counts.sum())
-            else:
-                codes = g_code.T[:, :, None] + h_code[:, None, :]
-                vals, counts = np.unique(codes, return_counts=True)
-                total = int(counts.sum())
-                best_count = int(counts.max())
-                best_val = int(vals[counts == best_count].min())
-            return best_val // span + g_lo, best_val % span + h_lo, best_count, total
+        ua, va, wa = ua - ua[0], va - va[0], wa - wa[0]
+        span = int(va[-1] + wa[-1]) + 1
+        if (int(ua[-1] + va[-1]) + 1) * span < 2**62:
+            # with keys shifted to start at 0, the code g * span + h of the
+            # bucket of (u, z, w) is (u * span + w) + z * (span + 1): the
+            # sums of two sorted arrays, in (g, h) order
+            codes, counts = _pair_counts(
+                np.add.outer(ua * span, wa).ravel(), va * (span + 1)
+            )
+            g = codes // span + (u.keys[0] + v.keys[0])
+            h = codes % span + (v.keys[0] + w.keys[0])
+            if oracle.kind == "cyclic":
+                # reduce mod N and merge the buckets that meet, in (g, h) order
+                g, h = g % oracle.order, h % oracle.order
+                order = np.lexsort((h, g))
+                g, h, counts = g[order], h[order], counts[order]
+                first = np.flatnonzero(np.diff(g, prepend=-1) | np.diff(h, prepend=-1))
+                g, h, counts = g[first], h[first], np.add.reduceat(counts, first)
+            best = int(counts.argmax())
+            return int(g[best]), int(h[best]), int(counts[best]), int(counts.sum())
     kmul = oracle.kmul
     buckets: Counter = Counter()
     for zk in v.keys:
@@ -525,7 +510,6 @@ def product_free_extract(
     profile: BoundsProfile | None = None,
     *,
     budget: int = DEFAULT_PRODUCT_BUDGET,
-    finder_trials: int = FINDER_TRIALS,
 ):
     """End-to-end product-free extraction with a certificate.
 
@@ -587,13 +571,7 @@ def product_free_extract(
         )
 
         stage = "halving"
-        halv = seh_halving(
-            y,
-            profile.alpha,
-            profile.delta,
-            budget=budget,
-            finder_trials=finder_trials,
-        )
+        halv = seh_halving(y, profile.alpha, profile.delta, budget=budget)
         if halv.used_fallback:
             trace.append(
                 record(

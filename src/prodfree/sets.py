@@ -17,6 +17,8 @@ u log2(n) sqrt(|A||B|) with u = 2^-53, far below 1/2, and a runtime guard
 checks that every entry lies within 1/4 of an integer.  Sparser inputs,
 and any input the guard rejects, take the exact outer-sum path with
 ``np.unique``.  Every other group runs through the oracle's ``kmul``.
+Triple localization (``pipeline._bucket_best``) counts its (g, h)
+buckets with the same kernel, over composite bucket codes.
 Budgets bound the |A||B| pairs of a product on the kernel path and the
 |X|^2 pairs of the freeness and incident-pair counts; a product on the
 ``kmul`` path is bounded by its number of distinct products instead.

@@ -1,4 +1,4 @@
-"""Shared brute-force references.
+"""Shared brute-force references and fixtures.
 
 Every helper here recomputes facts straight from an oracle's raw key
 operations (kmul, kinv), independently of the library's set calculus, so
@@ -98,3 +98,25 @@ def int_group():
     from prodfree import build_group
 
     return build_group("int")
+
+
+def patch_irfft(monkeypatch, offset=0.0):
+    """From now on, count np.fft.irfft calls (one per FFT pass of the
+    counting kernel) and add ``offset`` to every result; 0.4 makes the
+    kernel's rounding guard reject each pass."""
+    import numpy as np
+
+    calls = []
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return irfft(*args, **kwargs) + offset
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    return calls
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    return patch_irfft(monkeypatch)

@@ -227,6 +227,21 @@ def test_unknown_algorithm_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "thm33", "interval:5", "--delta", "1/0"],
+        ["extract", "thm33", "interval:5", "--alpha", "1/0"],
+        ["analyze", "interval:5", "--k", "1/0"],
+    ],
+)
+def test_zero_denominator_fraction_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert "invalid Fraction value: '1/0'" in capsys.readouterr().err
+
+
 def test_missing_certificate_file(capsys):
     code, _, err = run_cli(capsys, "verify", "/nonexistent/cert.json", "interval:5")
     assert code == 1

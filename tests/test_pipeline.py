@@ -4,7 +4,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from prodfree import (
@@ -32,6 +31,7 @@ from conftest import (
     naive_is_product_free,
     naive_product_keys,
     naive_triple_product_keys,
+    patch_irfft,
 )
 
 HALF = Fraction(1, 2)
@@ -316,24 +316,42 @@ def test_bucket_best_huge_int_keys_match_counter(int_group, base):
 @pytest.mark.parametrize(
     "spec,pool,sizes,path",
     [
-        ("int", range(-8, 8), (10, 16), "bincount"),
-        ("int", range(-10**6, 10**6), (5, 25), "unique"),
-        ("cyclic:101", range(101), (22, 25), "bincount"),
-        ("cyclic:5003", range(5003), (5, 25), "unique"),
+        # code range below 1024 <= |U||V||W|: the kernel convolves
+        ("int", range(-8, 8), (12, 16), "fft"),
+        ("int", range(-10**6, 10**6), (5, 25), "exact"),
+        # unreduced code range below 2^16 <= |U||V||W|
+        ("cyclic:101", range(101), (45, 60), "fft"),
+        ("cyclic:5003", range(5003), (5, 25), "exact"),
     ],
 )
-def test_bucket_best_matches_counter(spec, pool, sizes, path, monkeypatch):
-    calls = []
-    bincount = np.bincount
-    monkeypatch.setattr(
-        np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k)
-    )
+def test_bucket_best_matches_counter(spec, pool, sizes, path, fft_calls):
     g = build_group(spec)
     rng = random.Random(spec)
     for _ in range(4):
         u, v, w = (MultSet(g, rng.sample(pool, rng.randint(*sizes))) for _ in range(3))
         assert _bucket_best(g, u, v, w) == _naive_best_bucket(g, u, v, w)
-    assert len(calls) == (4 if path == "bincount" else 0)
+    assert len(fft_calls) == (4 if path == "fft" else 0)
+
+
+def test_bucket_best_guard_failure_matches_counter(monkeypatch):
+    calls = patch_irfft(monkeypatch, 0.4)
+    rng = random.Random(4)
+    for spec, pool in (("int", range(-8, 8)), ("cyclic:101", range(101))):
+        g = build_group(spec)
+        u, v, w = (MultSet(g, rng.sample(pool, len(pool) * 3 // 4)) for _ in range(3))
+        assert _bucket_best(g, u, v, w) == _naive_best_bucket(g, u, v, w)
+    assert len(calls) == 2
+
+
+def test_bucket_best_wide_code_range_takes_kmul_path(int_group, monkeypatch):
+    # int64-safe keys whose bucket codes would pass 2^62
+    calls = []
+    monkeypatch.setattr(
+        "prodfree.pipeline._pair_counts", lambda *a, **k: calls.append(1)
+    )
+    u = v = w = MultSet(int_group, [0, 2**31, 2**32 + 1])
+    assert _bucket_best(int_group, u, v, w) == _naive_best_bucket(int_group, u, v, w)
+    assert not calls
 
 
 def test_localize_generic_path_heisenberg():

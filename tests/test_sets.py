@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from prodfree import (
@@ -21,7 +20,12 @@ from prodfree import (
 )
 from prodfree.groups import subgroup_view
 from prodfree.sets import NUMPY_MIN_PAIRS
-from conftest import naive_incident_pairs, naive_is_product_free, naive_product_keys
+from conftest import (
+    naive_incident_pairs,
+    naive_is_product_free,
+    naive_product_keys,
+    patch_irfft,
+)
 
 
 def test_multset_canonical_order_and_dedup(int_group):
@@ -110,19 +114,6 @@ KERNEL_CASES = [
 ]
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    calls = []
-    irfft = np.fft.irfft
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return irfft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "irfft", counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "spec,shape,keys,path", KERNEL_CASES, ids=[f"{c[0]}-{c[1]}" for c in KERNEL_CASES]
 )
@@ -150,14 +141,7 @@ def test_counting_kernel_guard_failure_falls_back_exactly(monkeypatch):
     want = [
         (product_set(x, x), is_product_free(x), count_incident_pairs(x)) for x in sets
     ]
-    calls = []
-    irfft = np.fft.irfft
-
-    def off_by_0_4(*args, **kwargs):
-        calls.append(1)
-        return irfft(*args, **kwargs) + 0.4
-
-    monkeypatch.setattr(np.fft, "irfft", off_by_0_4)
+    calls = patch_irfft(monkeypatch, 0.4)
     got = [
         (product_set(x, x), is_product_free(x), count_incident_pairs(x)) for x in sets
     ]
