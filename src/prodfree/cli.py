@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -96,8 +97,16 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed early (``| head``), which is not a failure of
+        # the run: point stdout at devnull so later writes and the exit-time
+        # flush stay silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _run_algorithm(
@@ -176,11 +185,9 @@ def cmd_verify(args) -> int:
     x = _resolve_source(args.source, args.seed)
     ok, problems = verify_certificate(cert, x)
     if ok:
-        print("PASS")
+        _emit("PASS", None)
         return EXIT_OK
-    print("FAIL")
-    for p in problems:
-        print(f"  - {p}")
+    _emit("\n".join(["FAIL"] + [f"  - {p}" for p in problems]), None)
     return EXIT_ERROR
 
 

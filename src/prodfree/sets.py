@@ -262,51 +262,35 @@ def count_incident_pairs(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> in
 # covering numbers and the approximate-group report
 
 
-def _greedy_cover(universe: frozenset, candidates: list[tuple[Any, frozenset]]):
-    """Greedy set cover; candidates are (label, covered-keys) pairs.
-
-    Candidates must jointly cover the universe.  Ties break on the label's
-    canonical order (the list is pre-sorted).
-    """
-    remaining = set(universe)
+def _greedy_cover(full: int, masks: list[int]) -> list[int]:
+    """Greedy set cover of the bitmask ``full``: the indices of the picked
+    masks, ties going to the lowest index."""
+    remaining = full
     picks = []
     while remaining:
-        best = None
-        best_gain = 0
-        for label, covered in candidates:
-            gain = len(remaining & covered)
+        best, best_gain = -1, 0
+        for i, m in enumerate(masks):
+            gain = (remaining & m).bit_count()
             if gain > best_gain:
-                best, best_gain = (label, covered), gain
-        if best is None:
+                best, best_gain = i, gain
+        if best < 0:
             raise PreconditionError("candidates do not cover the universe")
-        picks.append(best[0])
-        remaining -= best[1]
+        picks.append(best)
+        remaining &= ~masks[best]
     return picks
 
 
 def _exact_cover_size(
-    universe: frozenset,
-    candidates: list[tuple[Any, frozenset]],
+    full: int,
+    masks: list[int],
+    hitters: list[list[int]],
     upper: int,
     node_budget: int = 10**6,
 ) -> int | None:
-    """Branch-and-bound minimum cover size, or None if the budget runs out."""
-    index = {k: i for i, k in enumerate(sorted(universe))}
-    full = (1 << len(index)) - 1
-    masks = []
-    for _, covered in candidates:
-        m = 0
-        for k in covered & universe:
-            m |= 1 << index[k]
-        masks.append(m)
-    # which candidates hit each universe point
-    hitters: list[list[int]] = [[] for _ in index]
-    for ci, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            hitters[low.bit_length() - 1].append(ci)
-            mm ^= low
+    """Branch-and-bound minimum cover size, or None if the budget runs out.
+
+    ``hitters[i]`` lists, in increasing order, the masks with bit i set.
+    """
     if any(not h for h in hitters):
         raise PreconditionError("candidates do not cover the universe")
     best = upper
@@ -373,16 +357,22 @@ class ApproxGroupReport:
         }
 
 
-def _translate_candidates(x: MultSet, square: MultSet, side: str):
+def _translates(x: MultSet, square: MultSet, side: str):
+    """Translates t X and/or X t, t in X, as bitmasks over X^2's keys, and
+    for each point of X^2 the indices of the translates holding it."""
     kmul = x.oracle.kmul
-    sq = square.key_set()
-    cands = []
+    index = {k: i for i, k in enumerate(square.keys)}
+    hitters: list[list[int]] = [[] for _ in square.keys]
+    masks: list[int] = []
     for t in x.keys:
-        if side in ("left", "two-sided"):
-            cands.append((("L", t), frozenset(kmul(t, b) for b in x.keys) & sq))
-        if side in ("right", "two-sided"):
-            cands.append((("R", t), frozenset(kmul(b, t) for b in x.keys) & sq))
-    return cands
+        for s in {"left": "L", "right": "R", "two-sided": "LR"}[side]:
+            m = 0
+            for b in x.keys:
+                i = index[kmul(t, b) if s == "L" else kmul(b, t)]
+                m |= 1 << i
+                hitters[i].append(len(masks))
+            masks.append(m)
+    return masks, hitters
 
 
 def approx_report(
@@ -398,6 +388,12 @@ def approx_report(
     X^2 is always a union of such translates, so the search is feasible and
     any bound it certifies is a genuine covering bound.  ``translate_side``
     may be ``left``, ``right``, or ``two-sided``.
+
+    Each translate is held once, as an int bitmask whose bit i is the i-th
+    key of X^2, with per-point lists of the translates that hit it.  The
+    greedy cover of the masks gives ``covering_upper``; a branch-and-bound
+    search over masks and hitters gives ``covering_exact``, or None when
+    |X^2| > EXACT_COVER_UNIVERSE or the search exceeds its node budget.
     """
     if len(x) == 0:
         raise PreconditionError("approx_report needs a nonempty set")
@@ -410,20 +406,20 @@ def approx_report(
     symmetric = inverse_set(x).key_set() == x.key_set()
     has_identity = x.oracle.identity_key in x.key_set()
 
-    cands = _translate_candidates(x, square, translate_side)
-    picks = _greedy_cover(square.key_set(), cands)
+    masks, hitters = _translates(x, square, translate_side)
+    full = (1 << len(square)) - 1
+    picks = _greedy_cover(full, masks)
     upper = len(picks)
     # sanity: the greedy picks really do cover X^2
-    covered: set = set()
-    lookup = dict(cands)
-    for label in picks:
-        covered |= lookup[label]
-    if covered != set(square.key_set()):
+    covered = 0
+    for i in picks:
+        covered |= masks[i]
+    if covered != full:
         raise PreconditionError("greedy cover failed to cover X^2")
 
     exact = None
     if len(square) <= EXACT_COVER_UNIVERSE:
-        exact = _exact_cover_size(square.key_set(), cands, upper)
+        exact = _exact_cover_size(full, masks, hitters, upper)
 
     report = ApproxGroupReport(
         size=len(x),

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -52,6 +54,30 @@ def test_analyze_skips_exhaustive_fields_on_large_sets(capsys):
     data = json.loads(out)
     assert code == 0
     assert "max_product_free_size" not in data
+
+
+# (spec, side) -> sha256 of the stdout of `analyze SPEC --k 2 --side SIDE
+# --seed 7`: rewrites of the product-set and covering code keep these bytes
+FROZEN_ANALYZE_SHA256 = {
+    ("heisenberg-ball:11:1", "left"): "fd9bdceada01d4798abb58f53ccef6a677044c7d8464a16c51944ade23319eca",
+    ("heisenberg-ball:11:1", "right"): "fd9bdceada01d4798abb58f53ccef6a677044c7d8464a16c51944ade23319eca",
+    ("heisenberg-ball:11:1", "two-sided"): "fd9bdceada01d4798abb58f53ccef6a677044c7d8464a16c51944ade23319eca",
+    ("gap:2:10,10:1,100", "left"): "64ca3f98eba2b886ba1309739fc35fb10d7171489bd9b7239819f74016d5c830",
+    ("interval:300", "left"): "dfc68d50eae958cd2e487c40378e2f380929ad744e12a8f23c30da979a184996",
+    ("random:dihedral:30:16", "left"): "712761d640a078ff3e76a07179fe4e55581be3450ad250fc60f4715625dfa03d",
+}
+
+
+@pytest.mark.parametrize("spec,side", sorted(FROZEN_ANALYZE_SHA256))
+def test_analyze_bytes_are_frozen(spec, side, capsys):
+    digests = []
+    for _ in range(2):
+        code, out, _ = run_cli(
+            capsys, "analyze", spec, "--k", "2", "--side", side, "--seed", "7"
+        )
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert digests == [FROZEN_ANALYZE_SHA256[spec, side]] * 2
 
 
 def test_extract_thm33_writes_verifiable_certificate(tmp_path, capsys):
@@ -168,6 +194,24 @@ def test_verify_fails_on_wrong_input(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(out_path), "interval:7")
     assert code == 1
     assert "digest" in out
+
+
+def test_closed_stdout_is_not_an_error(tmp_path, monkeypatch, capsys):
+    def run_into_closed_pipe(*argv):
+        # a pipe whose reader is gone, as under `prodfree ... | head -1`;
+        # closing the stream stands in for the interpreter's exit-time flush
+        r, w = os.pipe()
+        os.close(r)
+        with open(w, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            return main(list(argv))
+
+    out_path = tmp_path / "cert.json"
+    run_cli(capsys, "extract", "greedy", "interval:6", "--out", str(out_path))
+    # the certificate is larger than the stream's buffer
+    assert run_into_closed_pipe("extract", "interval", "cyclic:9000") == 0
+    assert run_into_closed_pipe("verify", str(out_path), "interval:7") == 1
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_bench_csv_shape(capsys):

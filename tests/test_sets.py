@@ -19,7 +19,7 @@ from prodfree import (
     product_set,
 )
 from prodfree.groups import subgroup_view
-from prodfree.sets import NUMPY_MIN_PAIRS
+from prodfree.sets import NUMPY_MIN_PAIRS, _exact_cover_size, _greedy_cover, _translates
 from conftest import (
     naive_incident_pairs,
     naive_is_product_free,
@@ -266,15 +266,30 @@ def test_approx_report_not_symmetric(int_group):
 
 @pytest.mark.parametrize("side", ["left", "right", "two-sided"])
 def test_exact_cover_matches_brute_force(side):
-    g = build_group("sym:3")
     rng = random.Random(3)
-    for _ in range(12):
-        ks = rng.sample(list(g.enum_keys), rng.randint(2, 5))
-        x = MultSet(g, ks)
-        square = frozenset(naive_product_keys(g, ks, ks))
-        want = _naive_min_cover(g, x.keys, square, side)
-        rep = approx_report(x, translate_side=side)
-        assert rep.covering_exact == want
+    for spec in ("sym:3", "cyclic:12", "int"):
+        g = build_group(spec)
+        pool = list(g.enum_keys) if g.enum_keys is not None else list(range(-8, 9))
+        for _ in range(12):
+            ks = rng.sample(pool, rng.randint(2, 5))
+            x = MultSet(g, ks)
+            square = frozenset(naive_product_keys(g, ks, ks))
+            want = _naive_min_cover(g, x.keys, square, side)
+            rep = approx_report(x, translate_side=side)
+            assert rep.covering_upper >= rep.covering_exact == want
+
+
+def test_exact_cover_node_budget_aborts(int_group):
+    # X^2 = {0,1,2,3,4,6} needs all three translates, above the root's
+    # bound ceil(|X^2|/|X|) = 2, so the search must branch past one node
+    x = MultSet(int_group, [0, 1, 3])
+    square = product_set(x, x)
+    masks, hitters = _translates(x, square, "left")
+    full = (1 << len(square)) - 1
+    upper = len(_greedy_cover(full, masks))
+    assert upper == 3
+    assert _exact_cover_size(full, masks, hitters, upper, node_budget=1) is None
+    assert _exact_cover_size(full, masks, hitters, upper) == 3
 
 
 def test_approx_report_rejects_empty(int_group):
