@@ -12,7 +12,9 @@ Payload conventions:
 * ``cyclic:n``     least non-negative residues ``0..n-1``
 * ``abelian:...``  vectors of residues, one per listed modulus
 * ``sym:n``        permutations as image words ``(p(0), ..., p(n-1))``
-* ``dihedral:n``   the 2n symmetries of an n-gon, stored as image words
+* ``dihedral:n``   the 2n symmetries of an n-gon; the key is an int code,
+                   the rank of the image word ``(p(0), ..., p(n-1))`` in
+                   sorted order, and the image word is its text
 * ``heisenberg:p`` unitriangular 3x3 matrices mod p, flattened row-major
 * ``matrix:d:m``   invertible d x d matrices mod m, flattened row-major
 """
@@ -356,29 +358,52 @@ def _build_dihedral(n: int) -> GroupOracle:
         raise GroupSpecError(
             f"dihedral:n supports 3 <= n <= {DIHEDRAL_MAX}, got {n}"
         )
-    keys = set()
-    for k in range(n):
-        keys.add(tuple((i + k) % n for i in range(n)))  # rotations
-        keys.add(tuple((k - i) % n for i in range(n)))  # reflections
-    if len(keys) != 2 * n:
-        raise GroupSpecError(f"dihedral construction degenerate for n={n}")
+    # (k, s) is the rotation i -> k + i (s = 0) or the reflection i -> k - i
+    # (s = 1).  Its key is the rank of its image word among all 2n words in
+    # sorted order: the two words starting with k rank 2k and 2k + 1, and the
+    # rotation, whose second entry is k + 1 mod n against the reflection's
+    # k - 1 mod n, comes first only for k = 0 and k = n - 1.
+    flip = [0] + [1] * (n - 2) + [0]  # flip[k] = [1 <= k <= n - 2]
+    sign = [(c & 1) ^ flip[c >> 1] for c in range(2 * n)]  # s of key c
 
-    def dec(text: str) -> tuple:
+    def kmul(a, b):
+        # (j, s)(k, t) = (j + (-1)^s k, s xor t): apply (k, t) first
+        s = sign[a]
+        k = ((a >> 1) - (b >> 1) if s else (a >> 1) + (b >> 1)) % n
+        return 2 * k + (s ^ sign[b] ^ flip[k])
+
+    def kinv(a):
+        if sign[a]:
+            return a  # a reflection is an involution
+        k = -(a >> 1) % n
+        return 2 * k + flip[k]
+
+    def word(a) -> tuple:
+        k = a >> 1
+        if sign[a]:
+            return tuple((k - i) % n for i in range(n))
+        return tuple((k + i) % n for i in range(n))
+
+    def dec(text: str) -> int:
         key = tuple(int(t) for t in text.split(","))
-        if key not in keys:
-            raise GroupSpecError(f"not a symmetry of the {n}-gon: {text!r}")
-        return key
+        if len(key) == n and 0 <= key[0] < n:
+            k = key[0]
+            s = int(key[1] != (k + 1) % n)
+            a = 2 * k + (s ^ flip[k])
+            if word(a) == key:
+                return a
+        raise GroupSpecError(f"not a symmetry of the {n}-gon: {text!r}")
 
     return GroupOracle(
         domain=f"dihedral:{n}",
         kind="perm",
-        kmul=_perm_mul,
-        kinv=_perm_inv,
-        identity_key=tuple(range(n)),
+        kmul=kmul,
+        kinv=kinv,
+        identity_key=0,
         abelian=False,
         order=2 * n,
-        enum_keys=tuple(sorted(keys)),
-        kencode=_vector_encode,
+        enum_keys=tuple(range(2 * n)),
+        kencode=lambda a: _vector_encode(word(a)),
         kdecode=dec,
     )
 
@@ -388,7 +413,19 @@ def _build_heisenberg(p: int) -> GroupOracle:
         raise GroupSpecError(f"heisenberg:p needs a prime, got {p}")
 
     def kmul(x, y):
-        return _mat_mul(x, y, 3, p)
+        # [[1, a, c], [0, 1, b], [0, 0, 1]] times its primed copy is
+        # [[1, a + a', c + c' + a b'], [0, 1, b + b'], [0, 0, 1]]
+        return (
+            1,
+            (x[1] + y[1]) % p,
+            (x[2] + y[2] + x[1] * y[5]) % p,
+            0,
+            1,
+            (x[5] + y[5]) % p,
+            0,
+            0,
+            1,
+        )
 
     def kinv(x):
         a, c, b = x[1], x[2], x[5]

@@ -62,6 +62,7 @@ FROZEN_ANALYZE_SHA256 = {
     ("heisenberg-ball:11:1", "left"): "fd9bdceada01d4798abb58f53ccef6a677044c7d8464a16c51944ade23319eca",
     ("heisenberg-ball:11:1", "right"): "fd9bdceada01d4798abb58f53ccef6a677044c7d8464a16c51944ade23319eca",
     ("heisenberg-ball:11:1", "two-sided"): "fd9bdceada01d4798abb58f53ccef6a677044c7d8464a16c51944ade23319eca",
+    ("heisenberg-ball:11:2", "left"): "63a626a634da8d36fafabfc70595a1f7d4ae510ee77c8a4f7e3d1495e07f3361",
     ("gap:2:10,10:1,100", "left"): "64ca3f98eba2b886ba1309739fc35fb10d7171489bd9b7239819f74016d5c830",
     ("interval:300", "left"): "dfc68d50eae958cd2e487c40378e2f380929ad744e12a8f23c30da979a184996",
     ("random:dihedral:30:16", "left"): "712761d640a078ff3e76a07179fe4e55581be3450ad250fc60f4715625dfa03d",

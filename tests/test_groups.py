@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -23,6 +25,7 @@ from prodfree import (
     subnormal_series_from_chain,
     verify_group_axioms,
 )
+from prodfree.groups import DIHEDRAL_MAX, _mat_mul, _perm_inv, _perm_mul
 from conftest import naive_closure, naive_derived_orders
 
 Q8_GENS = [(0, 2, 1, 0), (1, 1, 1, 2)]  # i and j inside GL2(F3)
@@ -261,8 +264,9 @@ def test_series_levels_and_quotients_carry_the_right_abelian_flag(spec):
 def test_dihedral_decoder_accepts_only_rotations_and_reflections():
     g = build_group("dihedral:6")
     assert [g.kdecode(g.kencode(k)) for k in g.enum_keys] == list(g.enum_keys)
-    assert g.kdecode("2,3,4,5,0,1") == (2, 3, 4, 5, 0, 1)  # rotation
-    assert g.kdecode("2,1,0,5,4,3") == (2, 1, 0, 5, 4, 3)  # reflection
+    for text in ("2,3,4,5,0,1", "2,1,0,5,4,3"):  # rotation, reflection
+        assert g.kencode(g.kdecode(text)) == text
+        assert g.kdecode(text) in g.enum_keys
     for bad in ("1,0,2,3,4,5", "0,2,1,3,4,5", "0,1,2,3,4", "0,1,2,3,4,5,6"):
         with pytest.raises(GroupSpecError):
             g.kdecode(bad)
@@ -308,3 +312,56 @@ def test_axiom_checker_catches_broken_oracle():
     broken = type(g)(**{**g.__dict__, "kmul": lambda a, b: (a + b + 1) % 6})
     with pytest.raises(GroupAxiomError):
         verify_group_axioms(broken)
+
+
+def _word(g, key):
+    return tuple(int(t) for t in g.kencode(key).split(","))
+
+
+def _check_dihedral_pairs(g, pairs):
+    for a, b in pairs:
+        assert _word(g, g.kmul(a, b)) == _perm_mul(_word(g, a), _word(g, b))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_dihedral_arithmetic_matches_image_words(n):
+    g = build_group(f"dihedral:{n}")
+    _check_dihedral_pairs(g, itertools.product(g.enum_keys, repeat=2))
+    assert _word(g, g.identity_key) == tuple(range(n))
+    for a in g.enum_keys:
+        assert _word(g, g.kinv(a)) == _perm_inv(_word(g, a))
+
+
+@pytest.mark.parametrize("n", [200, DIHEDRAL_MAX])
+def test_dihedral_arithmetic_matches_image_words_sampled(n):
+    g = build_group(f"dihedral:{n}")
+    rng = random.Random(n)
+    _check_dihedral_pairs(
+        g, [(rng.randrange(2 * n), rng.randrange(2 * n)) for _ in range(2000)]
+    )
+
+
+@pytest.mark.parametrize("n", [*range(3, 65), 1024])
+def test_dihedral_keys_follow_image_word_order(n):
+    # sorted keys, coset representatives and seeded picks, and so the
+    # certificate bytes, are those of the image words
+    g = build_group(f"dihedral:{n}")
+    words = [_word(g, k) for k in g.enum_keys]
+    assert words == sorted(set(words)) and len(words) == 2 * n
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_heisenberg_product_matches_matrix_product(p):
+    g = build_group(f"heisenberg:{p}")
+    for x, y in itertools.product(g.enum_keys, repeat=2):
+        assert g.kmul(x, y) == _mat_mul(x, y, 3, p)
+
+
+def test_heisenberg_product_matches_matrix_product_sampled():
+    import numpy as np
+
+    g = build_group("heisenberg:31")
+    rng = np.random.Generator(np.random.Philox(key=31))
+    for _ in range(2000):
+        x, y = g.ksample(rng), g.ksample(rng)
+        assert g.kmul(x, y) == _mat_mul(x, y, 3, 31)

@@ -464,6 +464,7 @@ FROZEN_CERT_SHA256 = {
     "gap:3:5,5,5:1,11,121": ("thm33", "5783037936b9f1a6384cde76e0e5221bf4a454c0ba89f79de2f962070525d0df"),
     "full-group-minus-identity:sym:4": ("solvable", "4cc87acfbfee9d84b79147d621d421c21fa21717d33d333bc52c174067bda13b"),
     "full-group-minus-identity:dihedral:12": ("solvable", "91c23260f1cf97b707ad3a37f96e3a0347fd50c2e3f968fdf160c6ae96d44394"),
+    "full-group-minus-identity:dihedral:200": ("solvable", "5682364714174a1e16e6c06d5025c92cfaacb37b90e1dfa95eebc3aa6e796c3a"),
     "full-group-minus-identity:heisenberg:5": ("solvable", "a7d4a1080f30cbcf9c28d4130ed5cc8e68a66d5b89d0358d6c4c974f7113e582"),
     "full-group-minus-identity:abelian:6,10": ("alon-kleitman", "151751d999ad5a7a0435647b0273b92aac2907d819a0b912939a7dc81afb0172"),
 }
