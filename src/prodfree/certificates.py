@@ -253,12 +253,15 @@ def verify_certificate(
             f"{n}^2 pairs exceed budget {DEFAULT_PRODUCT_BUDGET}"
         )
     kmul, member = x.oracle.kmul, witness.key_set()
-    recomputed_free = bool(n) and not any(
+    recomputed_free = not any(
         kmul(a, b) in member for a in witness.keys for b in witness.keys
     )
     if not cert.verified_product_free:
         problems.append("certificate does not claim product-freeness")
-    if not recomputed_free:
+    if not n:
+        # product-free, but an empty witness never certifies anything
+        problems.append("witness is empty")
+    elif not recomputed_free:
         problems.append("witness is not product-free on recomputation")
 
     for i, t in enumerate(cert.trace):

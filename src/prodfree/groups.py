@@ -10,7 +10,11 @@ Payload conventions:
 
 * ``int``          arbitrary-precision integers under addition
 * ``cyclic:n``     least non-negative residues ``0..n-1``
-* ``abelian:...``  vectors of residues, one per listed modulus
+* ``abelian:...``  the residue vector ``(d_1, ..., d_r)``, one residue per
+                   listed modulus, as the mixed-radix int
+                   ``sum d_j * M_{j+1} * ... * M_r`` (first component most
+                   significant, so int order is vector order); the comma
+                   text ``d_1,...,d_r`` is its text
 * ``sym:n``        permutations as image words ``(p(0), ..., p(n-1))``
 * ``dihedral:n``   the 2n symmetries of an n-gon; the key is an int code,
                    the rank of the image word ``(p(0), ..., p(n-1))`` in
@@ -194,19 +198,6 @@ def _vector_encode(key: tuple) -> str:
     return ",".join(str(v) for v in key)
 
 
-def _vector_decode_factory(moduli: tuple[int, ...]):
-    def dec(text: str) -> tuple:
-        parts = [int(t) for t in text.split(",")]
-        if len(parts) != len(moduli):
-            raise GroupSpecError(f"expected {len(moduli)} components: {text!r}")
-        for v, m in zip(parts, moduli):
-            if not 0 <= v < m:
-                raise GroupSpecError(f"component {v} out of range mod {m}")
-        return tuple(parts)
-
-    return dec
-
-
 def _perm_decode_factory(n: int):
     def dec(text: str) -> tuple:
         parts = tuple(int(t) for t in text.split(","))
@@ -299,27 +290,55 @@ def _build_abelian(moduli: tuple[int, ...]) -> GroupOracle:
     if not moduli or any(m < 1 for m in moduli):
         raise GroupSpecError(f"bad abelian moduli {moduli}")
     order = math.prod(moduli)
-    enum = None
-    if order <= ENUM_CAP:
-        enum = tuple(itertools.product(*(range(m) for m in moduli)))
+    # the key of (d_1, ..., d_r) is sum d_j * stride_j, the first component
+    # most significant, so int order is the order of the residue vectors
+    dims = tuple(
+        (math.prod(moduli[j + 1 :]), m, math.prod(moduli[j:]))
+        for j, m in enumerate(moduli)
+    )  # (stride_j, M_j, M_j * stride_j)
+
+    last, middle = moduli[-1], dims[1:-1]
 
     def kmul(a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
+        # add, then take M_j * stride_j off for each digit j that wrapped;
+        # once the lower digits are reduced, the first wraps iff c >= order
+        c = a + b
+        if a % last + b % last >= last:
+            c -= last
+        for s, m, span in middle:
+            if a // s % m + b // s % m >= m:
+                c -= span
+        return c - order if c >= order else c
+
+    def kinv(a):
+        return sum(-(a // s) % m * s for s, m, _ in dims)
+
+    def enc(a) -> str:
+        return ",".join(str(a // s % m) for s, m, _ in dims)
+
+    def dec(text: str) -> int:
+        parts = [int(t) for t in text.split(",")]
+        if len(parts) != len(moduli):
+            raise GroupSpecError(f"expected {len(moduli)} components: {text!r}")
+        for v, m in zip(parts, moduli):
+            if not 0 <= v < m:
+                raise GroupSpecError(f"component {v} out of range mod {m}")
+        return sum(v * s for v, (s, _, _) in zip(parts, dims))
 
     return GroupOracle(
         domain="abelian:" + ",".join(str(m) for m in moduli),
         kind="abelian",
         kmul=kmul,
-        kinv=lambda a: tuple((-x) % m for x, m in zip(a, moduli)),
-        identity_key=tuple(0 for _ in moduli),
+        kinv=kinv,
+        identity_key=0,
         abelian=True,
         order=order,
-        enum_keys=enum,
+        enum_keys=tuple(range(order)) if order <= ENUM_CAP else None,
         invariant_factors=invariant_factors_of(moduli),
         component_moduli=moduli,
-        kencode=_vector_encode,
-        kdecode=_vector_decode_factory(moduli),
-        ksample=lambda rng: tuple(int(rng.integers(0, m)) for m in moduli),
+        kencode=enc,
+        kdecode=dec,
+        ksample=lambda rng: sum(int(rng.integers(0, m)) * s for s, m, _ in dims),
     )
 
 
@@ -768,11 +787,13 @@ def key_power(oracle: GroupOracle, k, e: int):
 
 def element_order(oracle: GroupOracle, k) -> int:
     if oracle.component_moduli is not None:
-        comps = oracle.component_moduli
-        vec = (k,) if len(comps) == 1 and not isinstance(k, tuple) else k
-        return math.lcm(
-            *(m // math.gcd(m, int(x)) for x, m in zip(vec, comps))
-        ) if comps else 1
+        # the lcm of the digit orders of the mixed-radix key, read from the
+        # least significant digit up (a cyclic:N key is its own digit)
+        n = stride = 1
+        for m in reversed(oracle.component_moduli):
+            n = math.lcm(n, m // math.gcd(m, k // stride % m))
+            stride *= m
+        return n
     if oracle.order is None:
         raise NotEnumerableError("element order undefined for infinite oracle")
     acc = k

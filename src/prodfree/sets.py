@@ -4,19 +4,25 @@ A :class:`MultSet` is an immutable finite subset of one ambient oracle.
 Internally it stores sorted raw payload keys; elements materialise on
 demand.
 
-Products in ``int`` and full ``cyclic:N`` groups with at least
-:data:`NUMPY_MIN_PAIRS` pairs go through one exact counting kernel,
-:func:`_pair_counts`: for sorted keys A and B it returns every sum a + b
-(mod N in a cyclic group) with the number of pairs giving it.  The
-counts are the convolution of the two indicator vectors, computed with a
-real FFT of length n: the key range L of A + B rounded up to a power of
-two in ``int``, N in ``cyclic:N``.  That path runs when n <= |A||B|, so
-none of its arrays is larger than the |A||B| outer-sum array it replaces.
-It is exact: the convolution's rounding error is about
-u log2(n) sqrt(|A||B|) with u = 2^-53, far below 1/2, and a runtime guard
-checks that every entry lies within 1/4 of an integer.  Sparser inputs,
-and any input the guard rejects, take the exact outer-sum path with
-``np.unique``.  Every other group runs through the oracle's ``kmul``.
+Products in ``int`` and in the finite box groups -- full ``cyclic:N`` and
+``abelian:M1,...,Mr`` oracles, whose keys are mixed-radix ints of the box
+Z_M1 x ... x Z_Mr -- go through one exact counting kernel,
+:func:`_pair_counts`: for sorted keys A and B it returns every product
+a + b (digit-wise mod M_j in a box) with the number of pairs giving it.
+The counts are the convolution of the two indicator arrays, computed with
+a real FFT (``np.fft.rfftn``, or ``rfft`` on one axis) of n cells: the key
+range of A + B rounded up to a power of two in ``int``, the box itself
+(n = its order) in a box group.  That path runs when n <= |A||B|, so none of its arrays is larger
+than the |A||B| outer-sum array it replaces.  It is exact: the
+convolution's rounding error is about u log2(n) sqrt(|A||B|) with
+u = 2^-53, far below 1/2, and a runtime guard checks that every entry lies
+within 1/4 of an integer.  Sparser inputs, and any input the guard
+rejects, take the exact outer-sum path: the sums a + b, less M_j stride_j
+wherever digit j wrapped, counted with ``np.unique``.
+The gate: ``int`` takes the kernel from :data:`NUMPY_MIN_PAIRS` pairs on; a
+box group from there too, or on fewer pairs when its FFT is dense
+(order <= |A||B|).  Subgroup views and quotients, and every other group,
+run through the oracle's ``kmul``.
 Triple localization (``pipeline._bucket_best``) counts its (g, h)
 buckets with the same kernel, over composite bucket codes.
 Budgets bound the |A||B| pairs of a product on the kernel path and the
@@ -26,6 +32,7 @@ Budgets bound the |A||B| pairs of a product on the kernel path and the
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,43 +149,81 @@ def _int64_keys(x: MultSet):
         fits = (
             o.kind == "cyclic" and o.component_moduli == (o.order,) and o.order < 2**60
         )
-    return np.fromiter(x.keys, dtype=np.int64, count=len(x.keys)) if fits else None
+    return _as_int64(x) if fits else None
 
 
-def _pair_counts(a, b, order: int | None = None):
-    """Sorted distinct sums a_i + b_j (mod ``order`` when given) and the
-    exact number of pairs (i, j) giving each.  a and b are sorted int64."""
-    a0, b0 = (0, 0) if order else (int(a[0]), int(b[0]))
-    length = order or int(a[-1] + b[-1]) - a0 - b0 + 1
-    n = order or 1 << (length - 1).bit_length()
+def _as_int64(x: MultSet):
+    return np.fromiter(x.keys, dtype=np.int64, count=len(x.keys))
+
+
+def _pair_counts(a, b, moduli: tuple[int, ...] | None = None):
+    """Sorted distinct sums a_i + b_j and the exact number of pairs (i, j)
+    giving each.  a and b are sorted int64 keys: integers when ``moduli``
+    is None, else mixed-radix keys of the box Z_M1 x ... x Z_Mr, added
+    digit-wise mod M_j."""
+    if moduli:
+        a0 = b0 = 0
+        shape = moduli
+        length = math.prod(moduli)
+    else:
+        a0, b0 = int(a[0]), int(b[0])
+        length = int(a[-1] + b[-1]) - a0 - b0 + 1
+        shape = (1 << (length - 1).bit_length(),)
+    n = math.prod(shape)
     if n <= len(a) * len(b):
-        # dense: convolve indicator vectors.  The FFT's absolute error is
-        # about u log2(n) ||1_A||_2 ||1_B||_2 = u log2(n) sqrt(|A||B|), with
-        # u = 2^-53; below 1e-8 for any array that fits in memory, so
-        # rounding gives the exact count.  The guard below checks that.
+        # dense: convolve indicator arrays of the box, cyclically along each
+        # axis (zero-padded past the key range in ``int``).  The FFT's
+        # absolute error is about u log2(n) ||1_A||_2 ||1_B||_2 =
+        # u log2(n) sqrt(|A||B|), with u = 2^-53; below 1e-8 for any array
+        # that fits in memory, so rounding gives the exact count.  The guard
+        # below checks that.
         fa = np.zeros(n)
         fb = np.zeros(n)
         fa[a - a0] = 1.0
         fb[b - b0] = 1.0
-        f = np.fft.irfft(np.fft.rfft(fa) * np.fft.rfft(fb), n)[:length]
+        if len(shape) == 1:
+            # the same transform without rfftn's per-call set-up, which
+            # shows on passes of many small int sumsets
+            f = np.fft.irfft(np.fft.rfft(fa) * np.fft.rfft(fb), n)
+        else:
+            axes = tuple(range(len(shape)))
+            fa = np.fft.rfftn(fa.reshape(shape), axes=axes)
+            fb = np.fft.rfftn(fb.reshape(shape), axes=axes)
+            f = np.fft.irfftn(fa * fb, shape, axes=axes).ravel()
+        f = f[:length]
         counts = np.rint(f)
         if np.abs(f - counts).max() < 0.25:
             hit = np.flatnonzero(counts)
             return hit + (a0 + b0), counts[hit].astype(np.int64)
-    sums = np.add.outer(a, b).ravel()
-    if order:
-        sums %= order
-    return np.unique(sums, return_counts=True)
+    sums = np.add.outer(a, b)
+    stride = 1
+    for m in reversed(moduli or ()):
+        # take M_j stride_j off the sums whose digit j wrapped
+        wrap = np.add.outer(a // stride % m, b // stride % m) >= m
+        np.subtract(sums, m * stride, out=sums, where=wrap)
+        stride *= m
+    return np.unique(sums.ravel(), return_counts=True)
 
 
 def _kernel_operands(x: MultSet, y: MultSet):
-    """Arguments of :func:`_pair_counts` for X Y, or None for the kmul path."""
-    if len(x) * len(y) < NUMPY_MIN_PAIRS:
+    """Arguments of :func:`_pair_counts` for X Y, or None for the kmul path.
+
+    ``int`` takes the kernel from NUMPY_MIN_PAIRS pairs on.  A full
+    ``cyclic:N`` or ``abelian:*`` oracle (a box) takes it from there too, or
+    on fewer pairs when its FFT is dense (order <= |X||Y|).  Subgroup views
+    and quotients have no ``component_moduli`` and stay on kmul.
+    """
+    o = x.oracle
+    pairs = len(x) * len(y)
+    if o.kind == "int":
+        if pairs < NUMPY_MIN_PAIRS:
+            return None
+        a, b = _int64_keys(x), _int64_keys(y)
+        return None if a is None or b is None else (a, b, None)
+    box = o.component_moduli
+    if box is None or o.order >= 2**60 or pairs < min(NUMPY_MIN_PAIRS, o.order):
         return None
-    a, b = _int64_keys(x), _int64_keys(y)
-    if a is None or b is None:
-        return None
-    return a, b, x.oracle.order if x.oracle.kind == "cyclic" else None
+    return _as_int64(x), _as_int64(y), box
 
 
 def product_set(

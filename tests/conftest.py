@@ -101,19 +101,22 @@ def int_group():
 
 
 def patch_irfft(monkeypatch, offset=0.0):
-    """From now on, count np.fft.irfft calls (one per FFT pass of the
-    counting kernel) and add ``offset`` to every result; 0.4 makes the
-    kernel's rounding guard reject each pass."""
+    """From now on, count np.fft.irfft and np.fft.irfftn calls (one per FFT
+    pass of the counting kernel) and add ``offset`` to every result; 0.4
+    makes the kernel's rounding guard reject each pass."""
     import numpy as np
 
     calls = []
-    irfft = np.fft.irfft
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return irfft(*args, **kwargs) + offset
+    def counting(inverse):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inverse(*args, **kwargs) + offset
 
-    monkeypatch.setattr(np.fft, "irfft", counted)
+        return counted
+
+    monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
+    monkeypatch.setattr(np.fft, "irfftn", counting(np.fft.irfftn))
     return calls
 
 

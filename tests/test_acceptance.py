@@ -115,10 +115,12 @@ def test_criterion_02_weighted_abelian_quarter_bound():
 
         kept_keys = set(kept.keys)
         assert kept_keys <= set(base.keys)
-        # independent sum-free check in the chosen coordinates
-        for ka, kb in itertools.product(kept_keys, repeat=2):
-            s = tuple((x + y) % m for x, y, m in zip(ka, kb, ms))
-            assert s not in kept_keys, (ms, ka, kb)
+        # independent sum-free check in the chosen coordinates, read from
+        # each key's text
+        kept_vecs = {tuple(map(int, oracle.kencode(k).split(","))) for k in kept_keys}
+        for va, vb in itertools.product(kept_vecs, repeat=2):
+            s = tuple((x + y) % m for x, y, m in zip(va, vb, ms))
+            assert s not in kept_vecs, (ms, va, vb)
         weight_of = dict(zip(base.keys, weights))
         kept_weight = sum(weight_of[k] for k in kept_keys)
         assert 4 * kept_weight >= sum(weights), ms

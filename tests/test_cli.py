@@ -189,6 +189,21 @@ def test_verify_fails_on_broken_witness(tmp_path, capsys):
     assert "not product-free" in out
 
 
+@pytest.mark.parametrize("group", ["sym:4", "dihedral:12", "abelian:8,8"])
+def test_verify_names_the_empty_witness_of_a_miss(group, tmp_path, capsys):
+    out_path = tmp_path / "partial.json"
+    source = f"full-group:{group}"
+    code, _, _ = run_cli(capsys, "extract", "thm33", source, "--out", str(out_path))
+    assert code == 2
+    code, out, _ = run_cli(capsys, "verify", str(out_path), source)
+    assert code == 1
+    assert out == (
+        "FAIL\n"
+        "  - certificate does not claim product-freeness\n"
+        "  - witness is empty\n"
+    )
+
+
 def test_verify_fails_on_wrong_input(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     run_cli(capsys, "extract", "greedy", "interval:6", "--out", str(out_path))

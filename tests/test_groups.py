@@ -91,7 +91,9 @@ def test_orders(spec, order):
 def test_identity_key_shapes():
     assert build_group("cyclic:9").identity_key == 0
     assert build_group("sym:3").identity_key == (0, 1, 2)
-    assert build_group("abelian:3,3").identity_key == (0, 0)
+    g = build_group("abelian:3,3")
+    assert g.identity_key == 0
+    assert g.kencode(g.identity_key) == "0,0"
     h = build_group("heisenberg:3")
     assert h.identity_key == (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
@@ -365,3 +367,78 @@ def test_heisenberg_product_matches_matrix_product_sampled():
     for _ in range(2000):
         x, y = g.ksample(rng), g.ksample(rng)
         assert g.kmul(x, y) == _mat_mul(x, y, 3, 31)
+
+
+def _check_abelian_pairs(g, moduli, pairs):
+    for a, b in pairs:
+        want = tuple((x + y) % m for x, y, m in zip(_word(g, a), _word(g, b), moduli))
+        assert _word(g, g.kmul(a, b)) == want
+
+
+ABELIAN_SMALL = [(1,), (5, 1), (4, 3), (2, 2, 2), (6, 10)]
+
+
+def _abelian(moduli):
+    return build_group("abelian:" + ",".join(map(str, moduli)))
+
+
+@pytest.mark.parametrize("moduli", ABELIAN_SMALL, ids=str)
+def test_abelian_arithmetic_matches_residue_vectors(moduli):
+    g = _abelian(moduli)
+    _check_abelian_pairs(g, moduli, itertools.product(g.enum_keys, repeat=2))
+    assert _word(g, g.identity_key) == (0,) * len(moduli)
+    for a in g.enum_keys:
+        assert _word(g, g.kinv(a)) == tuple((-x) % m for x, m in zip(_word(g, a), moduli))
+
+
+@pytest.mark.parametrize("moduli", [(40, 40), (7, 11, 13)], ids=str)
+def test_abelian_arithmetic_matches_residue_vectors_sampled(moduli):
+    g = _abelian(moduli)
+    rng = random.Random(str(moduli))
+    pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(2000)]
+    _check_abelian_pairs(g, moduli, pairs)
+    for a, _ in pairs:
+        assert _word(g, g.kinv(a)) == tuple((-x) % m for x, m in zip(_word(g, a), moduli))
+
+
+@pytest.mark.parametrize("moduli", [*ABELIAN_SMALL, (40, 40), (7, 11, 13)], ids=str)
+def test_abelian_keys_follow_residue_vector_order(moduli):
+    # sorted keys, coset representatives and seeded picks, and so the
+    # certificate bytes, are those of the residue vectors
+    g = _abelian(moduli)
+    words = [_word(g, k) for k in g.enum_keys]
+    assert words == list(itertools.product(*(range(m) for m in moduli)))
+    assert [g.kdecode(g.kencode(k)) for k in g.enum_keys] == list(g.enum_keys)
+
+
+def test_abelian_decoder_rejections():
+    g = build_group("abelian:4,3")
+    assert g.kdecode("3,2") == 11 and g.kencode(11) == "3,2"
+    for bad in ("1", "1,2,0", "4,0", "0,3", "-1,0"):
+        with pytest.raises(GroupSpecError):
+            g.kdecode(bad)
+    with pytest.raises(ValueError):
+        g.kdecode("a,0")
+
+
+@pytest.mark.parametrize("moduli", [(4, 3), (7, 11, 13), (2000, 1000)], ids=str)
+def test_abelian_sampler_draws_the_residue_vectors(moduli):
+    import numpy as np
+
+    g = _abelian(moduli)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    ref = np.random.Generator(np.random.Philox(key=5))
+    for _ in range(200):
+        want = tuple(int(ref.integers(0, m)) for m in moduli)
+        assert _word(g, g.ksample(rng)) == want
+
+
+@pytest.mark.parametrize("moduli", ABELIAN_SMALL, ids=str)
+def test_abelian_element_order_matches_brute_force(moduli):
+    g = _abelian(moduli)
+    for a in g.enum_keys:
+        v = _word(g, a)
+        n = 1
+        while any(n * x % m for x, m in zip(v, moduli)):
+            n += 1
+        assert element_order(g, a) == n

@@ -467,6 +467,7 @@ FROZEN_CERT_SHA256 = {
     "full-group-minus-identity:dihedral:200": ("solvable", "5682364714174a1e16e6c06d5025c92cfaacb37b90e1dfa95eebc3aa6e796c3a"),
     "full-group-minus-identity:heisenberg:5": ("solvable", "a7d4a1080f30cbcf9c28d4130ed5cc8e68a66d5b89d0358d6c4c974f7113e582"),
     "full-group-minus-identity:abelian:6,10": ("alon-kleitman", "151751d999ad5a7a0435647b0273b92aac2907d819a0b912939a7dc81afb0172"),
+    "full-group-minus-identity:abelian:40,40": ("alon-kleitman", "fc46471aa80e5da29044092c076cd9d78ea8a4eaa24c6a1bdd78068791acea59"),
 }
 
 

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prodfree import (
@@ -19,7 +21,14 @@ from prodfree import (
     product_set,
 )
 from prodfree.groups import subgroup_view
-from prodfree.sets import NUMPY_MIN_PAIRS, _exact_cover_size, _greedy_cover, _translates
+from prodfree.sets import (
+    NUMPY_MIN_PAIRS,
+    _exact_cover_size,
+    _greedy_cover,
+    _pair_counts,
+    _product_counts,
+    _translates,
+)
 from conftest import (
     naive_incident_pairs,
     naive_is_product_free,
@@ -160,6 +169,100 @@ def test_cyclic_subgroup_view_reduces_by_the_ambient_modulus():
     x = MultSet(h, range(0, 1000, 10))  # 10^4 pairs, past the threshold
     assert product_set(x, x).key_set() == frozenset(naive_product_keys(g, x.keys, x.keys))
     assert count_incident_pairs(x) == naive_incident_pairs(g, x.keys)
+
+
+BOX_SPECS = [
+    "abelian:1", "abelian:5,1", "abelian:2,2,2", "abelian:6,10", "abelian:40,40",
+    "abelian:7,11,13", "cyclic:1", "cyclic:7", "cyclic:101",
+]
+
+
+def _naive_box_counts(g, ka, kb):
+    """Pair counts of A B from the residue vectors in the keys' text, added
+    coordinate-wise: neither kmul nor the kernel is used."""
+    moduli = g.component_moduli
+    vec = {k: tuple(map(int, g.kencode(k).split(","))) for k in {*ka, *kb}}
+    out = Counter()
+    for a in ka:
+        for b in kb:
+            s = (str((x + y) % m) for x, y, m in zip(vec[a], vec[b], moduli))
+            out[g.kdecode(",".join(s))] += 1
+    return out
+
+
+@pytest.mark.parametrize("spec", BOX_SPECS)
+def test_box_kernel_matches_naive_counter(spec):
+    # the dense path runs when the box has at most |A||B| cells, the exact
+    # outer-sum path otherwise
+    g = build_group(spec)
+    n = g.order
+    rng = random.Random(spec)
+    paths = Counter()
+    for _ in range(60):
+        ka = sorted(rng.sample(range(n), rng.randint(1, min(n, 120))))
+        kb = sorted(rng.sample(range(n), rng.randint(1, min(n, 120))))
+        sums, counts = _pair_counts(
+            np.array(ka, dtype=np.int64), np.array(kb, dtype=np.int64), g.component_moduli
+        )
+        assert sums.tolist() == sorted(set(sums.tolist()))
+        assert dict(zip(sums.tolist(), counts.tolist())) == _naive_box_counts(g, ka, kb)
+        paths["fft" if n <= len(ka) * len(kb) else "exact"] += 1
+    assert paths["fft"] and (paths["exact"] or n == 1)
+
+
+# (spec, |X|, |Y|, path): "fft" when order <= |X||Y|, also below
+# NUMPY_MIN_PAIRS; "exact" from NUMPY_MIN_PAIRS pairs on in a larger box;
+# "kmul" for fewer pairs than both
+BOX_GATE_CASES = [
+    ("abelian:40,40", 50, 40, "fft"),
+    ("abelian:40,40", 30, 30, "kmul"),
+    ("abelian:7,11,13", 40, 30, "fft"),
+    ("abelian:7,11,13", 20, 20, "kmul"),
+    ("abelian:100,100", 70, 70, "exact"),
+    ("cyclic:101", 12, 10, "fft"),
+    ("cyclic:101", 10, 10, "kmul"),
+    ("abelian:6,10", 8, 8, "fft"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,nx,ny,path", BOX_GATE_CASES, ids=[f"{c[0]}-{c[1]}x{c[2]}" for c in BOX_GATE_CASES]
+)
+def test_box_products_take_the_gated_path(spec, nx, ny, path, fft_calls):
+    g = build_group(spec)
+    rng = random.Random(f"{spec} {nx} {ny}")
+    x = MultSet(g, rng.sample(range(g.order), nx))
+    y = MultSet(g, rng.sample(range(g.order), ny))
+    want = _naive_box_counts(g, x.keys, y.keys)
+    assert _product_counts(x, y) == want
+    assert product_set(x, y).key_set() == frozenset(want)
+    assert len(fft_calls) == (2 if path == "fft" else 0)
+    assert (len(x) * len(y) >= NUMPY_MIN_PAIRS) == (path == "exact")
+
+
+def test_box_kernel_guard_failure_falls_back_exactly(monkeypatch):
+    rng = random.Random(6)
+    sets = [
+        MultSet(build_group("abelian:40,40"), rng.sample(range(1600), 90)),
+        MultSet(build_group("abelian:7,11,13"), rng.sample(range(1001), 40)),
+    ]
+    calls = patch_irfft(monkeypatch, 0.4)
+    for x in sets:
+        g = x.oracle
+        assert product_set(x, x).key_set() == frozenset(
+            _naive_box_counts(g, x.keys, x.keys)
+        )
+        assert is_product_free(x) == naive_is_product_free(g, x.keys)
+        assert count_incident_pairs(x) == naive_incident_pairs(g, x.keys)
+    assert len(calls) == 3 * len(sets)
+
+
+def test_abelian_subgroup_view_stays_on_kmul(fft_calls):
+    g = build_group("abelian:6,10")
+    h = subgroup_view(g, [k for k in g.enum_keys if g.kencode(k).endswith((",0", ",5"))])
+    x = MultSet(h, h.enum_keys)  # 12 points: 144 pairs, a 12-element view
+    assert product_set(x, x).key_set() == frozenset(naive_product_keys(g, x.keys, x.keys))
+    assert not fft_calls
 
 
 def test_product_set_empty_operand(int_group):
