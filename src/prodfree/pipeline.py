@@ -40,8 +40,6 @@ from .groups import Element, GroupOracle
 from .sets import (
     DEFAULT_PRODUCT_BUDGET,
     MultSet,
-    _int64_keys,
-    _pair_counts,
     _product_counts,
     frac_str,
     inverse_set,
@@ -120,7 +118,10 @@ def petridis_subset(
     subsets first, lexicographic within a size), then a seeded local
     search.  Existence is a theorem whenever |X^2| <= k |X|, but the
     search here is not complete above 16 elements, so a miss raises
-    SearchExhaustedError rather than pretending.
+    SearchExhaustedError rather than pretending.  In an abelian group the
+    Plunnecke-Ruzsa inequality |Y^3| <= k^3 |Y| already holds for Y = X,
+    so the first try succeeds and the search only matters in non-abelian
+    groups.
     """
     k = Fraction(k)
     if k < 1:
@@ -407,31 +408,35 @@ class LocalizeResult:
 def _bucket_best(
     oracle: GroupOracle, u: MultSet, v: MultSet, w: MultSet
 ) -> tuple[object, object, int, int]:
-    """Best (g, h) bucket of the (u z, z w) decomposition and the exact
-    total count, which group cancellation makes equal to |U||V||W|."""
-    ua, va, wa = _int64_keys(u), _int64_keys(v), _int64_keys(w)
-    if ua is not None and va is not None and wa is not None:
-        ua, va, wa = ua - ua[0], va - va[0], wa - wa[0]
-        span = int(va[-1] + wa[-1]) + 1
-        if (int(ua[-1] + va[-1]) + 1) * span < 2**62:
-            # with keys shifted to start at 0, the code g * span + h of the
-            # bucket of (u, z, w) is (u * span + w) + z * (span + 1): the
-            # sums of two sorted arrays, in (g, h) order
-            codes, counts = _pair_counts(
-                np.add.outer(ua * span, wa).ravel(), va * (span + 1)
-            )
-            g = codes // span + (u.keys[0] + v.keys[0])
-            h = codes % span + (v.keys[0] + w.keys[0])
-            if oracle.kind == "cyclic":
-                # reduce mod N and merge the buckets that meet, in (g, h) order
-                g, h = g % oracle.order, h % oracle.order
-                order = np.lexsort((h, g))
-                g, h, counts = g[order], h[order], counts[order]
-                first = np.flatnonzero(np.diff(g, prepend=-1) | np.diff(h, prepend=-1))
-                g, h, counts = g[first], h[first], np.add.reduceat(counts, first)
-            best = int(counts.argmax())
-            return int(g[best]), int(h[best]), int(counts[best]), int(counts.sum())
+    """Largest bucket (g, h) of the triples (u, z, w) in U x V x W, bucketed
+    by (u z, z w), with the least (g, h) among ties: g, h, its count, and
+    the total count over all buckets.
+
+    In an abelian group every triple in bucket (g, h) has
+    w u^-1 = h g^-1 = d.  With P_d = U meet W d^-1, the bucket (g, g d)
+    holds one triple per pair (u, z) in P_d x V with u z = g, so at most
+    |P_d|.  One count of W U^-1 gives every |P_d|, and the total is
+    sum_d |P_d| |V| = |U||V||W|.  Classes are visited by decreasing |P_d|,
+    ties by increasing d, and the visit stops at the first |P_d| below the
+    best count, not at one equal to it: that class may still tie with a
+    smaller (g, h).  Other groups count the bucket of every triple; their
+    total is |U||V||W| by cancellation.
+    """
     kmul = oracle.kmul
+    if oracle.abelian:
+        sizes = _product_counts(w, inverse_set(u))
+        best = None  # (-count, g, h)
+        for d, size in sorted(sizes.items(), key=lambda ds: (-ds[1], ds[0])):
+            if best is not None and size < -best[0]:
+                break
+            d_inv = oracle.kinv(d)
+            p = u.restrict(kmul(wk, d_inv) for wk in w.keys)
+            counts = _product_counts(p, v)
+            count = max(counts.values())
+            g = min(gk for gk, c in counts.items() if c == count)
+            cand = (-count, g, kmul(g, d))
+            best = cand if best is None else min(best, cand)
+        return best[1], best[2], -best[0], sum(sizes.values()) * len(v)
     buckets: Counter = Counter()
     for zk in v.keys:
         gs = [kmul(uk, zk) for uk in u.keys]

@@ -24,7 +24,8 @@ box group from there too, or on fewer pairs when its FFT is dense
 (order <= |A||B|).  Subgroup views and quotients, and every other group,
 run through the oracle's ``kmul``.
 Triple localization (``pipeline._bucket_best``) counts its (g, h)
-buckets with the same kernel, over composite bucket codes.
+buckets through :func:`_product_counts` in every abelian group, one
+difference class h g^-1 at a time.
 Budgets bound the |A||B| pairs of a product on the kernel path and the
 |X|^2 pairs of the freeness and incident-pair counts; a product on the
 ``kmul`` path is bounded by its number of distinct products instead.
@@ -134,28 +135,6 @@ def _require_same(x: MultSet, y: MultSet) -> None:
         )
 
 
-def _int64_keys(x: MultSet):
-    """X's keys as an int64 array, or None when X needs the kmul path.
-
-    Only ``int`` and full ``cyclic:N`` oracles qualify.  Subgroup views keep
-    kind ``cyclic`` but report the subgroup's order rather than the modulus
-    their kmul reduces by.  Keys stay below 2^60 in absolute value, so sums
-    of a few keys and the bucket codes built from them fit in int64.
-    """
-    o = x.oracle
-    if o.kind == "int":
-        fits = all(abs(k) < 2**60 for k in x.keys[:1] + x.keys[-1:])
-    else:
-        fits = (
-            o.kind == "cyclic" and o.component_moduli == (o.order,) and o.order < 2**60
-        )
-    return _as_int64(x) if fits else None
-
-
-def _as_int64(x: MultSet):
-    return np.fromiter(x.keys, dtype=np.int64, count=len(x.keys))
-
-
 def _pair_counts(a, b, moduli: tuple[int, ...] | None = None):
     """Sorted distinct sums a_i + b_j and the exact number of pairs (i, j)
     giving each.  a and b are sorted int64 keys: integers when ``moduli``
@@ -208,22 +187,24 @@ def _pair_counts(a, b, moduli: tuple[int, ...] | None = None):
 def _kernel_operands(x: MultSet, y: MultSet):
     """Arguments of :func:`_pair_counts` for X Y, or None for the kmul path.
 
-    ``int`` takes the kernel from NUMPY_MIN_PAIRS pairs on.  A full
+    The one place that decides which products take the kernel.  ``int``
+    takes it from NUMPY_MIN_PAIRS pairs on, while every key stays below 2^60
+    in absolute value, so that sums of a few keys fit in int64.  A full
     ``cyclic:N`` or ``abelian:*`` oracle (a box) takes it from there too, or
     on fewer pairs when its FFT is dense (order <= |X||Y|).  Subgroup views
     and quotients have no ``component_moduli`` and stay on kmul.
     """
     o = x.oracle
     pairs = len(x) * len(y)
-    if o.kind == "int":
-        if pairs < NUMPY_MIN_PAIRS:
-            return None
-        a, b = _int64_keys(x), _int64_keys(y)
-        return None if a is None or b is None else (a, b, None)
     box = o.component_moduli
-    if box is None or o.order >= 2**60 or pairs < min(NUMPY_MIN_PAIRS, o.order):
+    if o.kind == "int":
+        ends = x.keys[:1] + x.keys[-1:] + y.keys[:1] + y.keys[-1:]
+        if pairs < NUMPY_MIN_PAIRS or max(map(abs, ends)) >= 2**60:
+            return None
+    elif box is None or o.order >= 2**60 or pairs < min(NUMPY_MIN_PAIRS, o.order):
         return None
-    return _as_int64(x), _as_int64(y), box
+    a, b = (np.fromiter(s.keys, dtype=np.int64, count=len(s)) for s in (x, y))
+    return a, b, box
 
 
 def product_set(

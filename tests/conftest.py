@@ -102,8 +102,9 @@ def int_group():
 
 def patch_irfft(monkeypatch, offset=0.0):
     """From now on, count np.fft.irfft and np.fft.irfftn calls (one per FFT
-    pass of the counting kernel) and add ``offset`` to every result; 0.4
-    makes the kernel's rounding guard reject each pass."""
+    pass of the counting kernel) and add ``offset`` to every result; 0.6
+    makes the kernel's rounding guard reject each pass, and rounds every
+    count one too high if the guard does not run."""
     import numpy as np
 
     calls = []

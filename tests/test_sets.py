@@ -150,7 +150,7 @@ def test_counting_kernel_guard_failure_falls_back_exactly(monkeypatch):
     want = [
         (product_set(x, x), is_product_free(x), count_incident_pairs(x)) for x in sets
     ]
-    calls = patch_irfft(monkeypatch, 0.4)
+    calls = patch_irfft(monkeypatch, 0.6)
     got = [
         (product_set(x, x), is_product_free(x), count_incident_pairs(x)) for x in sets
     ]
@@ -246,7 +246,7 @@ def test_box_kernel_guard_failure_falls_back_exactly(monkeypatch):
         MultSet(build_group("abelian:40,40"), rng.sample(range(1600), 90)),
         MultSet(build_group("abelian:7,11,13"), rng.sample(range(1001), 40)),
     ]
-    calls = patch_irfft(monkeypatch, 0.4)
+    calls = patch_irfft(monkeypatch, 0.6)
     for x in sets:
         g = x.oracle
         assert product_set(x, x).key_set() == frozenset(
