@@ -26,6 +26,10 @@ run through the oracle's ``kmul``.
 Triple localization (``pipeline._bucket_best``) counts its (g, h)
 buckets through :func:`_product_counts` in every abelian group, one
 difference class h g^-1 at a time.
+The covering translates t X and X t of ``approx_report`` are bitmasks over
+X^2's keys.  Where X X takes the kernel they are built from the kernel's
+outer sums (:func:`_outer_sums`, the matrix its exact path counts) by a
+search among X^2's keys; elsewhere from |X|^2 ``kmul`` calls.
 Budgets bound the |A||B| pairs of a product on the kernel path and the
 |X|^2 pairs of the freeness and incident-pair counts; a product on the
 ``kmul`` path is bounded by its number of distinct products instead.
@@ -51,6 +55,7 @@ from .groups import Element, GroupOracle
 DEFAULT_PRODUCT_BUDGET = 10**7
 NUMPY_MIN_PAIRS = 4096
 EXACT_COVER_UNIVERSE = 4096
+MASK_CHUNK_CELLS = 1 << 22
 
 
 def frac_str(x: Fraction) -> str:
@@ -174,6 +179,12 @@ def _pair_counts(a, b, moduli: tuple[int, ...] | None = None):
         if np.abs(f - counts).max() < 0.25:
             hit = np.flatnonzero(counts)
             return hit + (a0 + b0), counts[hit].astype(np.int64)
+    return np.unique(_outer_sums(a, b, moduli).ravel(), return_counts=True)
+
+
+def _outer_sums(a, b, moduli: tuple[int, ...] | None = None):
+    """The |A| x |B| matrix of sums a_i + b_j of int64 keys, added digit-wise
+    mod M_j when ``moduli`` names a box (see :func:`_pair_counts`)."""
     sums = np.add.outer(a, b)
     stride = 1
     for m in reversed(moduli or ()):
@@ -181,13 +192,14 @@ def _pair_counts(a, b, moduli: tuple[int, ...] | None = None):
         wrap = np.add.outer(a // stride % m, b // stride % m) >= m
         np.subtract(sums, m * stride, out=sums, where=wrap)
         stride *= m
-    return np.unique(sums.ravel(), return_counts=True)
+    return sums
 
 
 def _kernel_operands(x: MultSet, y: MultSet):
     """Arguments of :func:`_pair_counts` for X Y, or None for the kmul path.
 
-    The one place that decides which products take the kernel.  ``int``
+    The one place that decides which products take the kernel, and so
+    which covering translates are built from its outer sums.  ``int``
     takes it from NUMPY_MIN_PAIRS pairs on, while every key stays below 2^60
     in absolute value, so that sums of a few keys fit in int64.  A full
     ``cyclic:N`` or ``abelian:*`` oracle (a box) takes it from there too, or
@@ -306,26 +318,45 @@ def _greedy_cover(full: int, masks: list[int]) -> list[int]:
     return picks
 
 
+def _hitter_lists(masks: list[int], width: int) -> list[list[int]]:
+    """For each of the ``width`` points, the indices of the masks with its
+    bit set, in increasing order."""
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(
+        b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8
+    ).reshape(len(masks), nbytes)
+    bits = np.unpackbits(packed, axis=1, count=width, bitorder="little")
+    # point-major order: the hitters of each point by increasing mask index
+    point, mask = np.nonzero(bits.T)
+    ends = np.cumsum(np.bincount(point, minlength=width))[:-1]
+    return [h.tolist() for h in np.split(mask, ends)]
+
+
 def _exact_cover_size(
     full: int,
     masks: list[int],
-    hitters: list[list[int]],
     upper: int,
     node_budget: int = 10**6,
 ) -> int | None:
     """Branch-and-bound minimum cover size, or None if the budget runs out.
 
-    ``hitters[i]`` lists, in increasing order, the masks with bit i set.
+    The per-point lists of the masks that hit each point are built only
+    once the search has to branch; a search the root's bound settles never
+    needs them.
     """
-    if any(not h for h in hitters):
+    covers = 0
+    for m in masks:
+        covers |= m
+    if covers & full != full:
         raise PreconditionError("candidates do not cover the universe")
     best = upper
     nodes = 0
     max_cover = max((m.bit_count() for m in masks), default=0)
     aborted = False
+    hitters: list[list[int]] = []
 
     def dfs(covered: int, used: int) -> None:
-        nonlocal best, nodes, aborted
+        nonlocal best, nodes, aborted, hitters
         nodes += 1
         if aborted or nodes > node_budget:
             aborted = True
@@ -338,6 +369,8 @@ def _exact_cover_size(
         lacking = missing.bit_count()
         if used + (lacking + max_cover - 1) // max_cover >= best:
             return
+        if not hitters:
+            hitters = _hitter_lists(masks, full.bit_length())
         # branch on the uncovered point with fewest candidates
         pick, pick_count = -1, 1 << 30
         mm = missing
@@ -383,22 +416,56 @@ class ApproxGroupReport:
         }
 
 
-def _translates(x: MultSet, square: MultSet, side: str):
-    """Translates t X and/or X t, t in X, as bitmasks over X^2's keys, and
-    for each point of X^2 the indices of the translates holding it."""
-    kmul = x.oracle.kmul
-    index = {k: i for i, k in enumerate(square.keys)}
-    hitters: list[list[int]] = [[] for _ in square.keys]
+def _index_masks(index, width: int) -> list[int]:
+    """Row r of the int matrix ``index`` as a bitmask: bit i is set iff i
+    occurs in row r.  Rows are packed a chunk at a time, so the boolean
+    scratch holds about MASK_CHUNK_CELLS cells whatever the matrix size."""
+    nbytes = (width + 7) // 8
+    step = max(1, MASK_CHUNK_CELLS // (8 * nbytes))
     masks: list[int] = []
-    for t in x.keys:
-        for s in {"left": "L", "right": "R", "two-sided": "LR"}[side]:
-            m = 0
-            for b in x.keys:
-                i = index[kmul(t, b) if s == "L" else kmul(b, t)]
-                m |= 1 << i
-                hitters[i].append(len(masks))
-            masks.append(m)
-    return masks, hitters
+    for lo in range(0, len(index), step):
+        rows = index[lo : lo + step]
+        hit = np.zeros((len(rows), 8 * nbytes), dtype=bool)
+        np.put_along_axis(hit, rows, True, axis=1)
+        packed = np.packbits(hit, axis=1, bitorder="little").tobytes()
+        masks.extend(
+            int.from_bytes(packed[i : i + nbytes], "little")
+            for i in range(0, len(packed), nbytes)
+        )
+    return masks
+
+
+def _translates(x: MultSet, square: MultSet, side: str) -> list[int]:
+    """Translates t X and/or X t, t in X, as bitmasks over X^2's keys: bit i
+    is set iff the translate holds the i-th key of X^2.  Two-sided, the left
+    and right translates of each t alternate.
+
+    Entry (r, j) of one |X| x |X| index matrix is the position in X^2's keys
+    of x_r x_j, so row r is x_r X and column r is X x_r.  Where
+    :func:`_kernel_operands` takes X X to the kernel (``int``, full
+    ``cyclic:N`` and ``abelian:*``) the matrix is a search of the kernel's
+    outer sums among X^2's keys, and it is symmetric, so each right
+    translate is the left one; elsewhere it takes |X|^2 ``kmul`` calls.
+    """
+    operands = _kernel_operands(x, x)
+    if operands is None:
+        kmul = x.oracle.kmul
+        where = {k: i for i, k in enumerate(square.keys)}
+        index = np.array(
+            [[where[kmul(t, b)] for b in x.keys] for t in x.keys], dtype=np.int64
+        )
+        columns = index.T
+    else:
+        a, _, box = operands
+        keys = np.fromiter(square.keys, dtype=np.int64, count=len(square))
+        index = columns = np.searchsorted(keys, _outer_sums(a, a, box))
+    if side == "left":
+        return _index_masks(index, len(square))
+    right = _index_masks(columns, len(square))
+    if side == "right":
+        return right
+    left = right if columns is index else _index_masks(index, len(square))
+    return [m for pair in zip(left, right) for m in pair]
 
 
 def approx_report(
@@ -416,10 +483,11 @@ def approx_report(
     may be ``left``, ``right``, or ``two-sided``.
 
     Each translate is held once, as an int bitmask whose bit i is the i-th
-    key of X^2, with per-point lists of the translates that hit it.  The
-    greedy cover of the masks gives ``covering_upper``; a branch-and-bound
-    search over masks and hitters gives ``covering_exact``, or None when
-    |X^2| > EXACT_COVER_UNIVERSE or the search exceeds its node budget.
+    key of X^2.  The greedy cover of the masks gives ``covering_upper``; a
+    branch-and-bound search over the masks gives ``covering_exact``, or None
+    when |X^2| > EXACT_COVER_UNIVERSE or the search exceeds its node budget.
+    The search builds the per-point lists of the translates that hit each
+    point on demand, only once its root bound fails to settle the minimum.
     """
     if len(x) == 0:
         raise PreconditionError("approx_report needs a nonempty set")
@@ -432,7 +500,7 @@ def approx_report(
     symmetric = inverse_set(x).key_set() == x.key_set()
     has_identity = x.oracle.identity_key in x.key_set()
 
-    masks, hitters = _translates(x, square, translate_side)
+    masks = _translates(x, square, translate_side)
     full = (1 << len(square)) - 1
     picks = _greedy_cover(full, masks)
     upper = len(picks)
@@ -445,7 +513,7 @@ def approx_report(
 
     exact = None
     if len(square) <= EXACT_COVER_UNIVERSE:
-        exact = _exact_cover_size(full, masks, hitters, upper)
+        exact = _exact_cover_size(full, masks, upper)
 
     report = ApproxGroupReport(
         size=len(x),

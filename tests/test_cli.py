@@ -66,6 +66,11 @@ FROZEN_ANALYZE_SHA256 = {
     ("gap:2:10,10:1,100", "left"): "64ca3f98eba2b886ba1309739fc35fb10d7171489bd9b7239819f74016d5c830",
     ("interval:300", "left"): "dfc68d50eae958cd2e487c40378e2f380929ad744e12a8f23c30da979a184996",
     ("random:dihedral:30:16", "left"): "712761d640a078ff3e76a07179fe4e55581be3450ad250fc60f4715625dfa03d",
+    ("interval:300", "two-sided"): "dfc68d50eae958cd2e487c40378e2f380929ad744e12a8f23c30da979a184996",
+    ("gap:2:5,5:1,20", "right"): "d96a1114ec2c57718e3464cb368aa4d6185aa652bd0a5fbf29402af6430c014e",
+    ("random:cyclic:128:20", "left"): "70978c913d91c0e51f8dbeb727a2377d610496aeb41bef4e95ff14c7e856675e",
+    ("full-group-minus-identity:abelian:6,10", "two-sided"): "15854a6fa585b164a3d495ff4c8ee59e416efbff78bb4778d0cf21586eefa160",
+    ("random:cyclic:100000:100", "left"): "a6a9d8088fce3de8c7694a6ade33a9a2a59fbcfc2c1c554aed8806ebd8104e43",
 }
 
 

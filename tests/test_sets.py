@@ -25,6 +25,8 @@ from prodfree.sets import (
     NUMPY_MIN_PAIRS,
     _exact_cover_size,
     _greedy_cover,
+    _hitter_lists,
+    _kernel_operands,
     _pair_counts,
     _product_counts,
     _translates,
@@ -387,12 +389,84 @@ def test_exact_cover_node_budget_aborts(int_group):
     # bound ceil(|X^2|/|X|) = 2, so the search must branch past one node
     x = MultSet(int_group, [0, 1, 3])
     square = product_set(x, x)
-    masks, hitters = _translates(x, square, "left")
+    masks = _translates(x, square, "left")
     full = (1 << len(square)) - 1
     upper = len(_greedy_cover(full, masks))
     assert upper == 3
-    assert _exact_cover_size(full, masks, hitters, upper, node_budget=1) is None
-    assert _exact_cover_size(full, masks, hitters, upper) == 3
+    assert _exact_cover_size(full, masks, upper, node_budget=1) is None
+    assert _exact_cover_size(full, masks, upper) == 3
+
+
+def _naive_translates(g, x_keys, square_keys, side):
+    """Masks and hitter lists from raw kmul: bit i of mask r is set iff
+    translate r holds the i-th key of X^2; hitter lists increase."""
+    where = {k: i for i, k in enumerate(square_keys)}
+    masks = []
+    for t in x_keys:
+        for s in {"left": "L", "right": "R", "two-sided": "LR"}[side]:
+            masks.append(
+                sum(1 << where[g.kmul(t, b) if s == "L" else g.kmul(b, t)] for b in x_keys)
+            )
+    hitters = [[r for r, m in enumerate(masks) if m >> i & 1] for i in range(len(square_keys))]
+    return masks, hitters
+
+
+def _translate_cases():
+    """(name, group, keys, kernel): kernel says whether X X takes the kernel."""
+    rng = random.Random(9)
+    cyc = build_group("cyclic:1000")
+    return [
+        ("int-dense", build_group("int"), range(-40, 40), True),
+        ("int-sparse", build_group("int"), rng.sample(range(-10**6, 10**6), 70), True),
+        ("int-huge", build_group("int"), [2**60 + k for k in rng.sample(range(500), 70)], False),
+        ("int-small", build_group("int"), [0, 1, 3, 7, 12], False),
+        ("cyclic:101", build_group("cyclic:101"), rng.sample(range(101), 30), True),
+        ("cyclic:5003", build_group("cyclic:5003"), rng.sample(range(5003), 80), True),
+        ("abelian:6,10", build_group("abelian:6,10"), rng.sample(range(60), 17), True),
+        ("cyclic:1000-view", subgroup_view(cyc, range(0, 1000, 10)), range(0, 1000, 20), False),
+        ("dihedral:6", build_group("dihedral:6"), None, False),
+        ("heisenberg:5", build_group("heisenberg:5"), None, False),
+    ]
+
+
+@pytest.mark.parametrize("side", ["left", "right", "two-sided"])
+@pytest.mark.parametrize("case", _translate_cases(), ids=lambda c: c[0])
+def test_translates_match_naive_kmul(case, side):
+    _, g, keys, kernel = case
+    if keys is None:
+        keys = random.Random(g.domain).sample(list(g.enum_keys), 9)
+    x = MultSet(g, keys)
+    assert (_kernel_operands(x, x) is not None) == kernel
+    square = product_set(x, x)
+    assert square.key_set() == frozenset(naive_product_keys(g, x.keys, x.keys))
+    want_masks, want_hitters = _naive_translates(g, x.keys, square.keys, side)
+    masks = _translates(x, square, side)
+    assert masks == want_masks
+    assert _hitter_lists(masks, len(square)) == want_hitters
+
+
+def test_exact_cover_root_bound_settles_without_hitters(monkeypatch):
+    # on interval:300 the root's bound ceil(|X^2|/|X|) = 2 meets the greedy
+    # cover, so no hitter list is ever built
+    x = MultSet(build_group("int"), range(-300, 301))
+    square = product_set(x, x)
+    masks = _translates(x, square, "left")
+    full = (1 << len(square)) - 1
+    upper = len(_greedy_cover(full, masks))
+
+    def unexpected(*args):
+        raise AssertionError("hitter lists built")
+
+    monkeypatch.setattr("prodfree.sets._hitter_lists", unexpected)
+    assert _exact_cover_size(full, masks, upper) == upper == 2
+    assert _exact_cover_size(full, masks, upper, node_budget=0) is None
+
+
+def test_exact_cover_rejects_masks_missing_a_point():
+    with pytest.raises(PreconditionError):
+        _exact_cover_size(0b1111, [0b0011, 0b0100], 3)
+    with pytest.raises(PreconditionError):
+        _exact_cover_size(0b1, [], 1)
 
 
 def test_approx_report_rejects_empty(int_group):
