@@ -195,7 +195,7 @@ class GroupOracle:
 
 
 def _vector_encode(key: tuple) -> str:
-    return ",".join(str(v) for v in key)
+    return ",".join(map(str, key))
 
 
 def _perm_decode_factory(n: int):
@@ -398,13 +398,26 @@ def _build_dihedral(n: int) -> GroupOracle:
         return 2 * k + flip[k]
 
     def word(a) -> tuple:
+        # i -> k + i reads k, ..., n - 1, 0, ..., k - 1 and i -> k - i reads
+        # k, ..., 0, n - 1, ..., k + 1
         k = a >> 1
         if sign[a]:
-            return tuple((k - i) % n for i in range(n))
-        return tuple((k + i) % n for i in range(n))
+            return tuple(range(k, -1, -1)) + tuple(range(n - 1, k, -1))
+        return tuple(range(k, n)) + tuple(range(k))
+
+    # precomputed digit strings: encoding an element is one join, with no
+    # int arithmetic or str() per entry
+    up = [str(i) for i in range(n)]
+    down = up[::-1]
+
+    def enc(a) -> str:
+        k = a >> 1
+        if sign[a]:
+            return ",".join(down[n - 1 - k :] + down[: n - 1 - k])
+        return ",".join(up[k:] + up[:k])
 
     def dec(text: str) -> int:
-        key = tuple(int(t) for t in text.split(","))
+        key = tuple(map(int, text.split(",")))
         if len(key) == n and 0 <= key[0] < n:
             k = key[0]
             s = int(key[1] != (k + 1) % n)
@@ -422,7 +435,7 @@ def _build_dihedral(n: int) -> GroupOracle:
         abelian=False,
         order=2 * n,
         enum_keys=tuple(range(2 * n)),
-        kencode=lambda a: _vector_encode(word(a)),
+        kencode=enc,
         kdecode=dec,
     )
 
@@ -758,7 +771,8 @@ def quotient_projection(
         seed = int(_subset_digest(parent, h_keys), 16)
         rng = np.random.Generator(np.random.Philox(key=seed))
         idx = rng.integers(0, n, size=(10**4, 2))
-        pairs = ((parent.enum_keys[i], parent.enum_keys[j]) for i, j in idx)
+        keys = parent.enum_keys
+        pairs = ((keys[i], keys[j]) for i, j in idx.tolist())
     key_map = proj.key_map
     for a, b in pairs:
         if key_map[parent.kmul(a, b)] != quotient.kmul(key_map[a], key_map[b]):

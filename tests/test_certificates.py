@@ -1,19 +1,26 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from prodfree import (
+    BudgetExceededError,
     CertificateError,
     ExtractionCertificate,
     MultSet,
     build_certificate,
     build_group,
     eval_inequality,
+    generate,
     input_digest,
     record,
     verify_certificate,
 )
+from prodfree import certificates, sets
+from prodfree.cli import main as cli_main
+from conftest import naive_is_product_free
 
 
 def test_eval_inequality_basic():
@@ -186,3 +193,186 @@ def test_verify_flags_failed_stage(int_group):
     ok, problems = verify_certificate(cert, x)
     assert not ok
     assert any("stage bound failed" in p for p in problems)
+
+
+# -- the digit-vector freeness recheck ----------------------------------------
+
+
+def _claimed_free_cert(x, witness_keys):
+    """A certificate for the witness that claims product-freeness whether or
+    not it holds, so that only the recheck can fail it."""
+    cert = build_certificate(
+        x, "demo", {}, MultSet(x.oracle, witness_keys), None, []
+    )
+    cert.verified_product_free = True
+    return cert
+
+
+def _greedy_free(oracle, keys):
+    # a product-free subset of keys, grown one key at a time by raw kmul
+    kept = []
+    for k in keys:
+        if naive_is_product_free(oracle, kept + [k]):
+            kept.append(k)
+    return kept
+
+
+def _fuzz_witnesses(spec, rng):
+    g = build_group(spec)
+    out = []
+    if spec == "int":
+        for scale in (1, 7, 2**59, 2**60):
+            for _ in range(6):
+                # |keys| reach 3 * 2^60 >= 2^61 only at scale 2^60
+                small = rng.sample(range(-3, 4), rng.randint(1, 5))
+                out.append([scale * t for t in small])
+        for _ in range(6):
+            keys = rng.sample(range(-60, 61), rng.randint(1, 30))
+            out.append(keys)
+            out.append(_greedy_free(g, keys))
+        out.append([2**60, 2**61])  # 2^60 + 2^60 = 2^61, at the fallback
+        out.append([-(2**61), 1, 2])  # product-free, at the fallback
+        out.append([-(2**61) + 1, 2**61 - 1])  # product-free, just inside
+        out.append([-(2**61) + 1, 0])  # 0 + 0 = 0, just inside
+    else:
+        keys = list(g.enum_keys)
+        for _ in range(8):
+            pick = rng.sample(keys, rng.randint(1, min(len(keys), 40)))
+            out.append(pick)
+            out.append(_greedy_free(g, pick))
+    return g, out
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, None])
+@pytest.mark.parametrize(
+    "spec",
+    ["int", "cyclic:1", "cyclic:1000", "abelian:6,10", "abelian:2,2,4", "abelian:40,40"],
+)
+def test_digit_vector_recheck_matches_raw_kmul(spec, block, monkeypatch):
+    if block is not None:
+        # row blocks of at most `block` products cross many row boundaries
+        monkeypatch.setattr(certificates, "VERIFY_BLOCK_CELLS", block)
+    calls = []
+    vectorised = certificates._digit_vector_free
+
+    def spy(keys, moduli):
+        calls.append(keys)
+        return vectorised(keys, moduli)
+
+    monkeypatch.setattr(certificates, "_digit_vector_free", spy)
+    g, witnesses = _fuzz_witnesses(spec, random.Random(f"{spec}/{block}"))
+    verdicts = set()
+    for keys in filter(None, witnesses):
+        x = MultSet(g, set(keys) | {g.identity_key})
+        free = naive_is_product_free(g, set(keys))
+        verdicts.add(free)
+        ok, problems = verify_certificate(_claimed_free_cert(x, keys), x)
+        assert ok == free, (keys, problems)
+        assert ("witness is not product-free on recomputation" in problems) != free
+        vector_path = spec != "int" or max(map(abs, keys)) < 2**61
+        assert (calls[-1:] == [tuple(sorted(set(keys)))]) == vector_path
+        calls.clear()
+    # every group but the trivial one sees both verdicts
+    assert verdicts == ({False} if spec == "cyclic:1" else {True, False})
+
+
+@pytest.fixture(scope="module")
+def real_certificates(tmp_path_factory):
+    out = {}
+    for algorithm, source in [
+        ("thm33", "interval:300"),
+        ("alon-kleitman", "full-group-minus-identity:cyclic:1000"),
+        ("alon-kleitman", "full-group-minus-identity:abelian:40,40"),
+    ]:
+        path = tmp_path_factory.mktemp("certs") / "cert.json"
+        assert cli_main(["extract", algorithm, source, "--out", str(path)]) == 0
+        out[source] = (json.loads(path.read_text()), generate(source))
+    return out
+
+
+def _append_product(data, x):
+    """The certificate with one more witness element of X that breaks only
+    freeness: a product a b of two witness elements, or failing that (as in
+    an interval, whose witness sums leave X) a quotient w a^-1, which times
+    a gives w."""
+    o = x.oracle
+    keys = [o.kdecode(t) for t in data["witness"]]
+    candidates = itertools.chain(
+        (o.kmul(a, b) for a in keys for b in keys),
+        (o.kmul(w, o.kinv(a)) for a in keys for w in keys),
+    )
+    extra = next(p for p in candidates if p in x.key_set() and p not in keys)
+    tampered = json.loads(json.dumps(data))
+    tampered["witness"].append(o.kencode(extra))
+    tampered["achieved_size"] += 1
+    return tampered
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "interval:300",
+        "full-group-minus-identity:cyclic:1000",
+        "full-group-minus-identity:abelian:40,40",
+    ],
+)
+def test_digit_vector_recheck_is_independent_of_the_kernel(
+    source, real_certificates, monkeypatch
+):
+    data, x = real_certificates[source]
+    tampered = _append_product(data, x)
+    expected = [
+        verify_certificate(ExtractionCertificate.from_json_dict(d), x)
+        for d in (data, tampered)
+    ]
+    assert expected[0] == (True, [])
+    assert expected[1] == (False, ["witness is not product-free on recomputation"])
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify reached the counting kernel")
+
+    for name in ("_pair_counts", "_outer_sums", "_kernel_operands", "count_incident_pairs"):
+        monkeypatch.setattr(sets, name, unreachable)
+    for d, want in zip((data, tampered), expected):
+        assert verify_certificate(ExtractionCertificate.from_json_dict(d), x) == want
+
+
+def test_box_group_tamper_appended_product(tmp_path):
+    source = "full-group-minus-identity:abelian:6,10"
+    path = tmp_path / "ab.json"
+    assert cli_main(["extract", "alon-kleitman", source, "--out", str(path)]) == 0
+    x = generate(source)
+    tampered = _append_product(json.loads(path.read_text()), x)
+    ok, problems = verify_certificate(ExtractionCertificate.from_json_dict(tampered), x)
+    assert not ok
+    assert problems == ["witness is not product-free on recomputation"]
+
+
+def test_box_group_tamper_appended_product_through_the_cli(
+    tmp_path, real_certificates, capsys
+):
+    source = "full-group-minus-identity:cyclic:1000"
+    data, x = real_certificates[source]
+    path = tmp_path / "cyc.json"
+    path.write_text(json.dumps(_append_product(data, x)))
+    capsys.readouterr()
+    assert cli_main(["verify", str(path), source]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL\n  - witness is not product-free on recomputation\n"
+    )
+
+
+@pytest.mark.parametrize("base", [0, 2**61], ids=["digit-vectors", "raw-kmul"])
+def test_verify_witness_ceiling_is_3162_points_on_both_paths(base, int_group):
+    def cert_for(keys):
+        x = MultSet(int_group, keys)
+        return x, ExtractionCertificate(
+            input_digest(x), "demo", {}, x.encoded(), True, len(x), None
+        )
+
+    with pytest.raises(BudgetExceededError):
+        verify_certificate(*reversed(cert_for(range(base + 3163, base + 6326))))
+    if base == 0:
+        # {3162, ..., 6323} is product-free: every sum is at least 6324
+        x, cert = cert_for(range(3162, 6324))
+        assert verify_certificate(cert, x) == (True, [])

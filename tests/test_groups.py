@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -272,6 +273,67 @@ def test_dihedral_decoder_accepts_only_rotations_and_reflections():
     for bad in ("1,0,2,3,4,5", "0,2,1,3,4,5", "0,1,2,3,4", "0,1,2,3,4,5,6"):
         with pytest.raises(GroupSpecError):
             g.kdecode(bad)
+
+
+@pytest.mark.parametrize("n", [*range(3, 65), 200, DIHEDRAL_MAX])
+def test_dihedral_text_matches_naive_image_words(n):
+    # the rotation i -> k + i and the reflection i -> k - i, written out
+    # one residue at a time; key a is the rank of its word in sorted order
+    g = build_group(f"dihedral:{n}")
+    naive = [
+        ",".join(str((k + sign * i) % n) for i in range(n))
+        for k in range(n)
+        for sign in (1, -1)
+    ]
+    naive.sort(key=lambda text: tuple(map(int, text.split(","))))
+    assert [g.kencode(a) for a in g.enum_keys] == naive
+    assert [g.kdecode(text) for text in naive] == list(g.enum_keys)
+
+
+# what the decoder made of texts that parse but are not canonical before its
+# digit strings were precomputed: int() is lenient about zeros, signs and
+# blanks, and everything else is rejected as before
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("2,3,4,5,0,1", 5),
+        ("02,3,4,5,0,1", 5),
+        (" 2,3,4,5,0,1", 5),
+        ("+2,3,4,5,0,1", 5),
+        ("2,3,4,5,0,1 ", 5),
+        ("2, 1,0,5,4,3", 4),
+        ("2_0,3,4,5,0,1", GroupSpecError),
+        ("2,3,4,5,0", GroupSpecError),
+        ("8,3,4,5,0,1", GroupSpecError),
+        ("-4,3,4,5,0,1", GroupSpecError),
+        ("2,3,4,5,0,1,", ValueError),
+        ("a,3,4,5,0,1", ValueError),
+        ("", ValueError),
+    ],
+)
+def test_dihedral_decoder_on_non_canonical_texts(text, expected):
+    g = build_group("dihedral:6")
+    if isinstance(expected, int):
+        assert g.kdecode(text) == expected
+    else:
+        with pytest.raises(expected) as info:
+            g.kdecode(text)
+        assert type(info.value) is expected
+
+
+@pytest.mark.parametrize(
+    "spec,digest",
+    [
+        ("sym:4", "66dd0e8c8f2e9e6c7a6352fc7b5b8c62a14f29d013ebab9cb2f669a61b3d9583"),
+        ("heisenberg:5", "3f8c538f7dfcc8c0f92cb860dac26cef21d0f9b5b85f0d48f5f99f8a6a5d224a"),
+        ("dihedral:200", "2fbd5f6d6d96d06d1be83e37f40446bb76b5dd1e6a5d8d3840c31105788f8925"),
+    ],
+)
+def test_vector_and_matrix_encodings_are_frozen(spec, digest):
+    # sha256 of every element's text in enumeration order, one per line
+    g = build_group(spec)
+    text = "\n".join(g.kencode(k) for k in g.enum_keys)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_derived_series_rejects_non_solvable():
