@@ -46,6 +46,7 @@ SYM_MAX = 8
 DIHEDRAL_MAX = 1024
 SERIES_ORDER_CAP = 10**4
 COORDS_ORDER_CAP = 4096
+LIGHT_TEST_CAP = 10**6  # most |gens| * n^2 checks of a proven associativity
 
 
 class Element(NamedTuple):
@@ -688,23 +689,36 @@ def _left_cosets(oracle: GroupOracle, h_keys: frozenset) -> list[list]:
     return cosets
 
 
+def _escaping_conjugates(oracle: GroupOracle, gens: list, h_keys) -> dict:
+    """Each conjugate g h g^-1 (g in *gens*) outside *h_keys*, mapped to its h."""
+    kmul = oracle.kmul
+    out: dict = {}
+    for g in gens:
+        ginv = oracle.kinv(g)
+        for h in h_keys:
+            c = kmul(kmul(g, h), ginv)
+            if c not in h_keys and c not in out:
+                out[c] = h
+    return out
+
+
 def _quotient_build(
     parent: GroupOracle, h_keys: frozenset, *, verify: bool
-) -> tuple[GroupOracle, ProjectionMap]:
+) -> tuple[GroupOracle, ProjectionMap, list]:
+    """Left-coset quotient and projection, plus the parent generators that
+    normality was checked on (none without *verify*)."""
     if parent.enum_keys is None:
         raise NotEnumerableError("quotient needs a finite parent enumeration")
     if not h_keys <= set(parent.enum_keys):
         raise NotASubgroupError("subgroup not contained in parent enumeration")
+    gens: list = []
     if verify:
         _check_subgroup(parent, h_keys)
         gens = generating_keys(parent)
-        for g in gens:
-            ginv = parent.kinv(g)
-            for h in h_keys:
-                if parent.kmul(parent.kmul(g, h), ginv) not in h_keys:
-                    raise NotNormalError(
-                        f"subgroup not normal: conjugate of {h!r} escapes"
-                    )
+        escaped = _escaping_conjugates(parent, gens, h_keys)
+        if escaped:
+            h = next(iter(escaped.values()))
+            raise NotNormalError(f"subgroup not normal: conjugate of {h!r} escapes")
 
     kmul = parent.kmul
     rep_of: dict = {}
@@ -745,7 +759,7 @@ def _quotient_build(
         kdecode=qdec,
     )
     quotient.abelian = _generators_commute(quotient)
-    return quotient, ProjectionMap(rep_of)
+    return quotient, ProjectionMap(rep_of), gens
 
 
 def quotient_projection(
@@ -753,30 +767,23 @@ def quotient_projection(
 ) -> tuple[GroupOracle, ProjectionMap]:
     """Quotient of a finite group by a verified normal subgroup.
 
-    Verifies subgroup-ness and normality, checks that all fibers have size
-    ``|H|``, and spot-checks the homomorphism property (exhaustively when
-    the parent order is at most 200, on 10^4 sampled pairs otherwise).
+    Exhaustive on the parent's generators g at |gens| |G| cost: g H g^-1 is
+    inside H, so equal to it (G is finite), so H is normal; every left coset
+    has |H| elements; so ``key_map`` is the canonical map G -> G/H.  Then
+    ``key_map[g x] == q.kmul(key_map[g], key_map[x])`` for every g and x
+    reads every entry (x -> g x is onto); one entry moved into a wrong coset
+    fails it whenever |G| > 2 (on order 2 the constant map passes).
     """
     h_keys = frozenset(
         m.key if isinstance(m, Element) else m for m in subgroup
     )
-    quotient, proj = _quotient_build(parent, h_keys, verify=True)
-
-    n = len(parent.enum_keys)
-    if n <= 200:
-        pairs = itertools.product(parent.enum_keys, repeat=2)
-    else:
-        import numpy as np
-
-        seed = int(_subset_digest(parent, h_keys), 16)
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        idx = rng.integers(0, n, size=(10**4, 2))
-        keys = parent.enum_keys
-        pairs = ((keys[i], keys[j]) for i, j in idx.tolist())
-    key_map = proj.key_map
-    for a, b in pairs:
-        if key_map[parent.kmul(a, b)] != quotient.kmul(key_map[a], key_map[b]):
-            raise GroupAxiomError("projection is not a homomorphism")
+    quotient, proj, gens = _quotient_build(parent, h_keys, verify=True)
+    key_map, kmul, qmul = proj.key_map, parent.kmul, quotient.kmul
+    for g in gens:
+        g_rep = key_map[g]
+        for x in parent.enum_keys:
+            if key_map[kmul(g, x)] != qmul(g_rep, key_map[x]):
+                raise GroupAxiomError("projection is not a homomorphism")
     if quotient.abelian and quotient.order <= COORDS_ORDER_CAP:
         abelian_coords(quotient)
     return quotient, proj
@@ -855,7 +862,7 @@ def abelian_basis(oracle: GroupOracle) -> list[tuple[Any, int]]:
     if m == oracle.order:
         return [(g, m)]
 
-    quotient, proj = _quotient_build(oracle, frozenset(powers), verify=False)
+    quotient, proj, _ = _quotient_build(oracle, frozenset(powers), verify=False)
     basis = [(g, m)]
     for qk, t in abelian_basis(quotient):
         # qk is its own coset representative, hence a parent key
@@ -971,16 +978,10 @@ def derived_subgroup_keys(oracle: GroupOracle) -> frozenset:
         return frozenset({oracle.identity_key})
     while True:
         n_keys = closure_keys(oracle, sorted(seeds))
-        extra = set()
-        for g in gens:
-            ginv = kinv(g)
-            for h in n_keys:
-                c = kmul(kmul(g, h), ginv)
-                if c not in n_keys:
-                    extra.add(c)
+        extra = _escaping_conjugates(oracle, gens, n_keys)
         if not extra:
             return n_keys
-        seeds = set(n_keys) | extra
+        seeds = n_keys.union(extra)
 
 
 def derived_subnormal_series(oracle: GroupOracle) -> SubnormalSeries:
@@ -1065,24 +1066,19 @@ def _divisors(n: int) -> list[int]:
 # axiom verification
 
 
-def verify_group_axioms(
-    oracle: GroupOracle,
-    *,
-    seed: int = 0,
-    samples: int = 10**4,
-    exhaustive_cap: int = 200,
-) -> int:
-    """Check associativity, identity, and inverses; returns triples tested.
+def verify_group_axioms(oracle: GroupOracle) -> int:
+    """Check associativity, identity, inverses and the abelian flag.
 
-    Exhaustive over all triples when the order is at most *exhaustive_cap*,
-    sampled (at least *samples* random triples) otherwise.  Also checks the
-    abelian flag and, when present, the invariant-factor metadata.
+    Returns the number of associativity checks made.  An enumeration S with
+    |gens| |S|^2 <= LIGHT_TEST_CAP is proven a group by Light's test
+    (Clifford-Preston, *Algebraic Theory of Semigroups* I, 1.2): S is the
+    closure of its generators, g S = S and (x g) y == x (g y) for each
+    generator g and all x, y, so by induction on word length every g in S
+    passes, and S is associative and closed; then commuting generators make
+    it abelian, so the flag is checked both ways.  Other groups are sampled
+    on 10^4 seeded triples.  Also checks invariant-factor metadata.
     """
     kmul, kinv, e = oracle.kmul, oracle.kinv, oracle.identity_key
-
-    def check_triple(a, b, c):
-        if kmul(kmul(a, b), c) != kmul(a, kmul(b, c)):
-            raise GroupAxiomError(f"associativity fails on {(a, b, c)!r}")
 
     def check_element(a):
         if kmul(a, e) != a or kmul(e, a) != a:
@@ -1090,47 +1086,48 @@ def verify_group_axioms(
         if kmul(a, kinv(a)) != e or kmul(kinv(a), a) != e:
             raise GroupAxiomError(f"inverse fails on {a!r}")
 
-    tested = 0
-    if oracle.order is not None and oracle.enum_keys is not None and oracle.order <= exhaustive_cap:
-        ks = oracle.enum_keys
-        commutes = True
+    ks = oracle.enum_keys or ()
+    n = len(ks)
+    if 0 < n * n <= LIGHT_TEST_CAP and (
+        len(gens := generating_keys(oracle)) * n * n <= LIGHT_TEST_CAP
+    ):
+        keyset = frozenset(ks)
         for a in ks:
             check_element(a)
-        for a in ks:
-            for b in ks:
-                ab = kmul(a, b)
-                if ab != kmul(b, a):
-                    commutes = False
-                    if oracle.abelian:
-                        raise GroupAxiomError(f"abelian flag wrong on {(a, b)!r}")
-                for c in ks:
-                    if kmul(ab, c) != kmul(a, kmul(b, c)):
-                        raise GroupAxiomError(
-                            f"associativity fails on {(a, b, c)!r}"
-                        )
-                    tested += 1
-        if commutes and not oracle.abelian:
-            raise GroupAxiomError("group commutes but abelian flag is False")
+        if closure_keys(oracle, gens) != keyset:
+            raise GroupAxiomError("generators do not generate the enumeration")
+        for g in gens:
+            g_row = [kmul(g, y) for y in ks]
+            if set(g_row) != keyset:
+                raise GroupAxiomError(f"left multiplication by {g!r} is not a bijection")
+            for x in ks:
+                xg = kmul(x, g)
+                for y, gy in zip(ks, g_row):
+                    if kmul(xg, y) != kmul(x, gy):
+                        raise GroupAxiomError(f"associativity fails on {(x, g, y)!r}")
+        tested = len(gens) * n * n
+        if _generators_commute(oracle) != oracle.abelian:
+            raise GroupAxiomError(f"abelian flag {oracle.abelian} is wrong")
     else:
         import numpy as np
 
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        if oracle.enum_keys is not None:
-            n = len(oracle.enum_keys)
-            draw = lambda: oracle.enum_keys[int(rng.integers(0, n))]
+        rng = np.random.Generator(np.random.Philox(key=0))
+        if n:
+            draw = lambda: ks[int(rng.integers(0, n))]
         elif oracle.ksample is not None:
             draw = lambda: oracle.ksample(rng)
         else:
             raise NotEnumerableError(
                 f"{oracle.domain!r} has neither enumeration nor sampler"
             )
-        for _ in range(samples):
+        tested = 10**4
+        for _ in range(tested):
             a, b, c = draw(), draw(), draw()
-            check_triple(a, b, c)
+            if kmul(kmul(a, b), c) != kmul(a, kmul(b, c)):
+                raise GroupAxiomError(f"associativity fails on {(a, b, c)!r}")
             check_element(a)
             if oracle.abelian and kmul(a, b) != kmul(b, a):
                 raise GroupAxiomError(f"abelian flag wrong on {(a, b)!r}")
-            tested += 1
 
     facs = oracle.invariant_factors
     if facs:

@@ -26,7 +26,16 @@ from prodfree import (
     subnormal_series_from_chain,
     verify_group_axioms,
 )
-from prodfree.groups import DIHEDRAL_MAX, _mat_mul, _perm_inv, _perm_mul
+from prodfree import groups
+from prodfree.groups import (
+    DIHEDRAL_MAX,
+    GroupOracle,
+    _mat_mul,
+    _perm_inv,
+    _perm_mul,
+    derived_subgroup_keys,
+    generating_keys,
+)
 from conftest import naive_closure, naive_derived_orders
 
 Q8_GENS = [(0, 2, 1, 0), (1, 1, 1, 2)]  # i and j inside GL2(F3)
@@ -67,7 +76,7 @@ def test_axioms_exhaustive(spec, order):
     assert g.order == order
     assert len(g.enum_keys) == order
     tested = verify_group_axioms(g)
-    assert tested == order**3
+    assert tested == len(generating_keys(g)) * order**2
 
 
 def test_axioms_sampled_on_infinite_groups():
@@ -187,10 +196,33 @@ def test_quotient_projection_is_homomorphism():
 
 
 def test_quotient_rejects_non_normal_subgroup():
-    g = build_group("sym:3")
-    h = closure_keys(g, [(1, 0, 2)])  # order-2 subgroup, not normal
-    with pytest.raises(NotNormalError):
-        quotient_projection(g, h)
+    for spec, reflection in [("sym:3", "1,0,2"), ("dihedral:6", "0,5,4,3,2,1")]:
+        g = build_group(spec)
+        h = closure_keys(g, [g.kdecode(reflection)])  # order 2, not normal
+        assert len(h) == 2
+        with pytest.raises(NotNormalError):
+            quotient_projection(g, h)
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "dihedral:150"])
+def test_quotient_rejects_a_projection_entry_in_the_wrong_coset(spec, monkeypatch):
+    # every entry of sym:4 in turn, and every 12th of dihedral:150 (order 300)
+    g = build_group(spec)
+    h = derived_subgroup_keys(g)
+    real = groups._quotient_build
+    for y in g.enum_keys[:: max(1, g.order // 24)]:
+
+        def corrupted(parent, h_keys, *, verify, y=y):
+            quotient, proj, gens = real(parent, h_keys, verify=verify)
+            right = proj.key_map[y]
+            proj.key_map[y] = next(r for r in quotient.enum_keys if r != right)
+            return quotient, proj, gens
+
+        monkeypatch.setattr(groups, "_quotient_build", corrupted)
+        with pytest.raises(GroupAxiomError, match="not a homomorphism"):
+            quotient_projection(g, h)
+    monkeypatch.undo()
+    quotient_projection(g, h)
 
 
 def test_abelian_basis_and_coords():
@@ -259,9 +291,7 @@ def test_series_levels_and_quotients_carry_the_right_abelian_flag(spec):
         ks = o.enum_keys
         commutes = all(o.kmul(a, b) == o.kmul(b, a) for a in ks for b in ks)
         assert o.abelian == commutes, o.domain
-        # exhaustive, so the flag is checked both ways, below order 100;
-        # the 125-element top of heisenberg:5 is sampled
-        verify_group_axioms(o, exhaustive_cap=100)
+        verify_group_axioms(o)
 
 
 def test_dihedral_decoder_accepts_only_rotations_and_reflections():
@@ -371,11 +401,40 @@ def test_derived_series_needs_enumeration():
         derived_subnormal_series(build_group("int"))
 
 
+def _with(spec, **changes):
+    return GroupOracle(**{**build_group(spec).__dict__, **changes})
+
+
+# the smallest loop that is not a group: identity 0, every element its own
+# inverse, every row and column a permutation, and not associative
+LOOP5 = ["01234", "10342", "24013", "32401", "43120"]
+
+
+BROKEN_ORACLES = [
+    _with("cyclic:6", kmul=lambda a, b: (a + b + 1) % 6),
+    GroupOracle(
+        domain="loop5",
+        kind="table",
+        kmul=lambda a, b: int(LOOP5[a][b]),
+        kinv=lambda a: a,
+        identity_key=0,
+        abelian=False,
+        order=5,
+        enum_keys=tuple(range(5)),
+    ),
+    # an enumeration that is not closed: 0..5 inside Z/12
+    _with("cyclic:12", order=6, enum_keys=tuple(range(6))),
+    # a wrong abelian flag, both ways, also on a group of order 400
+    _with("cyclic:6", abelian=False),
+    _with("abelian:20,20", abelian=False),
+    _with("sym:3", abelian=True),
+]
+
+
 def test_axiom_checker_catches_broken_oracle():
-    g = build_group("cyclic:6")
-    broken = type(g)(**{**g.__dict__, "kmul": lambda a, b: (a + b + 1) % 6})
-    with pytest.raises(GroupAxiomError):
-        verify_group_axioms(broken)
+    for broken in BROKEN_ORACLES:
+        with pytest.raises(GroupAxiomError):
+            verify_group_axioms(broken)
 
 
 def _word(g, key):
