@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -771,8 +772,9 @@ def quotient_projection(
     inside H, so equal to it (G is finite), so H is normal; every left coset
     has |H| elements; so ``key_map`` is the canonical map G -> G/H.  Then
     ``key_map[g x] == q.kmul(key_map[g], key_map[x])`` for every g and x
-    reads every entry (x -> g x is onto); one entry moved into a wrong coset
-    fails it whenever |G| > 2 (on order 2 the constant map passes).
+    reads every entry (x -> g x is onto), and each fiber of ``key_map``
+    must hold exactly |H| elements: together they catch one entry moved
+    into a wrong coset on every order.
     """
     h_keys = frozenset(
         m.key if isinstance(m, Element) else m for m in subgroup
@@ -784,6 +786,8 @@ def quotient_projection(
         for x in parent.enum_keys:
             if key_map[kmul(g, x)] != qmul(g_rep, key_map[x]):
                 raise GroupAxiomError("projection is not a homomorphism")
+    if any(c != len(h_keys) for c in Counter(key_map.values()).values()):
+        raise GroupAxiomError("projection is not a homomorphism")
     if quotient.abelian and quotient.order <= COORDS_ORDER_CAP:
         abelian_coords(quotient)
     return quotient, proj

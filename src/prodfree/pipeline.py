@@ -11,6 +11,13 @@ The chain of stages, each consuming the previous one's output:
 * ``product_free_extract``: a final pigeonhole over shifts g of Z picking
   a product-free gZ whose intersection with Y is the witness.
 
+Each bound is read off a product set the previous stage already holds, so
+every product is computed once and handed down: ``product_free_extract``
+passes X^2 to ``petridis_subset``, which returns Y and Y^3; Y^3 goes to
+``seh_halving``, whose steps take the finder's product of the chosen
+triple and whose result carries the final UVW; UVW goes to
+``localize_small_triple``.
+
 Every stage re-verifies its own output bounds with exact integer
 arithmetic; bounds that are theorems raise InvariantViolationError when
 they fail, bounds that depend on honest search raise SearchExhaustedError.
@@ -110,9 +117,11 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def petridis_subset(
-    x: MultSet, k, *, budget: int = DEFAULT_PRODUCT_BUDGET
-) -> MultSet:
-    """A subset Y of X with |Y| >= |X|/k and |Y^3| <= k^3 |Y|.
+    x: MultSet, x2: MultSet, k, *, budget: int = DEFAULT_PRODUCT_BUDGET
+) -> tuple[MultSet, MultSet]:
+    """A subset Y of X with |Y| >= |X|/k and |Y^3| <= k^3 |Y|, given X^2.
+
+    Returns Y and the Y^3 it was judged on (X^2 X when Y = X).
 
     Tries Y = X, then an exhaustive subset scan for |X| <= 16 (largest
     subsets first, lexicographic within a size), then a seeded local
@@ -128,7 +137,6 @@ def petridis_subset(
         raise PreconditionError(f"doubling parameter must be >= 1, got {k}")
     if len(x) == 0:
         raise PreconditionError("cannot take a subset of the empty set")
-    x2 = product_set(x, x, budget=budget)
     if len(x2) * k.denominator > k.numerator * len(x):
         raise PreconditionError(
             f"|X^2| = {len(x2)} exceeds k |X| = {k} * {len(x)}"
@@ -137,28 +145,30 @@ def petridis_subset(
     kd3 = k.denominator**3
     min_size = _ceil_div(len(x) * k.denominator, k.numerator)
 
-    def qualifies(y: MultSet) -> bool:
-        if len(y) * k.numerator < len(x) * k.denominator:
-            return False
-        y3 = power_set(y, 3, budget=budget)
-        return len(y3) * kd3 <= kn3 * len(y)
+    def qualifies(y: MultSet, y3: MultSet) -> bool:
+        return (
+            len(y) * k.numerator >= len(x) * k.denominator
+            and len(y3) * kd3 <= kn3 * len(y)
+        )
 
-    if qualifies(x):
-        return x
+    x3 = product_set(x2, x, budget=budget)
+    if qualifies(x, x3):
+        return x, x3
 
     if len(x) <= PETRIDIS_EXHAUSTIVE_MAX:
         for size in range(len(x) - 1, min_size - 1, -1):
             for combo in itertools.combinations(x.keys, size):
                 y = MultSet(x.oracle, combo)
-                if qualifies(y):
-                    return y
+                y3 = power_set(y, 3, budget=budget)
+                if qualifies(y, y3):
+                    return y, y3
         raise SearchExhaustedError(
             f"no qualifying subset of the {len(x)}-point set exists at k = {k}"
         )
 
     rng = np.random.Generator(np.random.Philox(key=_digest_seed(x, extra=str(k))))
     current = list(x.keys)
-    cur_ratio = Fraction(len(power_set(x, 3, budget=budget)), len(x))
+    cur_ratio = Fraction(len(x3), len(x))
     for _ in range(PETRIDIS_MOVE_BUDGET):
         removable = len(current) > min_size
         grow = len(current) < len(x) and (not removable or rng.integers(4) == 0)
@@ -170,15 +180,14 @@ def petridis_subset(
             cand = current[:drop] + current[drop + 1 :]
         y = MultSet(x.oracle, cand)
         try:
-            ratio = Fraction(len(power_set(y, 3, budget=budget)), len(y))
+            y3 = power_set(y, 3, budget=budget)
         except BudgetExceededError:
             continue
+        ratio = Fraction(len(y3), len(y))
         if ratio <= cur_ratio:
             current, cur_ratio = cand, ratio
-            if cur_ratio * kd3 <= Fraction(kn3):
-                y = MultSet(x.oracle, current)
-                if qualifies(y):
-                    return y
+            if cur_ratio * kd3 <= Fraction(kn3) and qualifies(y, y3):
+                return y, y3
     raise SearchExhaustedError(
         f"local search exhausted {PETRIDIS_MOVE_BUDGET} moves without a "
         f"subset meeting tripling {k}^3"
@@ -192,15 +201,26 @@ class HomogeneousTuple:
     u_parts: tuple[MultSet, MultSet, MultSet]
     v_parts: tuple[MultSet, MultSet, MultSet]
     achieved_density: Fraction
-    u_product_size: int
-    v_product_size: int
+    u_product: MultSet  # (u1 u2) u3
+    v_product: MultSet  # (v1 v2) v3
     side: str  # "u" or "v": the triple whose product came out smaller
+
+    @property
+    def u_product_size(self) -> int:
+        return len(self.u_product)
+
+    @property
+    def v_product_size(self) -> int:
+        return len(self.v_product)
 
     def chosen(self) -> tuple[MultSet, MultSet, MultSet]:
         return self.u_parts if self.side == "u" else self.v_parts
 
+    def chosen_product(self) -> MultSet:
+        return self.u_product if self.side == "u" else self.v_product
+
     def chosen_product_size(self) -> int:
-        return self.u_product_size if self.side == "u" else self.v_product_size
+        return len(self.chosen_product())
 
 
 def find_homogeneous_tuple(
@@ -259,7 +279,7 @@ def find_homogeneous_tuple(
             for part, inp in zip(u_sets + v_sets, inputs)
         )
         side = "u" if len(up) <= len(vp) else "v"
-        return HomogeneousTuple(u_sets, v_sets, density, len(up), len(vp), side)
+        return HomogeneousTuple(u_sets, v_sets, density, up, vp, side)
 
     if oracle.kind == "int":
         u_keys = tuple(s.keys[:m] for s, m in zip(inputs[:3], need[:3]))
@@ -321,6 +341,7 @@ class SehHalvingResult:
     u: MultSet
     v: MultSet
     w: MultSet
+    uvw: MultSet  # (U V) W, the product the last stage was judged on
     profile: BoundsProfile
     stages: tuple[SehStage, ...]
     used_fallback: bool
@@ -329,20 +350,23 @@ class SehHalvingResult:
 
 def seh_halving(
     y: MultSet,
+    y3: MultSet,
     alpha=Fraction(1, 2),
     finder_delta=Fraction(1, 2),
     *,
     budget: int = DEFAULT_PRODUCT_BUDGET,
 ) -> SehHalvingResult:
-    """Nested triples U, V, W inside Y with |UVW| <= alpha |Y|.
+    """Nested triples U, V, W inside Y with |UVW| <= alpha |Y|, given Y^3.
 
     Starts from U = V = W = Y and repeatedly replaces the triple by a
     denser-than-delta sub-triple whose product is at most half the
-    previous one.  Three invariants are recomputed every step: containment
-    in the previous triple, size at least delta times the previous size,
-    and product at most half the previous product.  When the planned
-    number of steps would push sizes below 2, a two-point triple is
-    returned instead, whose product has at most 8 <= alpha |Y| points.
+    previous one.  Each step checks three invariants on the product the
+    finder computed for the chosen triple: containment in the previous
+    triple, size at least delta times the previous size, and product at
+    most half the previous product.  When the planned number of steps
+    would push sizes below 2, a two-point triple is returned instead,
+    whose product has at most 8 <= alpha |Y| points.  The result carries
+    the final product UVW.
     """
     alpha = Fraction(alpha)
     delta = Fraction(finder_delta)
@@ -352,7 +376,6 @@ def seh_halving(
             f"need |Y| >= 8/alpha = {Fraction(8 * alpha.denominator, alpha.numerator)}, "
             f"got {len(y)}"
         )
-    y3 = power_set(y, 3, budget=budget)
     ratio_num = len(y3) * alpha.denominator
     ratio_den = alpha.numerator * len(y)
     t = 0
@@ -370,7 +393,7 @@ def seh_halving(
             )
         stages.append(SehStage(small, small, small, len(prod)))
         return SehHalvingResult(
-            small, small, small, profile, tuple(stages), True, n
+            small, small, small, prod, profile, tuple(stages), True, n
         )
 
     u = v = w = y
@@ -381,7 +404,7 @@ def seh_halving(
             raise InvariantViolationError("halving exceeded its planned step count")
         tup = find_homogeneous_tuple(u, v, w, u, v, w, delta, pair_budget=budget)
         nu, nv, nw = tup.chosen()
-        nxt = product_set(product_set(nu, nv, budget=budget), nw, budget=budget)
+        nxt = tup.chosen_product()
         for new, old in ((nu, u), (nv, v), (nw, w)):
             if not new.key_set() <= old.key_set():
                 raise InvariantViolationError("halving step escaped containment")
@@ -392,7 +415,7 @@ def seh_halving(
         u, v, w, cur = nu, nv, nw, nxt
         stages.append(SehStage(u, v, w, len(cur)))
         transitions += 1
-    return SehHalvingResult(u, v, w, profile, tuple(stages), False, n)
+    return SehHalvingResult(u, v, w, cur, profile, tuple(stages), False, n)
 
 
 @dataclass(frozen=True)
@@ -453,10 +476,12 @@ def localize_small_triple(
     u: MultSet,
     v: MultSet,
     w: MultSet,
+    uvw: MultSet,
     *,
     budget: int = DEFAULT_PRODUCT_BUDGET,
 ) -> LocalizeResult:
-    """The largest Z(g,h) = U^-1 g  meet  V  meet  h W^-1 over g, h.
+    """The largest Z(g,h) = U^-1 g  meet  V  meet  h W^-1 over g, h, given
+    the product UVW = (U V) W.
 
     Requires |UVW| <= |Y|/2.  Validates the exact counting identity
     sum |Z(g,h)| = |U||V||W|, the averaging bound
@@ -471,7 +496,6 @@ def localize_small_triple(
             raise PreconditionError("U, V, W must be nonempty")
         if not s.key_set() <= y.key_set():
             raise PreconditionError("U, V, W must sit inside Y")
-    uvw = product_set(product_set(u, v, budget=budget), w, budget=budget)
     if 2 * len(uvw) > len(y):
         raise PreconditionError(
             f"|UVW| = {len(uvw)} exceeds |Y|/2 = {len(y)}/2"
@@ -558,8 +582,7 @@ def product_free_extract(
 
     stage = "petridis"
     try:
-        y = petridis_subset(x, k, budget=budget)
-        y3 = power_set(y, 3, budget=budget)
+        y, y3 = petridis_subset(x, x2, k, budget=budget)
         trace.append(
             record(
                 "petridis-size",
@@ -576,7 +599,7 @@ def product_free_extract(
         )
 
         stage = "halving"
-        halv = seh_halving(y, profile.alpha, profile.delta, budget=budget)
+        halv = seh_halving(y, y3, profile.alpha, profile.delta, budget=budget)
         if halv.used_fallback:
             trace.append(
                 record(
@@ -606,7 +629,7 @@ def product_free_extract(
         )
 
         stage = "localize"
-        loc = localize_small_triple(y, halv.u, halv.v, halv.w, budget=budget)
+        loc = localize_small_triple(y, halv.u, halv.v, halv.w, halv.uvw, budget=budget)
         trace.append(
             record(
                 "localize-count",

@@ -34,6 +34,7 @@ from prodfree import (
     inverse_set,
     localize_small_triple,
     petridis_subset,
+    power_set,
     product_free_extract,
     product_set,
     seh_halving,
@@ -232,7 +233,7 @@ def test_criterion_05_small_scale_subset_search_is_total():
         sq = naive_product_keys(int_group, x.keys, x.keys)
         k = Fraction(len(sq), len(x))
         try:
-            y = petridis_subset(x, k)
+            y, _ = petridis_subset(x, product_set(x, x), k)
         except SearchExhaustedError:
             misses += 1
             return
@@ -294,7 +295,10 @@ def test_criterion_06_iterated_halving_invariants():
     for spec in specs:
         y = generate(spec)
         assert len(y) <= 2000, spec
-        res = seh_halving(y, Fraction(1, 2), delta, budget=40_000_000)
+        res = seh_halving(
+            y, power_set(y, 3, budget=40_000_000), Fraction(1, 2), delta,
+            budget=40_000_000,
+        )
 
         first = res.stages[0]
         assert list(first.u.keys) == list(y.keys)
@@ -340,7 +344,7 @@ def test_criterion_07_triple_localization_identity():
         "gap:3:1,1,1:1,5,25",
     ):
         y = generate(spec)
-        res = seh_halving(y, Fraction(1, 2), Fraction(2, 5))
+        res = seh_halving(y, power_set(y, 3), Fraction(1, 2), Fraction(2, 5))
         calls.append((y, res.u, res.v, res.w))
 
     y16 = MultSet(int_group, range(1, 17))
@@ -354,7 +358,8 @@ def test_criterion_07_triple_localization_identity():
 
     for y, u, v, w in calls:
         oracle = y.oracle
-        res = localize_small_triple(y, u, v, w)
+        uvw = product_set(product_set(u, v), w)
+        res = localize_small_triple(y, u, v, w, uvw)
         assert res.pair_total == len(u) * len(v) * len(w)
 
         if len(u) * len(v) * len(w) <= 250_000:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from prodfree import ExtractionCertificate, MultSet, build_group, write_set
+from prodfree import cli
 from prodfree.cli import main
 from conftest import (
     naive_incident_pairs,
@@ -283,6 +284,32 @@ def test_unknown_source_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "extract", "greedy", "nosuchfamily:5")
     assert code == 1
     assert "error" in err
+
+
+def test_one_parser_serves_a_usage_error_then_extract_and_verify(
+    tmp_path, capsys, monkeypatch
+):
+    real_build = cli.build_parser
+    builds = []
+
+    def counted_build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    out_path = tmp_path / "cert.json"
+    with pytest.raises(SystemExit) as info:
+        main(["extract", "nope", "interval:50"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (1, "")
+    assert "invalid choice: 'nope'" in err
+    code, out, _ = run_cli(capsys, "extract", "thm33", "interval:50", "--out", str(out_path))
+    assert (code, out) == (0, "")
+    code, out, _ = run_cli(capsys, "verify", str(out_path), "interval:50")
+    assert (code, out) == (0, "PASS\n")
+    assert len(builds) == 1
+    cli._parser.cache_clear()
 
 
 def test_unknown_algorithm_exits_one(capsys):

@@ -204,9 +204,11 @@ def test_quotient_rejects_non_normal_subgroup():
             quotient_projection(g, h)
 
 
-@pytest.mark.parametrize("spec", ["sym:4", "dihedral:150"])
+@pytest.mark.parametrize("spec", ["cyclic:2", "sym:4", "dihedral:150"])
 def test_quotient_rejects_a_projection_entry_in_the_wrong_coset(spec, monkeypatch):
-    # every entry of sym:4 in turn, and every 12th of dihedral:150 (order 300)
+    # every entry of cyclic:2 and sym:4 in turn, and every 12th of
+    # dihedral:150 (order 300); on cyclic:2 the derived subgroup is {0}, and
+    # moving entry 1 gives the constant map, which only the fiber count sees
     g = build_group(spec)
     h = derived_subgroup_keys(g)
     real = groups._quotient_build

@@ -19,12 +19,14 @@ from prodfree import (
     generate,
     localize_small_triple,
     petridis_subset,
+    power_set,
     product_free_extract,
     product_set,
     seh_halving,
     verify_certificate,
 )
-from prodfree.cli import _run_algorithm
+from prodfree import pipeline, sets
+from prodfree.cli import _run_algorithm, main
 from prodfree.groups import subgroup_view
 from prodfree.pipeline import _bucket_best
 from prodfree.sets import DEFAULT_PRODUCT_BUDGET
@@ -85,8 +87,9 @@ def test_petridis_whole_set_qualifies(int_group):
     x = MultSet(int_group, range(1, 13))
     x2 = naive_product_keys(int_group, x.keys, x.keys)
     k = Fraction(len(x2), len(x))
-    y = petridis_subset(x, k)
+    y, y3 = petridis_subset(x, product_set(x, x), k)
     assert y == x
+    assert y3 == power_set(x, 3)
     y3 = naive_triple_product_keys(int_group, y.keys, y.keys, y.keys)
     assert len(y3) * k.denominator**3 <= k.numerator**3 * len(y)
 
@@ -98,24 +101,26 @@ def test_petridis_size_bound_exact(int_group):
         x = MultSet(int_group, ks)
         x2 = naive_product_keys(int_group, ks, ks)
         k = Fraction(len(x2), len(x))
-        y = petridis_subset(x, k)
+        y, _ = petridis_subset(x, product_set(x, x), k)
         assert y.key_set() <= x.key_set()
         assert len(y) * k.numerator >= len(x) * k.denominator
 
 
 def test_petridis_preconditions(int_group):
     x = MultSet(int_group, [1, 2])
+    x2 = product_set(x, x)
     with pytest.raises(PreconditionError):
-        petridis_subset(x, Fraction(1, 2))  # k below 1
+        petridis_subset(x, x2, Fraction(1, 2))  # k below 1
     with pytest.raises(PreconditionError):
-        petridis_subset(x, 1)  # |X^2| = 3 > 1 * |X|
+        petridis_subset(x, x2, 1)  # |X^2| = 3 > 1 * |X|
+    empty = MultSet(int_group, [])
     with pytest.raises(PreconditionError):
-        petridis_subset(MultSet(int_group, []), 2)
+        petridis_subset(empty, empty, 2)
 
 
 def test_petridis_accepts_generous_k(int_group):
     x = MultSet(int_group, [0, 1, 5])
-    assert petridis_subset(x, 10) == x
+    assert petridis_subset(x, product_set(x, x), 10)[0] == x
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +195,7 @@ def test_finder_is_deterministic(int_group):
 def test_halving_worked_example(int_group):
     """{1..16} at alpha = delta = 1/2 halves three times: 46, 22, 10, 4."""
     y = MultSet(int_group, range(1, 17))
-    res = seh_halving(y, HALF, HALF)
+    res = seh_halving(y, power_set(y, 3), HALF, HALF)
     assert not res.used_fallback
     assert [s.product_size for s in res.stages] == [46, 22, 10, 4]
     assert res.planned_steps == 4
@@ -211,7 +216,8 @@ def test_halving_worked_example(int_group):
 
 def test_halving_needs_enough_points(int_group):
     with pytest.raises(PreconditionError):
-        seh_halving(MultSet(int_group, range(15)), HALF, HALF)
+        y = MultSet(int_group, range(15))
+        seh_halving(y, power_set(y, 3), HALF, HALF)
 
 
 def test_halving_fallback_on_high_tripling_gap(int_group):
@@ -224,7 +230,7 @@ def test_halving_fallback_on_high_tripling_gap(int_group):
         t += 1
     n = t + 1
     assert (n, 2 * 5 ** (n - 2) > 2 ** (n - 2) * 27) == (5, True)
-    res = seh_halving(y, HALF, TWO_FIFTHS)
+    res = seh_halving(y, power_set(y, 3), HALF, TWO_FIFTHS)
     assert res.used_fallback
     assert res.planned_steps == 5
     assert len(res.u) == len(res.v) == len(res.w) == 2
@@ -234,21 +240,25 @@ def test_halving_fallback_on_high_tripling_gap(int_group):
 
 def test_halving_stops_early_once_alpha_is_met(int_group):
     y = MultSet(int_group, range(1, 41))
-    res = seh_halving(y, HALF, TWO_FIFTHS)
+    res = seh_halving(y, power_set(y, 3), HALF, TWO_FIFTHS)
     assert len(res.stages) - 1 < res.planned_steps
     assert 2 * res.stages[-1].product_size <= len(y)
 
 
 def test_halving_is_deterministic(int_group):
     y = MultSet(int_group, range(-20, 21))
-    a = seh_halving(y, HALF, TWO_FIFTHS)
-    b = seh_halving(y, HALF, TWO_FIFTHS)
+    a = seh_halving(y, power_set(y, 3), HALF, TWO_FIFTHS)
+    b = seh_halving(y, power_set(y, 3), HALF, TWO_FIFTHS)
     assert [s.product_size for s in a.stages] == [s.product_size for s in b.stages]
     assert a.u.keys == b.u.keys
 
 
 # ---------------------------------------------------------------------------
 # localization
+
+
+def _uvw(u, v, w):
+    return product_set(product_set(u, v), w)
 
 
 def _naive_buckets(g, u_keys, v_keys, w_keys):
@@ -268,7 +278,7 @@ def test_localize_worked_example(int_group):
     best = max(buckets.values())
     assert sum(buckets.values()) == 8
     assert min(gh for gh, c in buckets.items() if c == best) == (3, 3)
-    res = localize_small_triple(y, part, part, part)
+    res = localize_small_triple(y, part, part, part, power_set(part, 3))
     assert (res.g.key, res.h.key) == (3, 3)
     assert res.z.keys == (1, 2)
     assert res.pair_total == 8
@@ -292,7 +302,7 @@ def test_localize_matches_naive_buckets_random(int_group):
         buckets = _naive_buckets(int_group, u.keys, v.keys, w.keys)
         best = max(buckets.values())
         want_gh = min(gh for gh, c in buckets.items() if c == best)
-        res = localize_small_triple(y, u, v, w)
+        res = localize_small_triple(y, u, v, w, _uvw(u, v, w))
         assert (res.g.key, res.h.key) == want_gh
         assert len(res.z) == best
         assert res.pair_total == len(u) * len(v) * len(w)
@@ -410,7 +420,7 @@ def test_localize_generic_path_heisenberg():
     v = MultSet(g, [e, (1, 0, 0, 0, 1, 1, 0, 0, 1)])
     w = MultSet(g, [e, (1, 0, 1, 0, 1, 0, 0, 0, 1)])
     buckets = _naive_buckets(g, u.keys, v.keys, w.keys)
-    res = localize_small_triple(y, u, v, w)
+    res = localize_small_triple(y, u, v, w, _uvw(u, v, w))
     assert res.pair_total == sum(buckets.values()) == 8
     best = max(buckets.values())
     assert len(res.z) == best
@@ -428,15 +438,19 @@ def test_localize_preconditions(int_group):
     y = MultSet(int_group, range(1, 17))
     fat = MultSet(int_group, range(1, 5))
     with pytest.raises(PreconditionError):
-        localize_small_triple(y, fat, fat, fat)  # |UVW| = 10 > 8
+        localize_small_triple(y, fat, fat, fat, power_set(fat, 3))  # |UVW| = 10 > 8
     outside = MultSet(int_group, [99])
-    with pytest.raises(PreconditionError):
-        localize_small_triple(y, outside, fat, fat)
-    with pytest.raises(PreconditionError):
-        localize_small_triple(y, MultSet(int_group, []), fat, fat)
+    with pytest.raises(PreconditionError, match="inside Y"):
+        localize_small_triple(y, outside, fat, fat, _uvw(outside, fat, fat))
+    empty = MultSet(int_group, [])
+    with pytest.raises(PreconditionError, match="nonempty"):
+        localize_small_triple(y, empty, fat, fat, _uvw(empty, fat, fat))
+    # U in another group has no product with V; any small UVW will do,
+    # since the domain check comes first
     other = MultSet(build_group("cyclic:20"), [1])
-    with pytest.raises(DomainMismatchError):
-        localize_small_triple(y, other, fat, fat)
+    two = MultSet(int_group, [1, 2])
+    with pytest.raises(DomainMismatchError, match="Y's group"):
+        localize_small_triple(y, other, fat, fat, power_set(two, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +521,13 @@ def test_extract_is_deterministic(int_group):
 # defaults): rewrites of the set, group and certificate code keep these bytes
 FROZEN_CERT_SHA256 = {
     "interval:50": ("thm33", "3db43ec7a93e0612065accb52b32fc5e8ac357b26de091768b35e0827f28e127"),
+    "interval:100": ("thm33", "86812a965886d27069b6ca511eb60aec5d1028e79a95ee72f9519780e497687f"),
+    "interval:200": ("thm33", "803c076294978e49260f5bcf7cc7712dc0f18c06101c086207a2a4dda2334837"),
     "interval:300": ("thm33", "4821bf9729e69f9a2a87c766d271c266f632179e8c08afd9d27ce8d96374024f"),
+    "interval:400": ("thm33", "b2a5167641e2ae2d4aefebd4ad0500761acd94764d487644f8949d7c9720112d"),
+    "interval:500": ("thm33", "3b9dbda6ec731061a6d29b581dc45e80716731097de8d2bbdfeeeae92a2d1132"),
+    "gap:2:5,5:1,20": ("thm33", "3125fe15f4068aa6ee9e6f19cc0ce231948d996f79ae7271dab2ce2c5c321fed"),
+    "heisenberg-ball:11:1": ("thm33", "d86ed62c7789d53bac0741a3dabf34a49c4cf5cfadf6cd15650a5ade3b15f19e"),
     "gap:2:10,10:1,100": ("thm33", "64feee9c3a66fc75681e05a7746bca2495b59f19066a7284fb211935a1e194d7"),
     "interval:600": ("thm33", "de8418460409c1de03d771e77ca400a914e412877d564ed5804ead3492e339a2"),
     "gap:2:15,15:1,1000": ("thm33", "fd042e7e6ecf26b73306f3d9d97df6ab5cfad1a03e6311870b226493f82c9eef"),
@@ -534,6 +554,81 @@ def test_extract_certificate_bytes_are_frozen(spec):
         for _ in range(2)
     ]
     assert digests == [frozen] * 2
+
+
+# spec -> sha256 of the partial certificate that `extract thm33 SPEC` prints
+# (with its trailing newline) before it exits 2 on a halving miss
+FROZEN_PARTIAL_CERT_SHA256 = {
+    "full-group:sym:4": "69d3cbba60de0456ee77a7115a206431c39dead102661437e3370cd6467e7970",
+    "full-group:dihedral:12": "8e3c4db2db5bc3b47acdad800f2f9a6bf59c42cdd9affd79debc27503b176988",
+    "full-group:abelian:8,8": "2ca69fee2b1aeb690db96659531e17855b71c4bb41053e59c4d47702fe72f475",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FROZEN_PARTIAL_CERT_SHA256))
+def test_extract_partial_certificate_bytes_are_frozen(spec, capsys):
+    code = main(["extract", "thm33", spec])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == (
+        "not found: stage 'halving' failed: no homogeneous tuple of density "
+        "2/5 found (64 sampled candidates)\n"
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_PARTIAL_CERT_SHA256[spec]
+
+
+@pytest.mark.parametrize(
+    "spec,calls",
+    [("interval:50", 12), ("gap:2:10,10:1,100", 16), ("gap:3:5,5,5:1,11,121", 12)],
+)
+def test_extract_computes_each_product_once(spec, calls, monkeypatch):
+    """X^2, Y^3 = X^2 X, two products per halving step and Z^-1 Z Z^-1: every
+    product is computed once and the stage that needs it again is handed it."""
+    real_product = sets.product_set
+    operands = []
+
+    def spy(x, y, budget=DEFAULT_PRODUCT_BUDGET):
+        operands.append((x.keys, y.keys))
+        return real_product(x, y, budget=budget)
+
+    tuples, cubes, halvings = [], [], []
+
+    def record_into(out, fn):
+        def recorded(*args, **kwargs):
+            got = fn(*args, **kwargs)
+            out.append(got)
+            return got
+
+        return recorded
+
+    monkeypatch.setattr(sets, "product_set", spy)
+    monkeypatch.setattr(pipeline, "product_set", spy)
+    for name, out in (
+        ("find_homogeneous_tuple", tuples),
+        ("petridis_subset", cubes),
+        ("seh_halving", halvings),
+    ):
+        monkeypatch.setattr(pipeline, name, record_into(out, getattr(pipeline, name)))
+    x = generate(spec)
+    product_free_extract(x)
+    monkeypatch.undo()
+
+    assert len(operands) == calls
+    assert len(set(operands)) == calls
+    g = x.oracle
+    ((y, y3),) = cubes
+    assert y3.key_set() == naive_product_keys(g, naive_product_keys(g, y.keys, y.keys), y.keys)
+    assert tuples
+    for tup in tuples:
+        for (a, b, c), prod in ((tup.u_parts, tup.u_product), (tup.v_parts, tup.v_product)):
+            # pair by pair: the first gap:3 step has 533^3 triples
+            ab = naive_product_keys(g, a.keys, b.keys)
+            assert prod.key_set() == naive_product_keys(g, ab, c.keys)
+    (halv,) = halvings
+    assert halv.uvw.key_set() == naive_triple_product_keys(
+        g, halv.u.keys, halv.v.keys, halv.w.keys
+    )
+    assert halv.stages[-1].product_size == len(halv.uvw)
 
 
 def test_extract_respects_custom_profile(int_group):
