@@ -6,12 +6,16 @@ states its inequality over the entry's own ``sizes`` dictionary, so a
 verifier can re-evaluate every comparison from the stored numbers without
 rerunning the search.
 
-Inequality grammar (exact rational arithmetic):
+Inequality grammar, with whitespace allowed between tokens:
 
     expr    :=  product CMP product
     product :=  factor ('*' factor)*
-    factor  :=  integer | rational 'p/q' | size-key identifier
+    factor  :=  integer p | rational 'p/q' with q >= 1 | size-key identifier
     CMP     :=  '<=' | '>=' | '==' | '<' | '>'
+
+where p is '-'? and decimal digits (``\\d``) and an identifier matches
+[A-Za-z_][A-Za-z0-9_]*.  Each product is an integer over a positive integer,
+and the sides are compared exactly by cross-multiplying the integers.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,67 +36,57 @@ from .sets import DEFAULT_PRODUCT_BUDGET, MultSet, frac_str, is_product_free
 # cells of one row block of verify's digit-vector freeness recheck
 VERIFY_BLOCK_CELLS = 1 << 20
 
-_TOKEN = re.compile(r"\s*(<=|>=|==|<|>|\*|-?\d+/\d+|-?\d+|[A-Za-z_][A-Za-z0-9_]*)")
-_CMP_OPS = {
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-}
+_FACTOR = re.compile(r"(-?\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z0-9_]*)")
+_SIDE = rf"(?:{_FACTOR.pattern})(?:\s*\*\s*(?:{_FACTOR.pattern}))*"
+_INEQUALITY = re.compile(
+    rf"\s*(?P<lhs>{_SIDE})\s*(?P<cmp><=|>=|==|<|>)\s*(?P<rhs>{_SIDE})\s*"
+)
+_COMPARE = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
+            "<": operator.lt, ">": operator.gt}
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise CertificateError(f"bad inequality token at {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+def _side(side: str, sizes: dict[str, int], text: str) -> tuple[int, int]:
+    """One side's product as (numerator, denominator >= 1)."""
+    num = den = 1
+    for p, q, key in _FACTOR.findall(side):
+        if key and key not in sizes:
+            raise CertificateError(f"unknown size key {key!r} in {text!r}")
+        num *= int(sizes[key] if key else p)
+        den *= int(q or 1)
+    if not den:
+        raise CertificateError(f"zero denominator in {text!r}")
+    return num, den
 
 
 def eval_inequality(text: str, sizes: dict[str, int]) -> bool:
     """Evaluate a product-comparison inequality against a sizes table."""
-    tokens = _tokenize(text)
-    cmp_positions = [i for i, t in enumerate(tokens) if t in _CMP_OPS]
-    if len(cmp_positions) != 1:
-        raise CertificateError(f"need exactly one comparison in {text!r}")
-    cut = cmp_positions[0]
+    m = _INEQUALITY.fullmatch(text)
+    if not m:
+        raise CertificateError(f"malformed inequality {text!r}")
+    ln, ld = _side(m["lhs"], sizes, text)
+    rn, rd = _side(m["rhs"], sizes, text)
+    return _COMPARE[m["cmp"]](ln * rd, rn * ld)
 
-    def product(toks: list[str]) -> Fraction:
-        if not toks or any(toks[i] == "*" for i in (0, len(toks) - 1)):
-            raise CertificateError(f"malformed product in {text!r}")
-        acc = Fraction(1)
-        expect_factor = True
-        for t in toks:
-            if expect_factor:
-                if t == "*":
-                    raise CertificateError(f"malformed product in {text!r}")
-                if "/" in t:
-                    acc *= Fraction(t)
-                elif re.fullmatch(r"-?\d+", t):
-                    acc *= int(t)
-                else:
-                    if t not in sizes:
-                        raise CertificateError(f"unknown size key {t!r} in {text!r}")
-                    acc *= int(sizes[t])
-                expect_factor = False
-            else:
-                if t != "*":
-                    raise CertificateError(f"expected '*' in {text!r}")
-                expect_factor = True
-        if expect_factor:
-            raise CertificateError(f"dangling '*' in {text!r}")
-        return acc
 
-    lhs = product(tokens[:cut])
-    rhs = product(tokens[cut + 1 :])
-    return _CMP_OPS[tokens[cut]](lhs, rhs)
+def _typed(value, kind: type, where: str):
+    """``value`` if its JSON type is ``kind`` (a bool is not an integer),
+    else CertificateError."""
+    if type(value) is not kind:
+        raise CertificateError(
+            f"malformed certificate: {where} is {type(value).__name__}, "
+            f"not {kind.__name__}"
+        )
+    return value
+
+
+def _guarantee(text) -> Fraction:
+    """A certificate's ``p/q`` guarantee, q >= 1."""
+    m = _FACTOR.fullmatch(_typed(text, str, "guarantee"))
+    if not m or not m[2] or not int(m[2]):
+        raise CertificateError(
+            f"malformed certificate: guarantee {text!r} is not p/q with q >= 1"
+        )
+    return Fraction(int(m[1]), int(m[2]))
 
 
 @dataclass
@@ -108,6 +103,17 @@ class TraceRecord:
             "inequality": self.inequality,
             "holds": self.holds,
         }
+
+    @classmethod
+    def from_json_dict(cls, data: dict, where: str) -> "TraceRecord":
+        _typed(data, dict, where)
+        sizes = _typed(data["sizes"], dict, f"{where}.sizes")
+        return cls(
+            stage=_typed(data["stage"], str, f"{where}.stage"),
+            sizes={k: _typed(v, int, f"{where}.sizes.{k}") for k, v in sizes.items()},
+            inequality=_typed(data["inequality"], str, f"{where}.inequality"),
+            holds=_typed(data["holds"], bool, f"{where}.holds"),
+        )
 
 
 def record(stage: str, sizes: dict[str, int], inequality: str) -> TraceRecord:
@@ -160,29 +166,30 @@ class ExtractionCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExtractionCertificate":
+        """The certificate of a parsed JSON document, every field of its
+        JSON type; anything else is a CertificateError, never coerced."""
         try:
+            _typed(data, dict, "certificate")
+            params = _typed(data["params"], dict, "params")
+            witness = _typed(data["witness"], list, "witness")
             guarantee = data["guarantee"]
-            trace = [
-                TraceRecord(
-                    stage=t["stage"],
-                    sizes={k: int(v) for k, v in t["sizes"].items()},
-                    inequality=t["inequality"],
-                    holds=bool(t["holds"]),
-                )
-                for t in data["trace"]
-            ]
             return cls(
-                input_digest=data["input_digest"],
-                algorithm=data["algorithm"],
-                params={str(k): str(v) for k, v in data["params"].items()},
-                witness=[str(w) for w in data["witness"]],
-                verified_product_free=bool(data["verified_product_free"]),
-                achieved_size=int(data["achieved_size"]),
-                guarantee=Fraction(guarantee) if guarantee is not None else None,
-                trace=trace,
+                input_digest=_typed(data["input_digest"], str, "input_digest"),
+                algorithm=_typed(data["algorithm"], str, "algorithm"),
+                params={k: _typed(v, str, f"params.{k}") for k, v in params.items()},
+                witness=[_typed(w, str, "witness item") for w in witness],
+                verified_product_free=_typed(
+                    data["verified_product_free"], bool, "verified_product_free"
+                ),
+                achieved_size=_typed(data["achieved_size"], int, "achieved_size"),
+                guarantee=None if guarantee is None else _guarantee(guarantee),
+                trace=[
+                    TraceRecord.from_json_dict(t, f"trace[{i}]")
+                    for i, t in enumerate(_typed(data["trace"], list, "trace"))
+                ],
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CertificateError(f"malformed certificate: {exc}") from None
+        except KeyError as exc:
+            raise CertificateError(f"malformed certificate: missing {exc}") from None
 
     @classmethod
     def load(cls, path) -> "ExtractionCertificate":
@@ -263,7 +270,7 @@ def _recheck_free(witness: MultSet) -> bool:
 
 
 def verify_certificate(
-    cert: ExtractionCertificate, x: MultSet
+    cert: ExtractionCertificate, x: MultSet, *, budget: int = DEFAULT_PRODUCT_BUDGET
 ) -> tuple[bool, list[str]]:
     """Re-check a certificate against the claimed input set.
 
@@ -277,8 +284,8 @@ def verify_certificate(
     witness keys' own digit vectors (:func:`_digit_vector_free`), sharing
     no code with the counting kernel; every other group, subgroup view and
     quotient, and ``int`` with a larger key, runs the oracle's raw ``kmul``
-    over all pairs.  On every path the witness may hold at most 3162
-    points: its n^2 pairs stay within the 10^7 pair budget, or
+    over all pairs.  On every path the witness's n^2 pairs stay within
+    ``budget`` (at the default 10^7, at most 3162 points), or
     BudgetExceededError is raised.
     """
     problems: list[str] = []
@@ -306,12 +313,10 @@ def verify_certificate(
         problems.append(
             f"achieved_size {cert.achieved_size} != witness length {len(cert.witness)}"
         )
-    # freeness under is_product_free's pair budget, whichever path runs
+    # freeness under the caller's pair budget, whichever path runs
     n = len(witness)
-    if n * n > DEFAULT_PRODUCT_BUDGET:
-        raise BudgetExceededError(
-            f"{n}^2 pairs exceed budget {DEFAULT_PRODUCT_BUDGET}"
-        )
+    if n * n > budget:
+        raise BudgetExceededError(f"{n}^2 pairs exceed budget {budget}")
     if not cert.verified_product_free:
         problems.append("certificate does not claim product-freeness")
     if not n:

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .baselines import (
@@ -184,7 +183,7 @@ def cmd_extract(args) -> int:
 def cmd_verify(args) -> int:
     cert = ExtractionCertificate.load(args.certificate)
     x = _resolve_source(args.source, args.seed)
-    ok, problems = verify_certificate(cert, x)
+    ok, problems = verify_certificate(cert, x, budget=args.budget)
     if ok:
         _emit("PASS", None)
         return EXIT_OK
@@ -231,12 +230,7 @@ def cmd_bench(args) -> int:
                 f"{type(exc).__name__}: {exc}",
             ]
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(run_one, args.families))
-    else:
-        rows = [run_one(f) for f in args.families]
-
+    rows = [run_one(f) for f in args.families]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
@@ -256,7 +250,7 @@ def _fraction(text: str) -> Fraction:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_PRODUCT_BUDGET,
-                   help="pair budget for product-set computation")
+                   help="pair budget for product sets and freeness checks")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for random families without a seed= token")
@@ -295,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", help="CSV benchmark over families")
     pb.add_argument("families", nargs="+")
     pb.add_argument("--algorithm", choices=ALGORITHMS, default="thm33")
-    pb.add_argument("--workers", type=int, default=1)
     _add_profile(pb)
     _add_common(pb)
     return parser

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -51,6 +53,117 @@ def test_eval_inequality_rejects_malformed():
         eval_inequality("a + b <= c", {"a": 1, "b": 1, "c": 3})
     with pytest.raises(CertificateError):
         eval_inequality("a", {"a": 1})
+    with pytest.raises(CertificateError):
+        eval_inequality("1/0 * a >= b", {"a": 1, "b": 1})
+
+
+_COMPARISONS = {
+    "<=": operator.le, ">=": operator.ge, "==": operator.eq,
+    "<": operator.lt, ">": operator.gt,
+}
+
+
+def _reference_tokens(text):
+    """Tokens of the module docstring's grammar, read one character at a
+    time; None at a character no token can start with."""
+    tokens, i, n = [], 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if text[i : i + 2] in ("<=", ">=", "=="):
+            j = i + 2
+        elif c in "<>*":
+            j = i + 1
+        elif c == "_" or (c.isascii() and c.isalpha()):
+            j = i + 1
+            while j < n and (text[j] == "_" or (text[j].isascii() and text[j].isalnum())):
+                j += 1
+        else:
+            j = i + (c == "-")
+            start = j
+            while j < n and text[j].isdecimal():
+                j += 1
+            if j == start:
+                return None
+            if text[j : j + 1] == "/" and text[j + 1 : j + 2].isdecimal():
+                j += 1
+                while j < n and text[j].isdecimal():
+                    j += 1
+        tokens.append(text[i:j])
+        i = j
+    return tokens
+
+
+def _reference_eval(text, sizes):
+    """The docstring grammar evaluated with Fraction products: a bool, or
+    None where the text is malformed, names an unknown key or has q = 0."""
+    tokens = _reference_tokens(text)
+    cmps = [t for t in tokens or () if t in _COMPARISONS]
+    if len(cmps) != 1:
+        return None
+    cut = tokens.index(cmps[0])
+    values = []
+    for side in (tokens[:cut], tokens[cut + 1 :]):
+        factors, stars = side[::2], side[1::2]
+        if len(side) % 2 == 0 or any(t != "*" for t in stars) or "*" in factors:
+            return None
+        value = Fraction(1)
+        for t in factors:
+            if t[0] == "-" or t[0].isdecimal():
+                p, _, q = t.partition("/")
+                if q and not int(q):
+                    return None
+                value *= Fraction(int(p), int(q or 1))
+            elif t in sizes:
+                value *= sizes[t]
+            else:
+                return None
+        values.append(value)
+    return _COMPARISONS[cmps[0]](*values)
+
+
+_FUZZ_SIZES = {"a": 3, "b": 5, "yg": 17, "z": 0, "y3": 1030301, "_k": -2, "a1": 7}
+_FUZZ_FACTORS = [
+    "a", "b", "yg", "z", "y3", "_k", "a1", "0", "1", "2", "-1", "-0", "8000000",
+    "1/2", "3/4", "-5/3", "0/7", "\u0663", "\u0663/\u0664",
+]
+_FUZZ_BAD = ["missing", "1/0", "0/0", "+1", "x\u0663", "\u00b2", "1_0", "1.5", "-"]
+_FUZZ_NOISE = ["*", "**", "<=", ">=", "==", "<", ">", "=", "/", " ", "\t", "\u00a0", ""]
+
+
+def _fuzz_inequality(rng):
+    if rng.random() < 0.3:
+        pool = _FUZZ_FACTORS + _FUZZ_BAD + _FUZZ_NOISE
+        return "".join(rng.choice(pool) for _ in range(rng.randint(0, 8)))
+    gap = lambda: rng.choice(["", " ", " ", "\t", "\u00a0 "])
+    factor = lambda: rng.choice(_FUZZ_BAD if rng.random() < 0.03 else _FUZZ_FACTORS)
+    join = lambda: rng.choice(["**", " "]) if rng.random() < 0.03 else "*"
+
+    def side():
+        out = factor()
+        for _ in range(rng.randint(0, 3)):
+            out += gap() + join() + gap() + factor()
+        return out
+
+    cmp = rng.choice(list(_COMPARISONS) * 10 + ["<==", "=", "= ="])
+    return gap() + side() + gap() + cmp + gap() + side() + gap()
+
+
+def test_eval_inequality_matches_a_fraction_reference():
+    rng = random.Random(20240613)
+    outcomes = {True: 0, False: 0, None: 0}
+    for _ in range(20000):
+        text = _fuzz_inequality(rng)
+        want = _reference_eval(text, _FUZZ_SIZES)
+        if want is None:
+            with pytest.raises(CertificateError):
+                eval_inequality(text, _FUZZ_SIZES)
+        else:
+            assert eval_inequality(text, _FUZZ_SIZES) is want, text
+        outcomes[want] += 1
+    assert min(outcomes.values()) > 2000, outcomes
 
 
 def test_record_evaluates_on_the_spot():
@@ -360,6 +473,74 @@ def test_box_group_tamper_appended_product_through_the_cli(
     assert capsys.readouterr().out == (
         "FAIL\n  - witness is not product-free on recomputation\n"
     )
+
+
+@pytest.fixture(scope="module")
+def interval50_certificate(tmp_path_factory):
+    path = tmp_path_factory.mktemp("interval50") / "cert.json"
+    assert cli_main(["extract", "thm33", "interval:50", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _verify_cli(data, tmp_path, capsys, *flags):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = cli_main(["verify", str(path), "interval:50", *flags])
+    return (code, *capsys.readouterr())
+
+
+# each breaks one JSON type of a real certificate; the last three used to be
+# coerced into a PASS, the others to end verify in a traceback
+_MALFORMED = {
+    "sizes-list": lambda d: d["trace"][0].update(sizes=[101, 101]),
+    "params-list": lambda d: d.update(params=["2/5"]),
+    "numeric-inequality": lambda d: d["trace"][0].update(inequality=1),
+    "zero-guarantee": lambda d: d.update(guarantee="1/0"),
+    "integer-guarantee": lambda d: d.update(guarantee="3"),
+    "int-witness-item": lambda d: d["witness"].append(51),
+    "bool-size": lambda d: d["trace"][0]["sizes"].update(x=True),
+    "float-size": lambda d: d["trace"][0]["sizes"].update(x=101.9),
+    "string-holds": lambda d: d["trace"][0].update(holds="false"),
+    "string-achieved-size": lambda d: d.update(achieved_size="17"),
+}
+
+
+@pytest.mark.parametrize("tamper", list(_MALFORMED))
+def test_verify_rejects_malformed_certificate_with_a_reason(
+    tamper, interval50_certificate, tmp_path, capsys
+):
+    data = copy.deepcopy(interval50_certificate)
+    assert _verify_cli(data, tmp_path, capsys) == (0, "PASS\n", "")
+    _MALFORMED[tamper](data)
+    code, out, err = _verify_cli(data, tmp_path, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed certificate: ") and err.count("\n") == 1
+
+
+def test_verify_reports_a_zero_denominator_as_a_failed_stage(
+    interval50_certificate, tmp_path, capsys
+):
+    data = copy.deepcopy(interval50_certificate)
+    data["trace"][0]["inequality"] = "1/0 * y >= x"
+    assert _verify_cli(data, tmp_path, capsys) == (
+        1,
+        "FAIL\n  - trace[0] petridis-size: zero denominator in '1/0 * y >= x'\n",
+        "",
+    )
+
+
+def test_verify_budget_bounds_the_witness_recheck(
+    interval50_certificate, tmp_path, capsys
+):
+    assert interval50_certificate["achieved_size"] == 17
+    code, out, err = _verify_cli(
+        interval50_certificate, tmp_path, capsys, "--budget", "288"
+    )
+    assert (code, out, err) == (1, "", "error: 17^2 pairs exceed budget 288\n")
+    assert _verify_cli(
+        interval50_certificate, tmp_path, capsys, "--budget", "289"
+    ) == (0, "PASS\n", "")
 
 
 @pytest.mark.parametrize("base", [0, 2**61], ids=["digit-vectors", "raw-kmul"])

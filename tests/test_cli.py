@@ -268,18 +268,6 @@ def test_bench_records_row_errors_and_continues(capsys):
     assert rows2[0]["error"] == ""
 
 
-def test_bench_parallel_matches_serial(capsys):
-    argv = ["bench", "interval:10", "interval:20", "--algorithm", "greedy"]
-    _, serial, _ = run_cli(capsys, *argv)
-    _, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
-
-    def strip_time(text):
-        rows = list(csv.DictReader(io.StringIO(text)))
-        return [{k: v for k, v in r.items() if k != "time_ms"} for r in rows]
-
-    assert strip_time(serial) == strip_time(parallel)
-
-
 def test_unknown_source_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "extract", "greedy", "nosuchfamily:5")
     assert code == 1
