@@ -51,8 +51,13 @@ def _side(side: str, sizes: dict[str, int], text: str) -> tuple[int, int]:
     for p, q, key in _FACTOR.findall(side):
         if key and key not in sizes:
             raise CertificateError(f"unknown size key {key!r} in {text!r}")
-        num *= int(sizes[key] if key else p)
-        den *= int(q or 1)
+        try:
+            num *= int(sizes[key] if key else p)
+            den *= int(q or 1)
+        except ValueError:  # a literal past Python's int string-conversion limit
+            raise CertificateError(
+                f"integer literal too long in an inequality of {len(text)} characters"
+            ) from None
     if not den:
         raise CertificateError(f"zero denominator in {text!r}")
     return num, den
@@ -82,11 +87,18 @@ def _typed(value, kind: type, where: str):
 def _guarantee(text) -> Fraction:
     """A certificate's ``p/q`` guarantee, q >= 1."""
     m = _FACTOR.fullmatch(_typed(text, str, "guarantee"))
-    if not m or not m[2] or not int(m[2]):
-        raise CertificateError(
-            f"malformed certificate: guarantee {text!r} is not p/q with q >= 1"
-        )
-    return Fraction(int(m[1]), int(m[2]))
+    if m and m[2]:
+        try:
+            p, q = int(m[1]), int(m[2])
+        except ValueError:  # a literal past Python's int string-conversion limit
+            raise CertificateError(
+                "malformed certificate: guarantee has an integer literal too long"
+            ) from None
+        if q:
+            return Fraction(p, q)
+    raise CertificateError(
+        f"malformed certificate: guarantee {text!r} is not p/q with q >= 1"
+    )
 
 
 @dataclass
@@ -196,7 +208,8 @@ class ExtractionCertificate:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError, or a JSON
+            # integer past Python's int string-conversion limit
             raise CertificateError(f"cannot read certificate: {exc}") from None
         return cls.from_json_dict(data)
 

@@ -21,6 +21,16 @@ Payload conventions:
                    sorted order, and the image word is its text
 * ``heisenberg:p`` unitriangular 3x3 matrices mod p, flattened row-major
 * ``matrix:d:m``   invertible d x d matrices mod m, flattened row-major
+
+A finite oracle with an enumeration of at most :data:`CAYLEY_ORDER_CAP`
+elements and no ``component_moduli`` (``sym:n``, ``dihedral:n``,
+``heisenberg:p``, subgroup views and quotients) can carry a Cayley table,
+built on first demand by :func:`cayley_table` and held on the oracle: the
+position of every product x_i x_j in the enumeration, int16, so at most
+4096^2 * 2 bytes = 32 MB.  It is built from the left-multiplication
+permutations L_s of the greedy generators s; row c is L_s gathered at row a
+whenever c = s a, since c x = s (a x) by associativity, so every entry is a
+product the oracle's ``kmul`` would give.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import (
     GroupAxiomError,
@@ -48,6 +60,7 @@ DIHEDRAL_MAX = 1024
 SERIES_ORDER_CAP = 10**4
 COORDS_ORDER_CAP = 4096
 LIGHT_TEST_CAP = 10**6  # most |gens| * n^2 checks of a proven associativity
+CAYLEY_ORDER_CAP = 4096  # largest order with a Cayley table; positions fit int16
 
 
 class Element(NamedTuple):
@@ -181,6 +194,7 @@ class GroupOracle:
     kdecode: Callable[[str], Any] | None = None
     ksample: Callable[[Any], Any] | None = None
     _coords: tuple | None = field(default=None, repr=False)
+    _cayley: CayleyTable | None = field(default=None, repr=False)
 
     # -- element-level conveniences -------------------------------------
     def wrap(self, key: Any) -> Element:
@@ -418,7 +432,17 @@ def _build_dihedral(n: int) -> GroupOracle:
             return ",".join(down[n - 1 - k :] + down[: n - 1 - k])
         return ",".join(up[k:] + up[:k])
 
+    rank = {t: i for i, t in enumerate(up)}
+
     def dec(text: str) -> int:
+        # the first two entries fix the key: a canonical text is that key's
+        # encoding, and any other text takes the full parse
+        head = text.split(",", 2)
+        k = rank.get(head[0])
+        if k is not None and len(head) > 1:
+            a = 2 * k + ((head[1] != up[(k + 1) % n]) ^ flip[k])
+            if enc(a) == text:
+                return a
         key = tuple(map(int, text.split(",")))
         if len(key) == n and 0 <= key[0] < n:
             k = key[0]
@@ -658,6 +682,76 @@ def generated_subgroup(parent: GroupOracle, generators: Iterable) -> GroupOracle
     """Closure of *generators* inside *parent*, as a subgroup view."""
     seeds = [g.key if isinstance(g, Element) else g for g in generators]
     return subgroup_view(parent, closure_keys(parent, seeds), verify=False)
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables
+
+
+@dataclass(frozen=True)
+class CayleyTable:
+    """Products of a finite oracle by enumeration position.
+
+    ``keys`` is the enumeration (position -> key), ``index`` its inverse,
+    and ``cells[i, j]`` the position of ``keys[i] * keys[j]``.
+    """
+
+    keys: tuple
+    index: dict
+    cells: np.ndarray
+
+
+def cayley_table(oracle: GroupOracle, build: bool = True) -> CayleyTable | None:
+    """The oracle's Cayley table, built on first demand and held on it.
+
+    None when the oracle has no enumeration, has ``component_moduli`` (box
+    groups have their own kernel), or has more than CAYLEY_ORDER_CAP
+    elements; also when no table exists yet and *build* is false.
+
+    The build makes n |gens| ``kmul`` calls and n row gathers.  With the
+    greedy generators s and L_s[i] the position of s x_i, the identity's
+    row is 0..n-1 and, for c = s a, row c is L_s[row a]: c x_j = s (a x_j)
+    by associativity.  A breadth-first walk from the identity along the
+    generators reaches every element of a group they generate, so a row
+    left unfilled, or a product outside the enumeration, is a
+    GroupAxiomError.
+    """
+    if oracle._cayley is not None or not build:
+        return oracle._cayley
+    keys = oracle.enum_keys
+    if keys is None or len(keys) > CAYLEY_ORDER_CAP or oracle.component_moduli is not None:
+        return None
+    n = len(keys)
+    index = {k: i for i, k in enumerate(keys)}
+    kmul = oracle.kmul
+    try:
+        left = [
+            np.fromiter((index[kmul(s, k)] for k in keys), dtype=np.int16, count=n)
+            for s in generating_keys(oracle)
+        ]
+    except KeyError:
+        raise GroupAxiomError(
+            f"a product leaves the enumeration of {oracle.domain!r}"
+        ) from None
+    cells = np.empty((n, n), dtype=np.int16)
+    e = index[oracle.identity_key]
+    cells[e] = np.arange(n)
+    filled = {e}
+    order = [e]
+    steps = [(perm, perm.tolist()) for perm in left]
+    for a in order:  # grows as rows fill: a breadth-first walk
+        for perm, image in steps:
+            c = image[a]
+            if c not in filled:
+                cells[c] = perm[cells[a]]
+                filled.add(c)
+                order.append(c)
+    if len(order) != n:
+        raise GroupAxiomError(
+            f"{n - len(order)} Cayley table rows of {oracle.domain!r} left unfilled"
+        )
+    oracle._cayley = CayleyTable(keys, index, cells)
+    return oracle._cayley
 
 
 @dataclass
@@ -1113,8 +1207,6 @@ def verify_group_axioms(oracle: GroupOracle) -> int:
         if _generators_commute(oracle) != oracle.abelian:
             raise GroupAxiomError(f"abelian flag {oracle.abelian} is wrong")
     else:
-        import numpy as np
-
         rng = np.random.Generator(np.random.Philox(key=0))
         if n:
             draw = lambda: ks[int(rng.integers(0, n))]

@@ -4,35 +4,54 @@ A :class:`MultSet` is an immutable finite subset of one ambient oracle.
 Internally it stores sorted raw payload keys; elements materialise on
 demand.
 
-Products in ``int`` and in the finite box groups -- full ``cyclic:N`` and
-``abelian:M1,...,Mr`` oracles, whose keys are mixed-radix ints of the box
-Z_M1 x ... x Z_Mr -- go through one exact counting kernel,
-:func:`_pair_counts`: for sorted keys A and B it returns every product
-a + b (digit-wise mod M_j in a box) with the number of pairs giving it.
-The counts are the convolution of the two indicator arrays, computed with
-a real FFT (``np.fft.rfftn``, or ``rfft`` on one axis) of n cells: the key
-range of A + B rounded up to a power of two in ``int``, the box itself
-(n = its order) in a box group.  That path runs when n <= |A||B|, so none of its arrays is larger
-than the |A||B| outer-sum array it replaces.  It is exact: the
-convolution's rounding error is about u log2(n) sqrt(|A||B|) with
-u = 2^-53, far below 1/2, and a runtime guard checks that every entry lies
-within 1/4 of an integer.  Sparser inputs, and any input the guard
-rejects, take the exact outer-sum path: the sums a + b, less M_j stride_j
-wherever digit j wrapped, counted with ``np.unique``.
-The gate: ``int`` takes the kernel from :data:`NUMPY_MIN_PAIRS` pairs on; a
-box group from there too, or on fewer pairs when its FFT is dense
-(order <= |A||B|).  Subgroup views and quotients, and every other group,
-run through the oracle's ``kmul``.
+Products take one of three paths, chosen in one place,
+:func:`_product_operands`:
+
+* ``int`` and the finite box groups -- full ``cyclic:N`` and
+  ``abelian:M1,...,Mr`` oracles, whose keys are mixed-radix ints of the box
+  Z_M1 x ... x Z_Mr -- go through one exact counting kernel,
+  :func:`_pair_counts`: for sorted keys A and B it returns every product
+  a + b (digit-wise mod M_j in a box) with the number of pairs giving it.
+  The counts are the convolution of the two indicator arrays, computed with
+  a real FFT (``np.fft.rfftn``, or ``rfft`` on one axis) of n cells: the key
+  range of A + B rounded up to a power of two in ``int``, the box itself
+  (n = its order) in a box group.  That path runs when n <= |A||B|, so none
+  of its arrays is larger than the |A||B| outer-sum array it replaces.  It
+  is exact: the convolution's rounding error is about u log2(n) sqrt(|A||B|)
+  with u = 2^-53, far below 1/2, and a runtime guard checks that every entry
+  lies within 1/4 of an integer.  Sparser inputs, and any input the guard
+  rejects, take the exact outer-sum path: the sums a + b, less M_j stride_j
+  wherever digit j wrapped, counted with ``np.unique``.  ``int`` takes the
+  kernel from :data:`NUMPY_MIN_PAIRS` pairs on; a box group from there too,
+  or on fewer pairs when its FFT is dense (order <= |A||B|).
+* Every other enumerated group of order n <= 4096 -- ``sym:n``,
+  ``dihedral:n``, ``heisenberg:p``, subgroup views and quotients -- reads
+  its products from the oracle's Cayley table
+  (:func:`groups.cayley_table`), by enumeration position: the same kernel
+  gathers the cells of A x B a row block at a time and counts them with
+  ``np.bincount``.  The table is built once per oracle, when it already
+  exists or when n^2 <= CAYLEY_GATE |A||B|: a build writes n^2 int16 cells
+  at about 10-20 ns each and makes n |gens| ``kmul`` calls, against about
+  1 us per ``kmul`` pair, so from that size on the first product already
+  pays for it, and every later product on the oracle is free of ``kmul``.
+  Below it (``heisenberg-ball:11:1``, 27 points in an order-1331 group) the
+  products stay on ``kmul``.
+* Everything else -- ``matrix:d:m``, larger groups, small products in
+  groups without a table -- runs through the oracle's ``kmul``.
+
 Triple localization (``pipeline._bucket_best``) counts its (g, h)
 buckets through :func:`_product_counts` in every abelian group, one
 difference class h g^-1 at a time.
 The covering translates t X and X t of ``approx_report`` are bitmasks over
-X^2's keys.  Where X X takes the kernel they are built from the kernel's
-outer sums (:func:`_outer_sums`, the matrix its exact path counts) by a
-search among X^2's keys; elsewhere from |X|^2 ``kmul`` calls.
-Budgets bound the |A||B| pairs of a product on the kernel path and the
+X^2's keys.  Where X X takes a kernel they are built from its outer
+products (:func:`_outer_sums`: the sums the exact path counts, or the
+table's cells), each placed among X^2's keys by one gather from a position
+array over their range when that range is small, else by a binary search;
+elsewhere from |X|^2 ``kmul`` calls.
+Budgets bound the |A||B| pairs of a product on the sums kernel and the
 |X|^2 pairs of the freeness and incident-pair counts; a product on the
-``kmul`` path is bounded by its number of distinct products instead.
+table or ``kmul`` path is bounded by its number of distinct products
+instead.
 """
 
 from __future__ import annotations
@@ -41,7 +60,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,10 +69,11 @@ from .errors import (
     DomainMismatchError,
     PreconditionError,
 )
-from .groups import Element, GroupOracle
+from .groups import CAYLEY_ORDER_CAP, CayleyTable, Element, GroupOracle, cayley_table
 
 DEFAULT_PRODUCT_BUDGET = 10**7
 NUMPY_MIN_PAIRS = 4096
+CAYLEY_GATE = 64  # build a Cayley table of order n for |A||B| >= n^2 / 64 pairs
 EXACT_COVER_UNIVERSE = 4096
 MASK_CHUNK_CELLS = 1 << 22
 
@@ -140,11 +160,50 @@ def _require_same(x: MultSet, y: MultSet) -> None:
         )
 
 
-def _pair_counts(a, b, moduli: tuple[int, ...] | None = None):
-    """Sorted distinct sums a_i + b_j and the exact number of pairs (i, j)
-    giving each.  a and b are sorted int64 keys: integers when ``moduli``
-    is None, else mixed-radix keys of the box Z_M1 x ... x Z_Mr, added
-    digit-wise mod M_j."""
+class _Operands(NamedTuple):
+    """Arguments of :func:`_pair_counts` and :func:`_outer_sums`: sorted
+    int64 keys (with a box's moduli), or positions in a Cayley table."""
+
+    a: Any
+    b: Any
+    moduli: tuple[int, ...] | None = None
+    table: CayleyTable | None = None
+
+
+def _values(keys, table: CayleyTable | None = None):
+    """The kernel values of group keys: the int64 keys themselves, or their
+    positions in ``table``'s enumeration (KeyError for a key outside it)."""
+    if table is None:
+        return np.fromiter(keys, dtype=np.int64, count=len(keys))
+    index = table.index
+    return np.fromiter((index[k] for k in keys), dtype=np.intp, count=len(keys))
+
+
+def _keys(values, table: CayleyTable | None = None) -> list:
+    """The group keys of kernel values; inverse of :func:`_values`."""
+    if table is None:
+        return values.tolist()
+    keys = table.keys
+    return [keys[i] for i in values.tolist()]
+
+
+def _pair_counts(
+    a, b, moduli: tuple[int, ...] | None = None, table: CayleyTable | None = None
+):
+    """Sorted distinct products a_i b_j and the exact number of pairs (i, j)
+    giving each.  a and b are int64 keys: integers when ``moduli`` is None,
+    else mixed-radix keys of the box Z_M1 x ... x Z_Mr, added digit-wise
+    mod M_j; or, with a Cayley ``table``, enumeration positions, multiplied
+    by reading its cells a block of rows at a time."""
+    if table is not None:
+        n = len(table.keys)
+        step = MASK_CHUNK_CELLS // max(1, len(b))  # at least 1024: |B| <= 4096
+        counts = np.zeros(n, dtype=np.int64)
+        for lo in range(0, len(a), step):
+            block = _outer_sums(a[lo : lo + step], b, table=table)
+            counts += np.bincount(block.ravel(), minlength=n)
+        hit = np.flatnonzero(counts)
+        return hit, counts[hit]
     if moduli:
         a0 = b0 = 0
         shape = moduli
@@ -182,9 +241,14 @@ def _pair_counts(a, b, moduli: tuple[int, ...] | None = None):
     return np.unique(_outer_sums(a, b, moduli).ravel(), return_counts=True)
 
 
-def _outer_sums(a, b, moduli: tuple[int, ...] | None = None):
-    """The |A| x |B| matrix of sums a_i + b_j of int64 keys, added digit-wise
-    mod M_j when ``moduli`` names a box (see :func:`_pair_counts`)."""
+def _outer_sums(
+    a, b, moduli: tuple[int, ...] | None = None, table: CayleyTable | None = None
+):
+    """The |A| x |B| matrix of products a_i b_j: sums of int64 keys, added
+    digit-wise mod M_j when ``moduli`` names a box (see :func:`_pair_counts`),
+    or a Cayley ``table``'s cells at positions a_i, b_j."""
+    if table is not None:
+        return table.cells[np.ix_(a, b)]
     sums = np.add.outer(a, b)
     stride = 1
     for m in reversed(moduli or ()):
@@ -195,16 +259,14 @@ def _outer_sums(a, b, moduli: tuple[int, ...] | None = None):
     return sums
 
 
-def _kernel_operands(x: MultSet, y: MultSet):
-    """Arguments of :func:`_pair_counts` for X Y, or None for the kmul path.
+def _kernel_operands(x: MultSet, y: MultSet) -> _Operands | None:
+    """Sums-kernel operands for X Y, or None.
 
-    The one place that decides which products take the kernel, and so
-    which covering translates are built from its outer sums.  ``int``
-    takes it from NUMPY_MIN_PAIRS pairs on, while every key stays below 2^60
-    in absolute value, so that sums of a few keys fit in int64.  A full
-    ``cyclic:N`` or ``abelian:*`` oracle (a box) takes it from there too, or
-    on fewer pairs when its FFT is dense (order <= |X||Y|).  Subgroup views
-    and quotients have no ``component_moduli`` and stay on kmul.
+    ``int`` takes the kernel from NUMPY_MIN_PAIRS pairs on, while every key
+    stays below 2^60 in absolute value, so that sums of a few keys fit in
+    int64.  A full ``cyclic:N`` or ``abelian:*`` oracle (a box) takes it
+    from there too, or on fewer pairs when its FFT is dense (order <=
+    |X||Y|).  Subgroup views and quotients have no ``component_moduli``.
     """
     o = x.oracle
     pairs = len(x) * len(y)
@@ -215,8 +277,31 @@ def _kernel_operands(x: MultSet, y: MultSet):
             return None
     elif box is None or o.order >= 2**60 or pairs < min(NUMPY_MIN_PAIRS, o.order):
         return None
-    a, b = (np.fromiter(s.keys, dtype=np.int64, count=len(s)) for s in (x, y))
-    return a, b, box
+    return _Operands(_values(x.keys), _values(y.keys), box)
+
+
+def _product_operands(x: MultSet, y: MultSet) -> _Operands | None:
+    """Kernel operands for X Y, or None for the kmul path.
+
+    The one place that decides which products take a kernel, and so which
+    covering translates are built from its outer products: the sums kernel
+    where :func:`_kernel_operands` takes X Y, else the oracle's Cayley table
+    where it already exists or n^2 <= CAYLEY_GATE |X||Y| (see the module
+    docstring), as long as every key of X and Y is in its enumeration.
+    """
+    operands = _kernel_operands(x, y)
+    if operands is not None:
+        return operands
+    o = x.oracle
+    if o.order is None:  # no enumeration, so no table
+        return None
+    table = cayley_table(o, build=o.order**2 <= CAYLEY_GATE * len(x) * len(y))
+    if table is None:
+        return None
+    try:
+        return _Operands(_values(x.keys, table), _values(y.keys, table), table=table)
+    except KeyError:  # a set holding keys outside the oracle's enumeration
+        return None
 
 
 def product_set(
@@ -226,13 +311,17 @@ def product_set(
     _require_same(x, y)
     if len(x) == 0 or len(y) == 0:
         return MultSet(x.oracle, ())
-    operands = _kernel_operands(x, y)
+    operands = _product_operands(x, y)
     if operands is not None:
-        if len(x) * len(y) > budget:
+        if operands.table is None and len(x) * len(y) > budget:
             raise BudgetExceededError(
                 f"product pairs {len(x) * len(y)} exceed budget {budget}"
             )
-        return MultSet(x.oracle, _pair_counts(*operands)[0].tolist())
+        out = _keys(_pair_counts(*operands)[0], operands.table)
+        # on the table path the budget bounds distinct products, as on kmul's
+        if len(out) > budget:
+            raise BudgetExceededError(f"product set grew past budget {budget}")
+        return MultSet(x.oracle, out)
     kmul = x.oracle.kmul
     out: set = set()
     for a in x.keys:
@@ -251,10 +340,10 @@ def _product_counts(x: MultSet, y: MultSet) -> Counter:
     Takes no budget: callers bound |X||Y| before calling.
     """
     _require_same(x, y)
-    operands = _kernel_operands(x, y)
+    operands = _product_operands(x, y)
     if operands is not None:
-        sums, counts = _pair_counts(*operands)
-        return Counter(dict(zip(sums.tolist(), counts.tolist())))
+        values, counts = _pair_counts(*operands)
+        return Counter(dict(zip(_keys(values, operands.table), counts.tolist())))
     kmul = x.oracle.kmul
     return Counter(kmul(a, b) for a in x.keys for b in y.keys)
 
@@ -284,11 +373,11 @@ def count_incident_pairs(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> in
     n = len(x)
     if n * n > budget:
         raise BudgetExceededError(f"{n}^2 pairs exceed budget {budget}")
-    operands = _kernel_operands(x, x)
+    operands = _product_operands(x, x)
     if operands is not None:
-        # read the counting kernel's pair counts at the keys of X
-        sums, counts = _pair_counts(*operands)
-        return int(counts[np.isin(sums, operands[0])].sum())
+        # read the counting kernel's pair counts at the values of X
+        values, counts = _pair_counts(*operands)
+        return int(counts[np.isin(values, operands.a)].sum())
     kmul = x.oracle.kmul
     member = x._keyset
     return sum(
@@ -442,12 +531,15 @@ def _translates(x: MultSet, square: MultSet, side: str) -> list[int]:
 
     Entry (r, j) of one |X| x |X| index matrix is the position in X^2's keys
     of x_r x_j, so row r is x_r X and column r is X x_r.  Where
-    :func:`_kernel_operands` takes X X to the kernel (``int``, full
-    ``cyclic:N`` and ``abelian:*``) the matrix is a search of the kernel's
-    outer sums among X^2's keys, and it is symmetric, so each right
-    translate is the left one; elsewhere it takes |X|^2 ``kmul`` calls.
+    :func:`_product_operands` takes X X to a kernel, the matrix places the
+    kernel's outer products among X^2's values: by one gather from an array
+    indexed by value where their range is at most max(|X|^2, 4096) cells
+    (always, for the positions of a Cayley table), else by a binary search.
+    On the sums kernel (``int``, full ``cyclic:N`` and ``abelian:*``) it is
+    symmetric, so each right translate is the left one.  Elsewhere it takes
+    |X|^2 ``kmul`` calls.
     """
-    operands = _kernel_operands(x, x)
+    operands = _product_operands(x, x)
     if operands is None:
         kmul = x.oracle.kmul
         where = {k: i for i, k in enumerate(square.keys)}
@@ -456,9 +548,17 @@ def _translates(x: MultSet, square: MultSet, side: str) -> list[int]:
         )
         columns = index.T
     else:
-        a, _, box = operands
-        keys = np.fromiter(square.keys, dtype=np.int64, count=len(square))
-        index = columns = np.searchsorted(keys, _outer_sums(a, a, box))
+        products = _outer_sums(*operands)
+        values = _values(square.keys, operands.table)
+        lo, hi = int(values.min()), int(values.max())
+        # a position array no larger than the matrix, or than a table's order
+        if hi - lo < max(len(x) ** 2, CAYLEY_ORDER_CAP):
+            where = np.zeros(hi - lo + 1, dtype=np.int64)
+            where[values - lo] = np.arange(len(values))
+            index = where[products - lo]
+        else:
+            index = np.searchsorted(values, products)
+        columns = index if operands.table is None else index.T
     if side == "left":
         return _index_masks(index, len(square))
     right = _index_masks(columns, len(square))

@@ -35,6 +35,7 @@ SUMFREE_ALPHA = Fraction(1, 4)
 INTERVAL_VERIFY_CAP = 10**4
 SEARCH_EXHAUSTIVE_CAP = 10**7
 SEARCH_SAMPLE_COUNT = 10**5
+_FIRST_BATCH = 64
 _BATCH = 8192
 
 
@@ -144,7 +145,8 @@ def alon_kleitman_weighted(
     characters c there, keeping elements whose pairing lands in the
     middle-third interval of Z/n.  The average weight captured is at least
     a quarter of the total, so the exhaustive scan cannot fail; it returns
-    the first qualifying c in canonical order.  When the scan space
+    the first qualifying c in canonical order, scanning batches that grow
+    geometrically from 64 to 8192 characters.  When the scan space
     exceeds *exhaustive_cap* the search samples *sample_count* characters
     from a digest-seeded generator and errors honestly on a miss.
     """
@@ -170,14 +172,19 @@ def alon_kleitman_weighted(
 
     space = n**s
     if space <= exhaustive_cap:
-        for start in range(0, space, _BATCH):
-            idx = np.arange(start, min(start + _BATCH, space), dtype=np.int64)
+        # batches double from _FIRST_BATCH to _BATCH: a scan that hits early
+        # (often the first few characters) evaluates only a small batch
+        start, size = 0, _FIRST_BATCH
+        while start < space:
+            idx = np.arange(start, min(start + size, space), dtype=np.int64)
             c_rows = np.stack(np.unravel_index(idx, (n,) * s), axis=1)
             got = qualify(c_rows)
             good = np.nonzero(4 * got >= total_w)[0]
             if good.size:
                 c = c_rows[good[0]]
                 break
+            start += size
+            size = min(2 * size, _BATCH)
         else:
             raise InvariantViolationError(
                 "exhaustive character scan found no quarter-weight set"

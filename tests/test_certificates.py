@@ -55,6 +55,11 @@ def test_eval_inequality_rejects_malformed():
         eval_inequality("a", {"a": 1})
     with pytest.raises(CertificateError):
         eval_inequality("1/0 * a >= b", {"a": 1, "b": 1})
+    # literals past Python's 4300-digit int conversion limit
+    with pytest.raises(CertificateError, match="integer literal too long"):
+        eval_inequality("1" * 5000 + " >= a", {"a": 1})
+    with pytest.raises(CertificateError, match="integer literal too long"):
+        eval_inequality("a >= 1/" + "1" * 5000, {"a": 1})
 
 
 _COMPARISONS = {
@@ -227,6 +232,9 @@ def test_load_rejects_malformed_json(tmp_path):
         ExtractionCertificate.load(path)
     path.write_text(json.dumps({"witness": []}))
     with pytest.raises(CertificateError):
+        ExtractionCertificate.load(path)
+    path.write_text('{"achieved_size": ' + "1" * 5000 + "}")
+    with pytest.raises(CertificateError, match="cannot read certificate"):
         ExtractionCertificate.load(path)
 
 
@@ -498,6 +506,7 @@ _MALFORMED = {
     "numeric-inequality": lambda d: d["trace"][0].update(inequality=1),
     "zero-guarantee": lambda d: d.update(guarantee="1/0"),
     "integer-guarantee": lambda d: d.update(guarantee="3"),
+    "long-guarantee": lambda d: d.update(guarantee="1" * 5000 + "/1"),
     "int-witness-item": lambda d: d["witness"].append(51),
     "bool-size": lambda d: d["trace"][0]["sizes"].update(x=True),
     "float-size": lambda d: d["trace"][0]["sizes"].update(x=101.9),
@@ -526,6 +535,19 @@ def test_verify_reports_a_zero_denominator_as_a_failed_stage(
     assert _verify_cli(data, tmp_path, capsys) == (
         1,
         "FAIL\n  - trace[0] petridis-size: zero denominator in '1/0 * y >= x'\n",
+        "",
+    )
+
+
+def test_verify_reports_a_too_long_literal_as_a_failed_stage(
+    interval50_certificate, tmp_path, capsys
+):
+    data = copy.deepcopy(interval50_certificate)
+    data["trace"][0]["inequality"] = "1" * 5000 + " * y >= x"
+    assert _verify_cli(data, tmp_path, capsys) == (
+        1,
+        "FAIL\n  - trace[0] petridis-size: integer literal too long in an "
+        "inequality of 5009 characters\n",
         "",
     )
 

@@ -33,10 +33,11 @@ from prodfree.groups import (
     _mat_mul,
     _perm_inv,
     _perm_mul,
+    cayley_table,
     derived_subgroup_keys,
     generating_keys,
 )
-from conftest import naive_closure, naive_derived_orders
+from conftest import naive_closure, naive_derived_orders, table_oracles
 
 Q8_GENS = [(0, 2, 1, 0), (1, 1, 1, 2)]  # i and j inside GL2(F3)
 
@@ -334,6 +335,8 @@ def test_dihedral_text_matches_naive_image_words(n):
         ("+2,3,4,5,0,1", 5),
         ("2,3,4,5,0,1 ", 5),
         ("2, 1,0,5,4,3", 4),
+        ("2,03,4,5,0,1", 5),
+        ("2,3,4,5,0,01", 5),
         ("2_0,3,4,5,0,1", GroupSpecError),
         ("2,3,4,5,0", GroupSpecError),
         ("8,3,4,5,0,1", GroupSpecError),
@@ -565,3 +568,32 @@ def test_abelian_element_order_matches_brute_force(moduli):
         while any(n * x % m for x, m in zip(v, moduli)):
             n += 1
         assert element_order(g, a) == n
+
+
+@pytest.mark.parametrize("name", list(table_oracles()))
+def test_cayley_table_matches_kmul_on_every_pair(name):
+    g = table_oracles()[name]
+    assert cayley_table(g, build=False) is None
+    table = cayley_table(g)
+    assert table.keys == g.enum_keys and table.cells.dtype.name == "int16"
+    for i, a in enumerate(table.keys):
+        assert [table.keys[c] for c in table.cells[i].tolist()] == [
+            g.kmul(a, b) for b in table.keys
+        ]
+    assert cayley_table(g) is table and cayley_table(g, build=False) is table
+
+
+def test_cayley_table_only_for_small_enumerated_groups_without_a_box():
+    for spec in ("int", "cyclic:12", "abelian:6,10", "matrix:2:5", "sym:7"):
+        g = build_group(spec)
+        assert cayley_table(g) is None and g._cayley is None
+
+
+def test_cayley_table_rejects_a_broken_oracle():
+    # products leaving the enumeration: 0..5 of dihedral:6's twelve keys
+    with pytest.raises(GroupAxiomError, match="leaves the enumeration"):
+        cayley_table(_with("dihedral:6", order=6, enum_keys=tuple(range(6))))
+    # s a == a for every s: no generator moves the walk off the identity
+    projection = _with("dihedral:6", kmul=lambda a, b: b)
+    with pytest.raises(GroupAxiomError, match="11 Cayley table rows"):
+        cayley_table(projection)

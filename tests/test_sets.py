@@ -20,7 +20,8 @@ from prodfree import (
     power_set,
     product_set,
 )
-from prodfree.groups import subgroup_view
+from prodfree.families import generate
+from prodfree.groups import cayley_table, subgroup_view
 from prodfree.sets import (
     NUMPY_MIN_PAIRS,
     _exact_cover_size,
@@ -29,6 +30,7 @@ from prodfree.sets import (
     _kernel_operands,
     _pair_counts,
     _product_counts,
+    _product_operands,
     _translates,
 )
 from conftest import (
@@ -36,6 +38,7 @@ from conftest import (
     naive_is_product_free,
     naive_product_keys,
     patch_irfft,
+    table_oracles,
 )
 
 
@@ -479,3 +482,61 @@ def test_approx_report_rejects_empty(int_group):
 def test_frac_str():
     assert frac_str(Fraction(5, 8)) == "5/8"
     assert frac_str(Fraction(3)) == "3/1"
+
+
+@pytest.mark.parametrize("name", list(table_oracles()))
+def test_table_path_matches_raw_kmul(name):
+    g = table_oracles()[name]
+    cayley_table(g)  # from now on every product of g reads the table
+    rng = random.Random(name)
+    keys = list(g.enum_keys)
+    for _ in range(25):
+        x = MultSet(g, rng.sample(keys, rng.randint(1, len(keys))))
+        y = MultSet(g, rng.sample(keys, rng.randint(1, len(keys))))
+        assert _product_operands(x, y).table is not None
+        want = Counter(g.kmul(a, b) for a in x.keys for b in y.keys)
+        assert _product_counts(x, y) == want
+        assert product_set(x, y).key_set() == frozenset(want)
+        assert count_incident_pairs(x) == naive_incident_pairs(g, x.keys)
+        square = product_set(x, x)
+        for side in ("left", "right", "two-sided"):
+            want_masks, _ = _naive_translates(g, x.keys, square.keys, side)
+            assert _translates(x, square, side) == want_masks
+
+
+def test_table_path_budget_and_empty_sets():
+    g = build_group("dihedral:6")
+    cayley_table(g)
+    x = MultSet(g, range(12))
+    assert _product_operands(x, x).table is not None
+    # 144 pairs, 12 distinct products: the budget bounds the products
+    assert len(product_set(x, x, budget=12)) == 12
+    with pytest.raises(BudgetExceededError, match="^product set grew past budget 11$"):
+        product_set(x, x, budget=11)
+    empty = MultSet(g, [])
+    assert _product_counts(x, empty) == Counter() == _product_counts(empty, x)
+    assert count_incident_pairs(empty) == 0 and len(product_set(x, empty)) == 0
+
+
+def test_table_gate_follows_the_pair_count():
+    # 27 points in an order-1331 group never pay for a table; the cube
+    # product of the 2-ball (110k pairs) does, and its square then reuses it
+    small = generate("heisenberg-ball:11:1")
+    approx_report(small, 2)
+    assert cayley_table(small.oracle, build=False) is None
+    big = generate("heisenberg-ball:11:2")
+    square = product_set(big, big)
+    assert cayley_table(big.oracle, build=False) is None
+    product_set(square, big)
+    assert cayley_table(big.oracle, build=False) is not None
+    assert _product_operands(big, big).table is not None
+
+
+def test_table_path_falls_back_to_kmul_off_the_enumeration():
+    # a set on a subgroup view holding a key of the parent outside the view
+    s4 = build_group("sym:4")
+    view = subgroup_view(s4, [(0, 1, 2, 3), (1, 0, 2, 3)])
+    cayley_table(view)
+    x = MultSet(view, [(1, 0, 2, 3), (0, 2, 1, 3)])
+    assert _product_operands(x, x) is None
+    assert product_set(x, x).key_set() == frozenset(naive_product_keys(s4, x.keys, x.keys))

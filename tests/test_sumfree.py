@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from prodfree import (
     solvable_extract,
     verify_certificate,
 )
+from prodfree.sumfree import _embedding_rows
 from conftest import naive_is_product_free, naive_max_product_free_size
 
 
@@ -230,3 +232,48 @@ def test_solvable_extract_random_subsets_meet_guarantee():
             need = math.ceil(Fraction(len(c), 4 * 2**series.exponent))
             assert cert.achieved_size >= need
             assert naive_is_product_free(g, [g.kdecode(t) for t in cert.witness])
+
+
+def _reference_first_character(b):
+    """Index and kept keys of the first character, in canonical order, whose
+    middle-third pairing keeps a quarter of the weight: one character at a
+    time over the whole space."""
+    n, rows = _embedding_rows(b.base.oracle, b.base.keys)
+    lo, hi = interval_bounds(n)
+    for i, c in enumerate(itertools.product(range(n), repeat=rows.shape[1])):
+        keep = [lo <= v <= hi for v in ((rows @ np.array(c)) % n).tolist()]
+        if 4 * sum(w for w, k in zip(b.weights, keep) if k) >= b.total:
+            return i, [k for k, ok in zip(b.base.keys, keep) if ok]
+    raise AssertionError("no quarter-weight character")
+
+
+def _minus_identity(spec):
+    g = build_group(spec)
+    return WeightedSet.uniform(
+        MultSet(g, [k for k in g.enum_keys if k != g.identity_key])
+    )
+
+
+def _late_hit():
+    # '0,k' embeds as (k, 0), so the first 40 characters (0, j) keep nothing
+    g = build_group("abelian:40,40")
+    return WeightedSet.from_mapping(
+        g, {g.kdecode(t): w for t, w in (("0,7", 1), ("0,2", 9), ("0,18", 1))}
+    )
+
+
+@pytest.mark.parametrize(
+    "make,first",
+    [
+        (lambda: _minus_identity("cyclic:1000"), 1),
+        (lambda: _minus_identity("abelian:40,40"), 1),
+        (lambda: _minus_identity("abelian:6,10"), 1),
+        (_late_hit, 280),
+    ],
+    ids=["cyclic:1000", "abelian:40,40", "abelian:6,10", "weighted-late-hit"],
+)
+def test_character_scan_returns_the_first_qualifying_character(make, first):
+    b = make()
+    index, kept = _reference_first_character(b)
+    assert index == first  # 280 lies in the third batch (64 + 128 + 256)
+    assert alon_kleitman_weighted(b).keys == tuple(kept)
