@@ -5,7 +5,9 @@ The chain of stages, each consuming the previous one's output:
 * ``petridis_subset``: from a set of doubling k, a subset with tripling at
   most k^3 and at least a 1/k fraction of the points,
 * ``seh_halving``: iterated density splitting until the triple product of
-  three nested subsets drops below alpha |Y|,
+  three nested subsets drops below alpha |Y|; each step takes
+  ``find_homogeneous_tuple``'s one candidate, the low/high split of the
+  current triple's canonical keys,
 * ``localize_small_triple``: a bucket argument turning the small triple
   product into one set Z with |Z^-1 Z Z^-1| <= |Y| / 2,
 * ``product_free_extract``: a final pigeonhole over shifts g of Z picking
@@ -20,7 +22,8 @@ triple and whose result carries the final UVW; UVW goes to
 
 Every stage re-verifies its own output bounds with exact integer
 arithmetic; bounds that are theorems raise InvariantViolationError when
-they fail, bounds that depend on honest search raise SearchExhaustedError.
+they fail, bounds that depend on honest search (the non-abelian tripling
+subset, the halving split) raise SearchExhaustedError saying why.
 """
 
 from __future__ import annotations
@@ -57,9 +60,6 @@ from .sets import (
 
 PETRIDIS_EXHAUSTIVE_MAX = 16
 PETRIDIS_MOVE_BUDGET = 10**4
-FINDER_TRIALS = 64
-FINDER_EXHAUSTIVE_MAX = 8
-FINDER_EXHAUSTIVE_CHECKS = 10**5
 
 
 @dataclass(frozen=True)
@@ -123,14 +123,16 @@ def petridis_subset(
 
     Returns Y and the Y^3 it was judged on (X^2 X when Y = X).
 
-    Tries Y = X, then an exhaustive subset scan for |X| <= 16 (largest
-    subsets first, lexicographic within a size), then a seeded local
-    search.  Existence is a theorem whenever |X^2| <= k |X|, but the
-    search here is not complete above 16 elements, so a miss raises
-    SearchExhaustedError rather than pretending.  In an abelian group the
-    Plunnecke-Ruzsa inequality |Y^3| <= k^3 |Y| already holds for Y = X,
-    so the first try succeeds and the search only matters in non-abelian
-    groups.
+    In an abelian group Y = X always qualifies: |Y| = |X| >= |X|/k, and
+    the Plunnecke-Ruzsa inequality |X^3| <= (|X^2|/|X|)^3 |X| <= k^3 |X|
+    is a theorem (Petridis, "New proofs of Plunnecke-type estimates for
+    product sets in groups", 2012, gives a short proof).  A failure there
+    raises InvariantViolationError.  Only non-abelian groups search: an
+    exhaustive subset scan for |X| <= 16 (largest subsets first,
+    lexicographic within a size), then a seeded local search.  Existence
+    is a theorem whenever |X^2| <= k |X|, but the search is not complete
+    above 16 elements, so a miss raises SearchExhaustedError rather than
+    pretending.
     """
     k = Fraction(k)
     if k < 1:
@@ -154,6 +156,10 @@ def petridis_subset(
     x3 = product_set(x2, x, budget=budget)
     if qualifies(x, x3):
         return x, x3
+    if x.oracle.abelian:
+        raise InvariantViolationError(
+            f"|X^3| = {len(x3)} exceeds k^3 |X| = {k}^3 * {len(x)} in an abelian group"
+        )
 
     if len(x) <= PETRIDIS_EXHAUSTIVE_MAX:
         for size in range(len(x) - 1, min_size - 1, -1):
@@ -237,9 +243,17 @@ def find_homogeneous_tuple(
     """Subsets of six input sets, each of density >= target_delta and size
     >= 2, whose two triple products are disjoint (verified directly).
 
-    Strategies, in order: threshold splitting on integer sets (low block
-    against high block), seeded random sampling, and a budgeted exhaustive
-    scan when every input has at most 8 points.
+    One candidate, in every group: the low/high split.  Each U part is the
+    first max(2, ceil(delta |s|)) canonical keys of its input, each V part
+    the last as many of its input.  In the integers this gives the U
+    product the least maximum and the V product the greatest minimum that
+    parts of these sizes can have, so if any choice of parts puts the U
+    product wholly below the V product, this one does.  In other groups key
+    order carries no such meaning and the split is simply the one
+    candidate tried.  The exact disjointness check alone accepts it, so
+    correctness never rests on how it was chosen.  A miss raises
+    SearchExhaustedError saying why: the two triple products share
+    elements (how many), or the pair budget stopped a product.
     """
     inputs = (u1, u2, u3, v1, v2, v3)
     oracle = u1.oracle
@@ -255,77 +269,24 @@ def find_homogeneous_tuple(
         max(2, _ceil_div(len(s) * delta.numerator, delta.denominator))
         for s in inputs
     ]
-
-    def attempt(u_keys, v_keys) -> HomogeneousTuple | None:
-        u_sets = tuple(MultSet(oracle, ks) for ks in u_keys)
-        v_sets = tuple(MultSet(oracle, ks) for ks in v_keys)
-        try:
-            up = product_set(
-                product_set(u_sets[0], u_sets[1], budget=pair_budget),
-                u_sets[2],
-                budget=pair_budget,
-            )
-            vp = product_set(
-                product_set(v_sets[0], v_sets[1], budget=pair_budget),
-                v_sets[2],
-                budget=pair_budget,
-            )
-        except BudgetExceededError:
-            return None
-        if up.key_set() & vp.key_set():
-            return None
-        density = min(
-            Fraction(len(part), len(inp))
-            for part, inp in zip(u_sets + v_sets, inputs)
-        )
-        side = "u" if len(up) <= len(vp) else "v"
-        return HomogeneousTuple(u_sets, v_sets, density, up, vp, side)
-
-    if oracle.kind == "int":
-        u_keys = tuple(s.keys[:m] for s, m in zip(inputs[:3], need[:3]))
-        v_keys = tuple(s.keys[-m:] for s, m in zip(inputs[3:], need[3:]))
-        if sum(ks[-1] for ks in u_keys) < sum(ks[0] for ks in v_keys):
-            got = attempt(u_keys, v_keys)
-            if got is not None:
-                return got
-
-    seed = _digest_seed(*inputs, extra=f"homog:{delta}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    for _ in range(FINDER_TRIALS):
-        picks = []
-        for s, m in zip(inputs, need):
-            idx = sorted(rng.choice(len(s.keys), size=m, replace=False).tolist())
-            picks.append(tuple(s.keys[i] for i in idx))
-        got = attempt(tuple(picks[:3]), tuple(picks[3:]))
-        if got is not None:
-            return got
-
-    if all(len(s) <= FINDER_EXHAUSTIVE_MAX for s in inputs):
-        checks = 0
-        u_combos = itertools.product(
-            *(itertools.combinations(s.keys, m) for s, m in zip(inputs[:3], need[:3]))
-        )
-        for u_keys in u_combos:
-            v_combos = itertools.product(
-                *(
-                    itertools.combinations(s.keys, m)
-                    for s, m in zip(inputs[3:], need[3:])
-                )
-            )
-            for v_keys in v_combos:
-                checks += 1
-                if checks > FINDER_EXHAUSTIVE_CHECKS:
-                    raise SearchExhaustedError(
-                        f"homogeneous-tuple scan hit its {FINDER_EXHAUSTIVE_CHECKS}"
-                        f"-pair budget at density {delta}"
-                    )
-                got = attempt(u_keys, v_keys)
-                if got is not None:
-                    return got
-    raise SearchExhaustedError(
-        f"no homogeneous tuple of density {delta} found "
-        f"({FINDER_TRIALS} sampled candidates)"
+    u_sets = tuple(MultSet(oracle, s.keys[:m]) for s, m in zip(inputs[:3], need[:3]))
+    v_sets = tuple(MultSet(oracle, s.keys[-m:]) for s, m in zip(inputs[3:], need[3:]))
+    miss = f"no homogeneous tuple of density {delta}: the low/high split"
+    try:
+        up, vp = [
+            product_set(product_set(a, b, budget=pair_budget), c, budget=pair_budget)
+            for a, b, c in (u_sets, v_sets)
+        ]
+    except BudgetExceededError as exc:
+        raise SearchExhaustedError(f"{miss} stopped at the pair budget: {exc}") from exc
+    shared = len(up.key_set() & vp.key_set())
+    if shared:
+        raise SearchExhaustedError(f"{miss}'s triple products share {shared} elements")
+    density = min(
+        Fraction(len(part), len(inp)) for part, inp in zip(u_sets + v_sets, inputs)
     )
+    side = "u" if len(up) <= len(vp) else "v"
+    return HomogeneousTuple(u_sets, v_sets, density, up, vp, side)
 
 
 @dataclass(frozen=True)

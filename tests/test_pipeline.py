@@ -27,7 +27,7 @@ from prodfree import (
 )
 from prodfree import pipeline, sets
 from prodfree.cli import _run_algorithm, main
-from prodfree.groups import subgroup_view
+from prodfree.groups import closure_keys, subgroup_view
 from prodfree.pipeline import _bucket_best
 from prodfree.sets import DEFAULT_PRODUCT_BUDGET
 from conftest import (
@@ -123,6 +123,43 @@ def test_petridis_accepts_generous_k(int_group):
     assert petridis_subset(x, product_set(x, x), 10)[0] == x
 
 
+def _s4_plus_outsider():
+    """The S_4 inside sym:7 generated by a 4-cycle and a transposition, plus
+    one permutation moving 1..6: 25 points whose tripling beats k^3."""
+    g = build_group("sym:7")
+    s4 = closure_keys(g, [(1, 2, 3, 0, 4, 5, 6), (1, 0, 2, 3, 4, 5, 6)])
+    return MultSet(g, set(s4) | {(0, 4, 5, 6, 1, 2, 3)})
+
+
+def test_petridis_local_search_in_sym7():
+    x = _s4_plus_outsider()
+    g = x.oracle
+    x2 = naive_product_keys(g, x.keys, x.keys)
+    x3 = naive_product_keys(g, x2, x.keys)
+    assert (len(x), len(x2), len(x3)) == (25, 71, 623)
+    k = Fraction(len(x2), len(x))
+    # Y = X fails: 623 * 25^3 > 71^3 * 25, so the search has to run
+    assert len(x3) * k.denominator**3 > k.numerator**3 * len(x)
+    y, y3 = petridis_subset(x, product_set(x, x), k)
+    assert y.key_set() < x.key_set()
+    assert len(y) == 22
+    assert y3.key_set() == naive_triple_product_keys(g, y.keys, y.keys, y.keys)
+    assert len(y3) == 491
+    assert len(y) * k.numerator >= len(x) * k.denominator
+    assert len(y3) * k.denominator**3 <= k.numerator**3 * len(y)
+    assert petridis_subset(x, product_set(x, x), k)[0].keys == y.keys
+
+
+def test_petridis_abelian_miss_is_an_invariant_violation():
+    # Plunnecke-Ruzsa makes Y = X qualify in every abelian group, so the
+    # check can only be reached through a wrong abelian flag
+    x = _s4_plus_outsider()
+    x.oracle.abelian = True
+    x2 = product_set(x, x)
+    with pytest.raises(InvariantViolationError, match="abelian"):
+        petridis_subset(x, x2, Fraction(len(x2), len(x)))
+
+
 # ---------------------------------------------------------------------------
 # homogeneous tuples
 
@@ -151,11 +188,14 @@ def test_finder_density_floor_of_two(int_group):
     assert all(len(p) == 2 for p in tup.u_parts + tup.v_parts)
 
 
-def test_finder_sampled_path_in_cyclic_group():
+def test_finder_split_in_cyclic_group():
     g = build_group("cyclic:1000")
     a = MultSet(g, range(1, 6))
     b = MultSet(g, range(401, 406))
     tup = find_homogeneous_tuple(a, a, a, b, b, b, TWO_FIFTHS)
+    # ceil(2/5 * 5) = 2: the low block of each U input, the high block of each V input
+    assert all(p.keys == (1, 2) for p in tup.u_parts)
+    assert all(p.keys == (404, 405) for p in tup.v_parts)
     up = naive_triple_product_keys(g, *[p.keys for p in tup.u_parts])
     vp = naive_triple_product_keys(g, *[p.keys for p in tup.v_parts])
     assert not (up & vp)
@@ -164,8 +204,14 @@ def test_finder_sampled_path_in_cyclic_group():
 
 def test_finder_exhausts_on_identical_two_point_inputs(int_group):
     s = MultSet(int_group, [0, 1])
-    with pytest.raises(SearchExhaustedError):
+    with pytest.raises(SearchExhaustedError, match="triple products share 4 elements"):
         find_homogeneous_tuple(s, s, s, s, s, s, HALF)
+
+
+def test_finder_names_the_pair_budget(int_group):
+    s = MultSet(int_group, range(1, 17))
+    with pytest.raises(SearchExhaustedError, match="split stopped at the pair budget: .* budget 10$"):
+        find_homogeneous_tuple(s, s, s, s, s, s, HALF, pair_budget=10)
 
 
 def test_finder_input_validation(int_group):
@@ -532,6 +578,8 @@ FROZEN_CERT_SHA256 = {
     "interval:600": ("thm33", "de8418460409c1de03d771e77ca400a914e412877d564ed5804ead3492e339a2"),
     "gap:2:15,15:1,1000": ("thm33", "fd042e7e6ecf26b73306f3d9d97df6ab5cfad1a03e6311870b226493f82c9eef"),
     "gap:3:5,5,5:1,11,121": ("thm33", "5783037936b9f1a6384cde76e0e5221bf4a454c0ba89f79de2f962070525d0df"),
+    # certifies through the halving-fallback branch: 125 points, 2-point witness
+    "gap:3:2,2,2:1,20,400": ("thm33", "24e04dc723f24ad6ce3ee9c04bcf48829979beae49da9ab6067d8f63db931dda"),
     "full-group-minus-identity:sym:4": ("solvable", "4cc87acfbfee9d84b79147d621d421c21fa21717d33d333bc52c174067bda13b"),
     "full-group-minus-identity:dihedral:12": ("solvable", "91c23260f1cf97b707ad3a37f96e3a0347fd50c2e3f968fdf160c6ae96d44394"),
     "full-group-minus-identity:dihedral:200": ("solvable", "5682364714174a1e16e6c06d5025c92cfaacb37b90e1dfa95eebc3aa6e796c3a"),
@@ -563,6 +611,8 @@ FROZEN_PARTIAL_CERT_SHA256 = {
     "full-group:dihedral:12": "8e3c4db2db5bc3b47acdad800f2f9a6bf59c42cdd9affd79debc27503b176988",
     "full-group:abelian:8,8": "2ca69fee2b1aeb690db96659531e17855b71c4bb41053e59c4d47702fe72f475",
 }
+# in a full group both triple products of the split are the whole group
+FULL_GROUP_ORDER = {"full-group:sym:4": 24, "full-group:dihedral:12": 24, "full-group:abelian:8,8": 64}
 
 
 @pytest.mark.parametrize("spec", sorted(FROZEN_PARTIAL_CERT_SHA256))
@@ -572,7 +622,7 @@ def test_extract_partial_certificate_bytes_are_frozen(spec, capsys):
     assert code == 2
     assert err == (
         "not found: stage 'halving' failed: no homogeneous tuple of density "
-        "2/5 found (64 sampled candidates)\n"
+        f"2/5: the low/high split's triple products share {FULL_GROUP_ORDER[spec]} elements\n"
     )
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_PARTIAL_CERT_SHA256[spec]
 
