@@ -134,10 +134,13 @@ def generate_with_info(spec, seed: int | None = None):
         for r in radii:
             nominal *= 2 * r + 1
         _cap(nominal, "gap family")
-        keys = {
-            sum(n_i * a_i for n_i, a_i in zip(combo, steps))
-            for combo in itertools.product(*(range(-r, r + 1) for r in radii))
-        }
+        # one outer sum per rank, in int64 unless a sum could leave it
+        reach = sum(r * abs(a) for r, a in zip(radii, steps))
+        dtype = np.int64 if reach < 2**63 else object
+        sums = np.zeros(1, dtype=dtype)
+        for r, a in zip(radii, steps):
+            sums = (sums[:, None] + np.arange(-r, r + 1, dtype=dtype) * a).ravel()
+        keys = np.unique(sums).tolist()
         x = MultSet(build_group("int"), keys)
         info["nominal_size"] = nominal
         info["collisions"] = nominal - len(keys)

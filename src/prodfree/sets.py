@@ -407,18 +407,31 @@ def _greedy_cover(full: int, masks: list[int]) -> list[int]:
     return picks
 
 
-def _hitter_lists(masks: list[int], width: int) -> list[list[int]]:
-    """For each of the ``width`` points, the indices of the masks with its
-    bit set, in increasing order."""
+def _rank_points(
+    full: int, masks: list[int]
+) -> tuple[int, list[int], list[list[int]]]:
+    """Renumber the points of ``full`` by increasing number of masks that
+    hit them, ties by position: the renumbered ``full`` and masks, and for
+    each new point the indices of the masks with its bit set, in increasing
+    order."""
+    width = full.bit_length()
     nbytes = (width + 7) // 8
     packed = np.frombuffer(
-        b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8
-    ).reshape(len(masks), nbytes)
+        b"".join(m.to_bytes(nbytes, "little") for m in (full, *masks)),
+        dtype=np.uint8,
+    ).reshape(len(masks) + 1, nbytes)
     bits = np.unpackbits(packed, axis=1, count=width, bitorder="little")
+    order = np.argsort(bits[1:].sum(axis=0), kind="stable")
+    bits = bits[:, order]
+    full, *masks = (
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(bits, axis=1, bitorder="little")
+    )
     # point-major order: the hitters of each point by increasing mask index
-    point, mask = np.nonzero(bits.T)
-    ends = np.cumsum(np.bincount(point, minlength=width))[:-1]
-    return [h.tolist() for h in np.split(mask, ends)]
+    point, mask = np.nonzero(bits[1:].T)
+    ends = np.cumsum(np.bincount(point, minlength=width)).tolist()
+    mask = mask.tolist()
+    return full, masks, [mask[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _exact_cover_size(
@@ -429,9 +442,14 @@ def _exact_cover_size(
 ) -> int | None:
     """Branch-and-bound minimum cover size, or None if the budget runs out.
 
-    The per-point lists of the masks that hit each point are built only
-    once the search has to branch; a search the root's bound settles never
-    needs them.
+    Each node branches on the uncovered point with the fewest hitters, the
+    first such point on ties, trying its hitters in index order.  A mask
+    that hits an uncovered point still adds to the cover, so that count is
+    the point's total number of hitters and the order of the points never
+    changes.  Once the search has to branch -- always first at the root,
+    and never when the root's bound settles the minimum -- the points are
+    renumbered in that order (:func:`_rank_points`), and the point to branch
+    on is the lowest uncovered bit.  Every mask must lie within ``full``.
     """
     covers = 0
     for m in masks:
@@ -445,7 +463,7 @@ def _exact_cover_size(
     hitters: list[list[int]] = []
 
     def dfs(covered: int, used: int) -> None:
-        nonlocal best, nodes, aborted, hitters
+        nonlocal best, nodes, aborted, full, masks, hitters
         nodes += 1
         if aborted or nodes > node_budget:
             aborted = True
@@ -458,19 +476,10 @@ def _exact_cover_size(
         lacking = missing.bit_count()
         if used + (lacking + max_cover - 1) // max_cover >= best:
             return
-        if not hitters:
-            hitters = _hitter_lists(masks, full.bit_length())
-        # branch on the uncovered point with fewest candidates
-        pick, pick_count = -1, 1 << 30
-        mm = missing
-        while mm:
-            low = mm & -mm
-            bit = low.bit_length() - 1
-            cnt = sum(1 for ci in hitters[bit] if masks[ci] & ~covered)
-            if cnt < pick_count:
-                pick, pick_count = bit, cnt
-            mm ^= low
-        for ci in hitters[pick]:
+        if not hitters:  # at the root: covered is 0 in either numbering
+            full, masks, hitters = _rank_points(full, masks)
+            missing = full
+        for ci in hitters[(missing & -missing).bit_length() - 1]:
             dfs(covered | masks[ci], used + 1)
 
     dfs(0, 0)

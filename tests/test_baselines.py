@@ -1,4 +1,4 @@
-import itertools
+import hashlib
 import random
 
 import pytest
@@ -11,6 +11,7 @@ from prodfree import (
     greedy_product_free,
     is_product_free,
 )
+from prodfree.cli import main
 from conftest import naive_is_product_free, naive_max_product_free_size
 
 
@@ -26,6 +27,49 @@ def test_exhaustive_matches_full_enumeration(spec):
         assert best.key_set() <= x.key_set()
         assert naive_is_product_free(g, best.keys)
         assert len(best) == naive_max_product_free_size(g, ks)
+
+
+def _first_maximum(g, keys):
+    """The first maximum product-free subset in include-first order: over
+    all subsets, the largest, ties to the one whose membership vector
+    (first key most significant) is largest."""
+    n = len(keys)
+    best, best_rank = [], -1
+    for rank in range(1 << n):
+        sub = [keys[i] for i in range(n) if rank >> (n - 1 - i) & 1]
+        if (len(sub), rank) > (len(best), best_rank) and naive_is_product_free(g, sub):
+            best, best_rank = sub, rank
+    return best
+
+
+@pytest.mark.parametrize("spec", ["int", "cyclic:9", "sym:3", "dihedral:4", "heisenberg:3"])
+def test_exhaustive_witness_is_the_first_maximum(spec):
+    g = build_group(spec)
+    rng = random.Random(f"first-max {spec}")
+    pool = list(g.enum_keys) if g.enum_keys else list(range(-15, 16))
+    pool.remove(g.identity_key)
+    for trial in range(12):
+        ks = rng.sample(pool, rng.randint(1, min(12, len(pool))))
+        if trial % 3 == 0:
+            ks[-1] = g.identity_key
+        x = MultSet(g, ks)
+        assert exhaustive_max_product_free(x).keys == tuple(_first_maximum(g, x.keys))
+
+
+# source -> sha256 of the certificate `extract exhaustive SOURCE --seed 7`
+# prints, whose witness is the first maximum in include-first order
+FROZEN_EXHAUSTIVE_SHA256 = {
+    "full-group-minus-identity:sym:4": "42aa98decd1c18ba1d6d92b3c95fc1f64640334df0972d163f5ebfff923e4a4d",
+    "full-group-minus-identity:dihedral:12": "846fe8e22e87f347a4e49df329564741bc5e7c547b873197f06e8c4d99a72387",
+    "random:cyclic:128:20": "e39393f562f0096db0640acf42100a4cabf470d88ac78b6e18b0dcf3ca078428",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FROZEN_EXHAUSTIVE_SHA256))
+def test_exhaustive_certificate_bytes_are_frozen(spec, capsys):
+    assert main(["extract", "exhaustive", spec, "--seed", "7"]) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_EXHAUSTIVE_SHA256[spec]
 
 
 def test_first_ten_integers_optimum_is_five(int_group):

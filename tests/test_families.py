@@ -70,6 +70,33 @@ def test_gap_family_with_collisions():
     assert info["collisions"] == 4
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "gap:3:5,5,5:1,11,121",
+        "gap:2:4,4:2,2",
+        "gap:3:2,3,1:6,-4,10",
+        "gap:2:0,3:7,-3",
+        "gap:2:2,2:0,0",
+        # sums past int64: the outer sums run on Python ints
+        "gap:2:3,3:4611686018427387904,5",
+        "gap:1:4:-100000000000000000000",
+    ],
+)
+def test_gap_family_matches_coefficient_sums(spec):
+    _, _, radii, steps = spec.split(":")
+    radii = [int(r) for r in radii.split(",")]
+    steps = [int(a) for a in steps.split(",")]
+    want = {
+        sum(n * a for n, a in zip(combo, steps))
+        for combo in itertools.product(*(range(-r, r + 1) for r in radii))
+    }
+    x, info = generate_with_info(spec)
+    assert x.keys == tuple(sorted(want))
+    assert all(type(k) is int for k in x.keys)
+    assert info["collisions"] == info["nominal_size"] - len(want)
+
+
 def test_gap_family_validation():
     for bad in ("gap:2:1:1,3", "gap:0:1:1", "gap:2:1,-1:1,3", "gap:1:1"):
         with pytest.raises(GroupSpecError):

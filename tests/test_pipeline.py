@@ -604,6 +604,44 @@ def test_extract_certificate_bytes_are_frozen(spec):
     assert digests == [frozen] * 2
 
 
+def _short_arcs():
+    """Sets on a short arc of a finite abelian group: the low/high split's
+    triple products stay apart, so thm33 completes its main branch."""
+    box = [(a % 1000) * 1000 + b % 1000 for a in range(-20, 21) for b in range(-20, 21)]
+    return {
+        "cyclic:100000 {-50..50}": (
+            MultSet(build_group("cyclic:100000"), [a % 100000 for a in range(-50, 51)]),
+            17,
+            "77875e094bbd4181f5459a281f5aca5d8c03ac27cdddf3daf5c679e6c2b56dec",
+        ),
+        # the cube product of the box takes 11029041 pairs
+        "abelian:1000,1000 41x41 box": (
+            MultSet(build_group("abelian:1000,1000"), box),
+            93,
+            "6ae045b5e21a698a04084ff636f6d30d65d8659c398bc49cf9e8d54a8e9fa51e",
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_short_arcs()))
+def test_short_arc_certificate_bytes_are_frozen(name):
+    x, size, frozen = _short_arcs()[name]
+    cert = product_free_extract(x, budget=2 * 10**7)
+    assert cert.params["branch"] == "main" and cert.achieved_size == size
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == frozen
+    assert verify_certificate(cert, x, budget=2 * 10**7) == (True, [])
+
+
+def test_arc_that_wraps_around_misses_honestly():
+    # {0..100} in cyclic:300: the split's triple products wrap and meet
+    x = MultSet(build_group("cyclic:300"), range(101))
+    with pytest.raises(StageFailedError, match="triple products share 1 elements$") as info:
+        product_free_extract(x)
+    cert = info.value.certificate
+    assert cert.params["status"] == "incomplete:halving" and cert.witness == []
+    assert not verify_certificate(cert, x)[0]
+
+
 # spec -> sha256 of the partial certificate that `extract thm33 SPEC` prints
 # (with its trailing newline) before it exits 2 on a halving miss
 FROZEN_PARTIAL_CERT_SHA256 = {

@@ -26,11 +26,11 @@ from prodfree.sets import (
     NUMPY_MIN_PAIRS,
     _exact_cover_size,
     _greedy_cover,
-    _hitter_lists,
     _kernel_operands,
     _pair_counts,
     _product_counts,
     _product_operands,
+    _rank_points,
     _translates,
 )
 from conftest import (
@@ -445,12 +445,19 @@ def test_translates_match_naive_kmul(case, side):
     want_masks, want_hitters = _naive_translates(g, x.keys, square.keys, side)
     masks = _translates(x, square, side)
     assert masks == want_masks
-    assert _hitter_lists(masks, len(square)) == want_hitters
+    # the points renumbered by increasing hitter count, ties by position
+    order = sorted(range(len(square)), key=lambda i: len(want_hitters[i]))
+    full = (1 << len(square)) - 1
+    assert _rank_points(full, masks) == (
+        full,
+        [sum(1 << j for j, i in enumerate(order) if m >> i & 1) for m in masks],
+        [want_hitters[i] for i in order],
+    )
 
 
 def test_exact_cover_root_bound_settles_without_hitters(monkeypatch):
     # on interval:300 the root's bound ceil(|X^2|/|X|) = 2 meets the greedy
-    # cover, so no hitter list is ever built
+    # cover, so the points are never ranked nor hitter lists built
     x = MultSet(build_group("int"), range(-300, 301))
     square = product_set(x, x)
     masks = _translates(x, square, "left")
@@ -460,9 +467,26 @@ def test_exact_cover_root_bound_settles_without_hitters(monkeypatch):
     def unexpected(*args):
         raise AssertionError("hitter lists built")
 
-    monkeypatch.setattr("prodfree.sets._hitter_lists", unexpected)
+    monkeypatch.setattr("prodfree.sets._rank_points", unexpected)
     assert _exact_cover_size(full, masks, upper) == upper == 2
     assert _exact_cover_size(full, masks, upper, node_budget=0) is None
+
+
+@pytest.mark.parametrize(
+    "spec,seed,budget,want",
+    [("heisenberg-ball:11:2", None, 17, 16), ("random:cyclic:128:20", 7, 696, 12)],
+)
+def test_exact_cover_keeps_its_branching(spec, seed, budget, want):
+    # the node count at which each search settles: the branching point and
+    # child order at every node fix it, so the search must keep both
+    x = generate(spec, seed=seed)
+    square = product_set(x, x)
+    masks = _translates(x, square, "left")
+    full = (1 << len(square)) - 1
+    upper = len(_greedy_cover(full, masks))
+    assert upper > want
+    assert _exact_cover_size(full, masks, upper, node_budget=budget - 1) is None
+    assert _exact_cover_size(full, masks, upper, node_budget=budget) == want
 
 
 def test_exact_cover_rejects_masks_missing_a_point():
