@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple
@@ -694,11 +695,14 @@ class CayleyTable:
 
     ``keys`` is the enumeration (position -> key), ``index`` its inverse,
     and ``cells[i, j]`` the position of ``keys[i] * keys[j]``.
+    ``ascending`` says whether the enumeration is in increasing key order,
+    so that increasing positions read off increasing keys.
     """
 
     keys: tuple
     index: dict
     cells: np.ndarray
+    ascending: bool
 
 
 def cayley_table(oracle: GroupOracle, build: bool = True) -> CayleyTable | None:
@@ -750,7 +754,8 @@ def cayley_table(oracle: GroupOracle, build: bool = True) -> CayleyTable | None:
         raise GroupAxiomError(
             f"{n - len(order)} Cayley table rows of {oracle.domain!r} left unfilled"
         )
-    oracle._cayley = CayleyTable(keys, index, cells)
+    ascending = all(map(operator.lt, keys, keys[1:]))
+    oracle._cayley = CayleyTable(keys, index, cells, ascending)
     return oracle._cayley
 
 

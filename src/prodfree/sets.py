@@ -16,14 +16,22 @@ Products take one of three paths, chosen in one place,
   a real FFT (``np.fft.rfftn``, or ``rfft`` on one axis) of n cells: the key
   range of A + B rounded up to a power of two in ``int``, the box itself
   (n = its order) in a box group.  That path runs when n <= |A||B|, so none
-  of its arrays is larger than the |A||B| outer-sum array it replaces.  It
-  is exact: the convolution's rounding error is about u log2(n) sqrt(|A||B|)
-  with u = 2^-53, far below 1/2, and a runtime guard checks that every entry
-  lies within 1/4 of an integer.  Sparser inputs, and any input the guard
-  rejects, take the exact outer-sum path: the sums a + b, less M_j stride_j
-  wherever digit j wrapped, counted with ``np.unique``.  ``int`` takes the
-  kernel from :data:`NUMPY_MIN_PAIRS` pairs on; a box group from there too,
-  or on fewer pairs when its FFT is dense (order <= |A||B|).
+  of its arrays is larger than the |A||B| outer-sum array it replaces.  A
+  sparse ``int`` pair, such as two blocks of a generalized arithmetic
+  progression, is folded first (:func:`_int_grid`): with m the row stride
+  of the larger operand, each key is written c + q m + r with r < R, and
+  the sums are convolved on a q-by-r grid of two zero-padded axes.  The
+  fold is exact when R_A + R_B - 1 <= m, as then distinct cells stand for
+  distinct sums, in row-major order; it is taken only then, and only when
+  the grid has at most n / FOLD_GAIN cells with n >= FOLD_MIN_LENGTH and
+  n > 8 (|A| + |B|).  Every FFT path is exact: the convolution's rounding
+  error is about u log2(n) sqrt(|A||B|) with u = 2^-53, far below 1/2, and
+  a runtime guard checks that every entry lies within 1/4 of an integer.
+  Sparser inputs, and any input the guard rejects, take the exact outer-sum
+  path: the sums a + b, less M_j stride_j wherever digit j wrapped, counted
+  with ``np.unique``.  ``int`` takes the kernel from :data:`NUMPY_MIN_PAIRS`
+  pairs on, where it starts to beat the ``kmul`` loop; a box group from
+  there too, or on fewer pairs when its FFT is dense (order <= |A||B|).
 * Every other enumerated group of order n <= 4096 -- ``sym:n``,
   ``dihedral:n``, ``heisenberg:p``, subgroup views and quotients -- reads
   its products from the oracle's Cayley table
@@ -72,7 +80,9 @@ from .errors import (
 from .groups import CAYLEY_ORDER_CAP, CayleyTable, Element, GroupOracle, cayley_table
 
 DEFAULT_PRODUCT_BUDGET = 10**7
-NUMPY_MIN_PAIRS = 4096
+NUMPY_MIN_PAIRS = 512
+FOLD_MIN_LENGTH = 8192  # fold int operands onto two axes from this FFT length
+FOLD_GAIN = 4  # ... when that shrinks the grid at least this many times
 CAYLEY_GATE = 64  # build a Cayley table of order n for |A||B| >= n^2 / 64 pairs
 EXACT_COVER_UNIVERSE = 4096
 MASK_CHUNK_CELLS = 1 << 22
@@ -92,6 +102,16 @@ class MultSet:
         self.oracle = oracle
         self.keys = tuple(ks)
         self._keyset = frozenset(ks)
+
+    @classmethod
+    def _from_sorted(cls, oracle: GroupOracle, keys: list) -> "MultSet":
+        """The set of ``keys``, which must already be sorted and distinct:
+        no hashing into a set and no sort."""
+        x = cls.__new__(cls)
+        x.oracle = oracle
+        x.keys = tuple(keys)
+        x._keyset = frozenset(x.keys)
+        return x
 
     @classmethod
     def from_elements(cls, oracle: GroupOracle, elements: Iterable[Element]) -> "MultSet":
@@ -187,6 +207,91 @@ def _keys(values, table: CayleyTable | None = None) -> list:
     return [keys[i] for i in values.tolist()]
 
 
+class _Grid(NamedTuple):
+    """Where the FFT branch of :func:`_pair_counts` convolves: an array of
+    ``shape``, the flat cells ``a`` and ``b`` of the two operands in it, and
+    the product each cell h of the result stands for, base + h where
+    ``width`` is 0, else base + (h // width) ``stride`` + h % width."""
+
+    shape: tuple[int, ...]
+    a: Any
+    b: Any
+    base: int = 0
+    width: int = 0
+    stride: int = 0
+
+
+def _fold_modulus(keys) -> int | None:
+    """The row stride of sorted int keys, or None for a single key.
+
+    A run ends at a gap larger than half the largest gap; the stride is
+    the most common distance between the starts of consecutive runs
+    (the smallest on ties), which the partial first and last rows of a
+    block of a progression leave alone."""
+    gaps = np.diff(keys)
+    starts = keys[np.flatnonzero(2 * gaps > gaps.max(initial=0)) + 1]
+    if not len(starts):
+        return None
+    distances, seen = np.unique(np.diff(starts, prepend=keys[0]), return_counts=True)
+    return int(distances[np.argmax(seen)])
+
+
+def _fold_axes(keys, m: int):
+    """Sorted int keys as c + q m + r with q >= 0 counted from 0 and r in
+    [0, m): (c, q, r).  c is the residue mod m just after the largest
+    cyclic gap between the keys' residues, so keys whose residues fill a
+    narrow band get small r."""
+    residues = np.unique(keys % m)
+    cyclic = np.diff(residues, append=residues[0] + m)
+    c = int(residues[(np.argmax(cyclic) + 1) % len(residues)])
+    q, r = np.divmod(keys - c, m)
+    return c + int(q[0]) * m, q - q[0], r
+
+
+def _int_grid(a, b) -> _Grid | None:
+    """The FFT grid of an ``int`` product A B, or None for the exact path.
+
+    The plain grid is the key range of A + B, rounded up to a power of two
+    n, on one axis; it is taken when n <= |A||B|.  A sparse pair -- n at
+    least FOLD_MIN_LENGTH and above 8 (|A| + |B|) -- is folded onto two axes
+    instead when that shrinks the grid at least FOLD_GAIN times.  With m
+    the row stride of the larger operand (:func:`_fold_modulus`), each key
+    of A is written c_A + q m + r with 0 <= r < R_A (:func:`_fold_axes`),
+    and B likewise with its own c_B.  A pair then lands in cell
+    (q_a + q_b, r_a + r_b) of a Q x R array, R = R_A + R_B - 1, whose two
+    axes are zero-padded to powers of two so that the convolution does not
+    wrap.  The fold is taken only when R <= m: then (i, j) -> c_A + c_B +
+    i m + j is injective on the cells and increasing in row-major order, so
+    each cell counts exactly the pairs of one sum and the nonzero cells,
+    read in order, are the sorted distinct sums.  The choice of m decides
+    only the grid's size, never the counts.
+
+    Both FFT paths cost about the same per cell, but the two-axis one has a
+    fixed cost of about 0.2 ms (the stride, the two folds, three rfftn
+    passes), so it pays from grids a quarter of n on, once n is 8192 cells
+    (timed on int GAP blocks, one CPU: at n = 8192 a grid of n/4 ran 1.3x
+    faster and one of n/2 1.0-1.3x slower; at n = 4096 and n/8 the fold
+    was still 1.2x slower).
+    """
+    a0, b0 = int(a[0]), int(b[0])
+    length = int(a[-1] + b[-1]) - a0 - b0 + 1
+    n = 1 << (length - 1).bit_length()
+    if n > len(a) * len(b):
+        return None
+    if n >= FOLD_MIN_LENGTH and n > 8 * (len(a) + len(b)):
+        m = _fold_modulus(a if len(a) >= len(b) else b)
+        if m is not None:
+            ca, qa, ra = _fold_axes(a, m)
+            cb, qb, rb = _fold_axes(b, m)
+            rows = int(qa[-1] + qb[-1]) + 1
+            cols = int(ra.max() + rb.max()) + 1
+            width = 1 << (cols - 1).bit_length()
+            shape = (1 << (rows - 1).bit_length(), width)
+            if cols <= m and FOLD_GAIN * math.prod(shape) <= n:
+                return _Grid(shape, qa * width + ra, qb * width + rb, ca + cb, width, m)
+    return _Grid((n,), a - a0, b - b0, a0 + b0)
+
+
 def _pair_counts(
     a, b, moduli: tuple[int, ...] | None = None, table: CayleyTable | None = None
 ):
@@ -194,7 +299,12 @@ def _pair_counts(
     giving each.  a and b are int64 keys: integers when ``moduli`` is None,
     else mixed-radix keys of the box Z_M1 x ... x Z_Mr, added digit-wise
     mod M_j; or, with a Cayley ``table``, enumeration positions, multiplied
-    by reading its cells a block of rows at a time."""
+    by reading its cells a block of rows at a time.
+
+    Integers convolve on the grid of :func:`_int_grid`, the key range on
+    one axis or, for a sparse progression-like pair, folded onto two; a
+    box on the box itself, when it has at most |A||B| cells.  Everything
+    else takes the exact outer-sum path."""
     if table is not None:
         n = len(table.keys)
         step = MASK_CHUNK_CELLS // max(1, len(b))  # at least 1024: |B| <= 4096
@@ -205,25 +315,22 @@ def _pair_counts(
         hit = np.flatnonzero(counts)
         return hit, counts[hit]
     if moduli:
-        a0 = b0 = 0
-        shape = moduli
-        length = math.prod(moduli)
+        grid = _Grid(moduli, a, b) if math.prod(moduli) <= len(a) * len(b) else None
     else:
-        a0, b0 = int(a[0]), int(b[0])
-        length = int(a[-1] + b[-1]) - a0 - b0 + 1
-        shape = (1 << (length - 1).bit_length(),)
-    n = math.prod(shape)
-    if n <= len(a) * len(b):
-        # dense: convolve indicator arrays of the box, cyclically along each
-        # axis (zero-padded past the key range in ``int``).  The FFT's
-        # absolute error is about u log2(n) ||1_A||_2 ||1_B||_2 =
-        # u log2(n) sqrt(|A||B|), with u = 2^-53; below 1e-8 for any array
-        # that fits in memory, so rounding gives the exact count.  The guard
-        # below checks that.
+        grid = _int_grid(a, b)
+    if grid is not None:
+        # dense: convolve indicator arrays of the grid, cyclically along each
+        # axis (zero-padded past the operands in ``int``, so there nothing
+        # wraps).  The FFT's absolute error is about u log2(n) ||1_A||_2
+        # ||1_B||_2 = u log2(n) sqrt(|A||B|), with u = 2^-53; below 1e-8 for
+        # any array that fits in memory, so rounding gives the exact count.
+        # The guard below checks that.
+        shape = grid.shape
+        n = math.prod(shape)
         fa = np.zeros(n)
         fb = np.zeros(n)
-        fa[a - a0] = 1.0
-        fb[b - b0] = 1.0
+        fa[grid.a] = 1.0
+        fb[grid.b] = 1.0
         if len(shape) == 1:
             # the same transform without rfftn's per-call set-up, which
             # shows on passes of many small int sumsets
@@ -233,11 +340,15 @@ def _pair_counts(
             fa = np.fft.rfftn(fa.reshape(shape), axes=axes)
             fb = np.fft.rfftn(fb.reshape(shape), axes=axes)
             f = np.fft.irfftn(fa * fb, shape, axes=axes).ravel()
-        f = f[:length]
         counts = np.rint(f)
         if np.abs(f - counts).max() < 0.25:
             hit = np.flatnonzero(counts)
-            return hit + (a0 + b0), counts[hit].astype(np.int64)
+            if grid.width:
+                row, col = np.divmod(hit, grid.width)
+                values = row * grid.stride + col + grid.base
+            else:
+                values = hit + grid.base
+            return values, counts[hit].astype(np.int64)
     return np.unique(_outer_sums(a, b, moduli).ravel(), return_counts=True)
 
 
@@ -317,10 +428,14 @@ def product_set(
             raise BudgetExceededError(
                 f"product pairs {len(x) * len(y)} exceed budget {budget}"
             )
-        out = _keys(_pair_counts(*operands)[0], operands.table)
+        table = operands.table
+        out = _keys(_pair_counts(*operands)[0], table)
         # on the table path the budget bounds distinct products, as on kmul's
         if len(out) > budget:
             raise BudgetExceededError(f"product set grew past budget {budget}")
+        # kernel values come sorted; a table's keys too if it enumerates in order
+        if table is None or table.ascending:
+            return MultSet._from_sorted(x.oracle, out)
         return MultSet(x.oracle, out)
     kmul = x.oracle.kmul
     out: set = set()
@@ -391,19 +506,28 @@ def count_incident_pairs(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> in
 
 def _greedy_cover(full: int, masks: list[int]) -> list[int]:
     """Greedy set cover of the bitmask ``full``: the indices of the picked
-    masks, ties going to the lowest index."""
+    masks, each the lowest-index mask of largest gain.
+
+    Lazily: each mask keeps the gain counted when it was last looked at.
+    A gain only falls as the cover grows, so that stale gain bounds the
+    fresh one, and a pick recounts only the masks whose stale gain beats
+    the best fresh gain found so far in index order; the others can at
+    most tie it from a higher index."""
+    gains = [(full & m).bit_count() for m in masks]
     remaining = full
     picks = []
     while remaining:
         best, best_gain = -1, 0
-        for i, m in enumerate(masks):
-            gain = (remaining & m).bit_count()
-            if gain > best_gain:
-                best, best_gain = i, gain
+        for i, stale in enumerate(gains):
+            if stale > best_gain:
+                gain = gains[i] = (remaining & masks[i]).bit_count()
+                if gain > best_gain:
+                    best, best_gain = i, gain
         if best < 0:
             raise PreconditionError("candidates do not cover the universe")
         picks.append(best)
         remaining &= ~masks[best]
+        gains[best] = 0
     return picks
 
 
@@ -523,9 +647,10 @@ def _index_masks(index, width: int) -> list[int]:
     masks: list[int] = []
     for lo in range(0, len(index), step):
         rows = index[lo : lo + step]
-        hit = np.zeros((len(rows), 8 * nbytes), dtype=bool)
-        np.put_along_axis(hit, rows, True, axis=1)
-        packed = np.packbits(hit, axis=1, bitorder="little").tobytes()
+        # one flat scatter: row r's bits start at cell 8 nbytes r
+        hit = np.zeros(len(rows) * 8 * nbytes, dtype=bool)
+        hit[rows + np.arange(0, len(hit), 8 * nbytes, dtype=rows.dtype)[:, None]] = True
+        packed = np.packbits(hit, bitorder="little").tobytes()
         masks.extend(
             int.from_bytes(packed[i : i + nbytes], "little")
             for i in range(0, len(packed), nbytes)
@@ -562,11 +687,14 @@ def _translates(x: MultSet, square: MultSet, side: str) -> list[int]:
         lo, hi = int(values.min()), int(values.max())
         # a position array no larger than the matrix, or than a table's order
         if hi - lo < max(len(x) ** 2, CAYLEY_ORDER_CAP):
-            where = np.zeros(hi - lo + 1, dtype=np.int64)
+            # int32 positions: |X^2| is far below 2^31
+            where = np.zeros(hi - lo + 1, dtype=np.int32)
             where[values - lo] = np.arange(len(values))
-            index = where[products - lo]
+            products -= lo  # a fresh array, shifted in place
+            index = where[products]
         else:
             index = np.searchsorted(values, products)
+        del products  # the masks' scratch takes its place
         columns = index if operands.table is None else index.T
     if side == "left":
         return _index_masks(index, len(square))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,7 +26,9 @@ from prodfree.groups import cayley_table, subgroup_view
 from prodfree.sets import (
     NUMPY_MIN_PAIRS,
     _exact_cover_size,
+    _fold_modulus,
     _greedy_cover,
+    _int_grid,
     _kernel_operands,
     _pair_counts,
     _product_counts,
@@ -119,8 +122,8 @@ KERNEL_CASES = [
     ("int", "negative", lambda r: r.sample(range(-5000, -4400), 70), "fft"),
     ("int", "sparse", lambda r: r.sample(range(-10**9, 10**9), 70), "exact"),
     ("int", "odd", lambda r: range(-201, 200, 2), "fft"),
-    ("int", "below-threshold", lambda r: r.sample(range(-100, 100), 63), "kmul"),
-    ("int", "above-threshold", lambda r: r.sample(range(-100, 100), 65), "fft"),
+    ("int", "below-threshold", lambda r: r.sample(range(-100, 100), 22), "kmul"),
+    ("int", "above-threshold", lambda r: r.sample(range(-100, 100), 23), "fft"),
     ("cyclic:997", "prime", lambda r: r.sample(range(997), 70), "fft"),
     ("cyclic:1000", "composite", lambda r: r.sample(range(1000), 70), "fft"),
     ("cyclic:999", "middle-third", lambda r: range(333, 666), "fft"),
@@ -220,7 +223,8 @@ def test_box_kernel_matches_naive_counter(spec):
 # "kmul" for fewer pairs than both
 BOX_GATE_CASES = [
     ("abelian:40,40", 50, 40, "fft"),
-    ("abelian:40,40", 30, 30, "kmul"),
+    ("abelian:40,40", 30, 30, "exact"),
+    ("abelian:40,40", 20, 20, "kmul"),
     ("abelian:7,11,13", 40, 30, "fft"),
     ("abelian:7,11,13", 20, 20, "kmul"),
     ("abelian:100,100", 70, 70, "exact"),
@@ -242,7 +246,11 @@ def test_box_products_take_the_gated_path(spec, nx, ny, path, fft_calls):
     assert _product_counts(x, y) == want
     assert product_set(x, y).key_set() == frozenset(want)
     assert len(fft_calls) == (2 if path == "fft" else 0)
-    assert (len(x) * len(y) >= NUMPY_MIN_PAIRS) == (path == "exact")
+    pairs = len(x) * len(y)
+    if pairs < min(NUMPY_MIN_PAIRS, g.order):
+        assert path == "kmul"
+    else:
+        assert path == ("fft" if g.order <= pairs else "exact")
 
 
 def test_box_kernel_guard_failure_falls_back_exactly(monkeypatch):
@@ -564,3 +572,189 @@ def test_table_path_falls_back_to_kmul_off_the_enumeration():
     x = MultSet(view, [(1, 0, 2, 3), (0, 2, 1, 3)])
     assert _product_operands(x, x) is None
     assert product_set(x, x).key_set() == frozenset(naive_product_keys(s4, x.keys, x.keys))
+
+
+def _int_keys(keys):
+    return np.array(sorted(keys), dtype=np.int64)
+
+
+def _fold_cases():
+    """(name, A, B) int key lists that :func:`_int_grid` folds onto two
+    axes: the low and high blocks that halving takes from a GAP (its first
+    and last 40% of keys), a random subset, and negative keys."""
+    rng = random.Random(17)
+    cases = []
+    for spec in ("gap:2:15,15:1,1000", "gap:2:10,10:1,300", "gap:3:4,4,4:1,50,5000"):
+        keys = list(generate(spec).keys)
+        cut = len(keys) * 2 // 5
+        low, high = keys[:cut], keys[-cut:]
+        subset = rng.sample(keys, len(keys) // 2)
+        negative = [-k - 7 for k in high]
+        cases += [
+            (f"{spec} low x high", low, high),
+            (f"{spec} high x low", high, low),
+            (f"{spec} subset x low", subset, low),
+            (f"{spec} negative x negative", negative, negative),
+            (f"{spec} negative x low", negative, low),
+        ]
+    return cases
+
+
+FOLD_CASES = _fold_cases()
+
+
+@pytest.mark.parametrize("name,ka,kb", FOLD_CASES, ids=[c[0] for c in FOLD_CASES])
+def test_fold_matches_naive_counter(name, ka, kb):
+    a, b = _int_keys(ka), _int_keys(kb)
+    grid = _int_grid(a, b)
+    assert len(grid.shape) == 2 and grid.stride > 0
+    values, counts = _pair_counts(a, b)
+    want = Counter(x + y for x in ka for y in kb)
+    assert values.tolist() == sorted(want)
+    assert counts.tolist() == [want[v] for v in sorted(want)]
+
+
+def _drifting_rows():
+    """32 rows of 20 keys a row stride of 1000 apart, the last 16 shifted
+    492 to the right: the residues mod 1000 span 512, so a sum's residue
+    spans 1023 > 1000 and a fold would map two sums to one cell."""
+    return [1000 * j + 492 * (j >= 16) + i for j in range(32) for i in range(20)]
+
+
+def test_fold_needs_residues_within_the_stride(monkeypatch):
+    a = _int_keys(_drifting_rows())
+    assert _fold_modulus(a) == 1000
+    # with the cost gate open the fold's grid would be small enough, so only
+    # the exactness guard keeps the pair on one axis
+    monkeypatch.setattr("prodfree.sets.FOLD_GAIN", 1)
+    assert _int_grid(a, a).shape == (65536,)
+    values, counts = _pair_counts(a, a)
+    want = Counter(x + y for x in a.tolist() for y in a.tolist())
+    assert dict(zip(values.tolist(), counts.tolist())) == want
+    assert values.tolist() == sorted(want)
+
+
+def test_fold_guard_failure_falls_back_exactly(monkeypatch):
+    x = generate("gap:2:10,10:1,300")
+    cut = len(x) * 2 // 5
+    blocks = [(x, x), (MultSet(x.oracle, x.keys[:cut]), MultSet(x.oracle, x.keys[-cut:]))]
+    for u, v in blocks:
+        assert len(_int_grid(_int_keys(u.keys), _int_keys(v.keys)).shape) == 2
+    want = [(_product_counts(u, v), product_set(u, v)) for u, v in blocks]
+    free, incident = is_product_free(x), count_incident_pairs(x)
+    calls = patch_irfft(monkeypatch, 0.6)
+    got = [(_product_counts(u, v), product_set(u, v)) for u, v in blocks]
+    assert (is_product_free(x), count_incident_pairs(x)) == (free, incident)
+    assert len(calls) == 2 * len(blocks) + 2
+    assert got == want
+    for (u, v), (counts, square) in zip(blocks, got):
+        naive = Counter(a + b for a in u.keys for b in v.keys)
+        assert counts == naive and square.keys == tuple(sorted(naive))
+    assert incident == naive_incident_pairs(x.oracle, x.keys)
+
+
+def _transform_ranks(monkeypatch):
+    """From now on, record the rank of every inverse real FFT: 1 for the
+    kernel's one-axis grid, 2 for a folded or two-factor box grid."""
+    ranks = []
+    for name in ("irfft", "irfftn"):
+
+        def spy(*args, _inverse=getattr(np.fft, name), **kwargs):
+            out = _inverse(*args, **kwargs)
+            ranks.append(out.ndim)
+            return out
+
+        monkeypatch.setattr(np.fft, name, spy)
+    return ranks
+
+
+def test_sparse_gap_square_takes_the_fold(monkeypatch):
+    gap, interval = generate("gap:2:15,15:1,1000"), generate("interval:300")
+    ranks = _transform_ranks(monkeypatch)
+    assert len(product_set(gap, gap)) == 61 * 61
+    assert ranks == [2]
+    ranks.clear()
+    assert len(product_set(interval, interval)) == 1201
+    assert ranks == [1]
+
+
+def _product_inputs():
+    """(name, X, Y): every KERNEL_CASES input times itself and its every
+    other key, and random pairs in every BOX_SPECS group."""
+    out = []
+    for spec, shape, keys, _ in KERNEL_CASES:
+        g = build_group(spec)
+        x = MultSet(g, keys(random.Random(shape)))
+        half = MultSet(g, x.keys[::2])
+        out += [(f"{spec}-{shape}", x, x), (f"{spec}-{shape}-half", x, half)]
+    for spec in BOX_SPECS:
+        g = build_group(spec)
+        rng = random.Random(spec)
+        for i in range(4):
+            ka = rng.sample(range(g.order), rng.randint(1, min(g.order, 120)))
+            kb = rng.sample(range(g.order), rng.randint(1, min(g.order, 120)))
+            out.append((f"{spec}-{i}", MultSet(g, ka), MultSet(g, kb)))
+    return out
+
+
+PRODUCT_INPUTS = _product_inputs()
+
+
+@pytest.mark.parametrize("name,x,y", PRODUCT_INPUTS, ids=[c[0] for c in PRODUCT_INPUTS])
+def test_kernel_products_match_the_sorting_constructor(name, x, y):
+    g = x.oracle
+    want = MultSet(g, naive_product_keys(g, x.keys, y.keys))
+    got = product_set(x, y)
+    assert got == want and got.key_set() == want.key_set()
+    assert MultSet._from_sorted(g, list(want.keys)) == want
+
+
+def test_table_products_are_sorted_whatever_the_enumeration():
+    g = build_group("dihedral:6")
+    assert cayley_table(g).ascending
+    # the same group enumerated backwards: positions no longer read off
+    # increasing keys, so the table path must sort its products
+    r = dataclasses.replace(g, enum_keys=tuple(reversed(g.enum_keys)), _cayley=None)
+    assert not cayley_table(r).ascending
+    rng = random.Random(12)
+    for _ in range(10):
+        ka = rng.sample(g.enum_keys, rng.randint(1, 12))
+        kb = rng.sample(g.enum_keys, rng.randint(1, 12))
+        want = MultSet(g, naive_product_keys(g, ka, kb)).keys
+        for oracle in (g, r):
+            x, y = MultSet(oracle, ka), MultSet(oracle, kb)
+            assert _product_operands(x, y).table is not None
+            assert product_set(x, y).keys == want
+
+
+def _eager_greedy_cover(full, masks):
+    """The greedy cover by recounting every mask at every pick."""
+    remaining = full
+    picks = []
+    while remaining:
+        best, best_gain = -1, 0
+        for i, m in enumerate(masks):
+            gain = (remaining & m).bit_count()
+            if gain > best_gain:
+                best, best_gain = i, gain
+        if best < 0:
+            return None
+        picks.append(best)
+        remaining &= ~masks[best]
+    return picks
+
+
+def test_lazy_greedy_cover_picks_as_the_eager_one():
+    rng = random.Random(40)
+    for trial in range(400):
+        width = rng.randint(1, 48)
+        full = (1 << width) - 1
+        # few distinct masks and gains, so ties are everywhere
+        pool = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randint(1, 6))]
+        masks = [rng.choice(pool) for _ in range(rng.randint(0, 30))]
+        want = _eager_greedy_cover(full, masks)
+        if want is None:
+            with pytest.raises(PreconditionError):
+                _greedy_cover(full, masks)
+        else:
+            assert _greedy_cover(full, masks) == want
