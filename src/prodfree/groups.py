@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple
@@ -693,16 +692,14 @@ def generated_subgroup(parent: GroupOracle, generators: Iterable) -> GroupOracle
 class CayleyTable:
     """Products of a finite oracle by enumeration position.
 
-    ``keys`` is the enumeration (position -> key), ``index`` its inverse,
-    and ``cells[i, j]`` the position of ``keys[i] * keys[j]``.
-    ``ascending`` says whether the enumeration is in increasing key order,
-    so that increasing positions read off increasing keys.
+    ``keys`` is the sorted enumeration (position -> key), ``index`` its
+    inverse, and ``cells[i, j]`` the position of ``keys[i] * keys[j]``;
+    increasing positions read off increasing keys.
     """
 
     keys: tuple
     index: dict
     cells: np.ndarray
-    ascending: bool
 
 
 def cayley_table(oracle: GroupOracle, build: bool = True) -> CayleyTable | None:
@@ -725,6 +722,7 @@ def cayley_table(oracle: GroupOracle, build: bool = True) -> CayleyTable | None:
     keys = oracle.enum_keys
     if keys is None or len(keys) > CAYLEY_ORDER_CAP or oracle.component_moduli is not None:
         return None
+    keys = tuple(sorted(keys))  # every enumeration here already ascends
     n = len(keys)
     index = {k: i for i, k in enumerate(keys)}
     kmul = oracle.kmul
@@ -754,8 +752,7 @@ def cayley_table(oracle: GroupOracle, build: bool = True) -> CayleyTable | None:
         raise GroupAxiomError(
             f"{n - len(order)} Cayley table rows of {oracle.domain!r} left unfilled"
         )
-    ascending = all(map(operator.lt, keys, keys[1:]))
-    oracle._cayley = CayleyTable(keys, index, cells, ascending)
+    oracle._cayley = CayleyTable(keys, index, cells)
     return oracle._cayley
 
 

@@ -23,10 +23,10 @@ Products take one of three paths, chosen in one place,
   the sums are convolved on a q-by-r grid of two zero-padded axes.  The
   fold is exact when R_A + R_B - 1 <= m, as then distinct cells stand for
   distinct sums, in row-major order; it is taken only then, and only when
-  the grid has at most n / FOLD_GAIN cells with n >= FOLD_MIN_LENGTH and
-  n > 8 (|A| + |B|).  Every FFT path is exact: the convolution's rounding
-  error is about u log2(n) sqrt(|A||B|) with u = 2^-53, far below 1/2, and
-  a runtime guard checks that every entry lies within 1/4 of an integer.
+  the grid has at most n / FOLD_GAIN cells with n >= FOLD_MIN_LENGTH.
+  Every FFT path is exact: the convolution's rounding error is about
+  u log2(n) sqrt(|A||B|) with u = 2^-53, far below 1/2, and a runtime
+  guard checks that every entry lies within 1/4 of an integer.
   Sparser inputs, and any input the guard rejects, take the exact outer-sum
   path: the sums a + b, less M_j stride_j wherever digit j wrapped, counted
   with ``np.unique``.  ``int`` takes the kernel from :data:`NUMPY_MIN_PAIRS`
@@ -253,10 +253,9 @@ def _int_grid(a, b) -> _Grid | None:
 
     The plain grid is the key range of A + B, rounded up to a power of two
     n, on one axis; it is taken when n <= |A||B|.  A sparse pair -- n at
-    least FOLD_MIN_LENGTH and above 8 (|A| + |B|) -- is folded onto two axes
-    instead when that shrinks the grid at least FOLD_GAIN times.  With m
-    the row stride of the larger operand (:func:`_fold_modulus`), each key
-    of A is written c_A + q m + r with 0 <= r < R_A (:func:`_fold_axes`),
+    least FOLD_MIN_LENGTH -- is folded onto two axes instead when that
+    shrinks the grid at least FOLD_GAIN times.  With m the row stride of
+    the larger operand (:func:`_fold_modulus`), each key of A is written c_A + q m + r with 0 <= r < R_A (:func:`_fold_axes`),
     and B likewise with its own c_B.  A pair then lands in cell
     (q_a + q_b, r_a + r_b) of a Q x R array, R = R_A + R_B - 1, whose two
     axes are zero-padded to powers of two so that the convolution does not
@@ -278,7 +277,9 @@ def _int_grid(a, b) -> _Grid | None:
     n = 1 << (length - 1).bit_length()
     if n > len(a) * len(b):
         return None
-    if n >= FOLD_MIN_LENGTH and n > 8 * (len(a) + len(b)):
+    # a fold puts each of the at least |A| + |B| - 1 distinct sums in a
+    # cell of its own, so no grid of n / FOLD_GAIN cells fits them below this
+    if n >= FOLD_MIN_LENGTH and n >= FOLD_GAIN * (len(a) + len(b) - 1):
         m = _fold_modulus(a if len(a) >= len(b) else b)
         if m is not None:
             ca, qa, ra = _fold_axes(a, m)
@@ -433,10 +434,8 @@ def product_set(
         # on the table path the budget bounds distinct products, as on kmul's
         if len(out) > budget:
             raise BudgetExceededError(f"product set grew past budget {budget}")
-        # kernel values come sorted; a table's keys too if it enumerates in order
-        if table is None or table.ascending:
-            return MultSet._from_sorted(x.oracle, out)
-        return MultSet(x.oracle, out)
+        # kernel values come sorted, and a table's keys ascend by position
+        return MultSet._from_sorted(x.oracle, out)
     kmul = x.oracle.kmul
     out: set = set()
     for a in x.keys:

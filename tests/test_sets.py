@@ -711,11 +711,10 @@ def test_kernel_products_match_the_sorting_constructor(name, x, y):
 
 def test_table_products_are_sorted_whatever_the_enumeration():
     g = build_group("dihedral:6")
-    assert cayley_table(g).ascending
-    # the same group enumerated backwards: positions no longer read off
-    # increasing keys, so the table path must sort its products
+    # the same group enumerated backwards: its table still sorts its keys,
+    # so table products come out sorted without a re-sort
     r = dataclasses.replace(g, enum_keys=tuple(reversed(g.enum_keys)), _cayley=None)
-    assert not cayley_table(r).ascending
+    assert cayley_table(r).keys == cayley_table(g).keys == g.enum_keys
     rng = random.Random(12)
     for _ in range(10):
         ka = rng.sample(g.enum_keys, rng.randint(1, 12))
