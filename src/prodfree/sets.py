@@ -255,8 +255,9 @@ def _int_grid(a, b) -> _Grid | None:
     n, on one axis; it is taken when n <= |A||B|.  A sparse pair -- n at
     least FOLD_MIN_LENGTH -- is folded onto two axes instead when that
     shrinks the grid at least FOLD_GAIN times.  With m the row stride of
-    the larger operand (:func:`_fold_modulus`), each key of A is written c_A + q m + r with 0 <= r < R_A (:func:`_fold_axes`),
-    and B likewise with its own c_B.  A pair then lands in cell
+    the larger operand (:func:`_fold_modulus`), each key of A is written
+    c_A + q m + r with 0 <= r < R_A (:func:`_fold_axes`), and B likewise
+    with its own c_B.  A pair then lands in cell
     (q_a + q_b, r_a + r_b) of a Q x R array, R = R_A + R_B - 1, whose two
     axes are zero-padded to powers of two so that the convolution does not
     wrap.  The fold is taken only when R <= m: then (i, j) -> c_A + c_B +
