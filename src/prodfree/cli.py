@@ -119,7 +119,7 @@ def _run_algorithm(
         series = derived_subnormal_series(x.oracle)
         return solvable_extract(x, series)
     if algorithm == "alon-kleitman":
-        witness = alon_kleitman_weighted(WeightedSet.uniform(x))
+        witness = alon_kleitman_weighted(WeightedSet.uniform(x), budget=budget)
         trace = [
             record("quarter-weight", {"a": len(witness), "b": len(x)}, "4 * a >= b")
         ]
@@ -170,9 +170,6 @@ def cmd_extract(args) -> int:
     except StageFailedError as exc:
         if exc.certificate is not None:
             _emit(exc.certificate.to_json(), args.out)
-        print(f"not found: {exc}", file=sys.stderr)
-        return EXIT_NOT_FOUND
-    except SearchExhaustedError as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
     _emit(cert.to_json(), args.out)

@@ -211,22 +211,11 @@ class HomogeneousTuple:
     v_product: MultSet  # (v1 v2) v3
     side: str  # "u" or "v": the triple whose product came out smaller
 
-    @property
-    def u_product_size(self) -> int:
-        return len(self.u_product)
-
-    @property
-    def v_product_size(self) -> int:
-        return len(self.v_product)
-
     def chosen(self) -> tuple[MultSet, MultSet, MultSet]:
         return self.u_parts if self.side == "u" else self.v_parts
 
     def chosen_product(self) -> MultSet:
         return self.u_product if self.side == "u" else self.v_product
-
-    def chosen_product_size(self) -> int:
-        return len(self.chosen_product())
 
 
 def find_homogeneous_tuple(

@@ -12,7 +12,6 @@ Three layers, each feeding the next:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,20 +20,21 @@ from typing import Iterable
 import numpy as np
 
 from .certificates import ExtractionCertificate, build_certificate, record
-from .errors import (
-    InvariantViolationError,
-    PreconditionError,
-    SearchExhaustedError,
+from .errors import BudgetExceededError, InvariantViolationError, PreconditionError
+from .groups import (
+    ENUM_CAP,
+    GroupOracle,
+    SubnormalSeries,
+    abelian_coords,
+    build_group,
+    cyclic_subgroups,
 )
-from .groups import GroupOracle, SubnormalSeries, abelian_coords, build_group, cyclic_subgroups
-from .sets import MultSet, frac_str, is_product_free
+from .sets import DEFAULT_PRODUCT_BUDGET, MultSet, frac_str, is_product_free
 
 # density constant of the middle-third interval
 SUMFREE_ALPHA = Fraction(1, 4)
 
 INTERVAL_VERIFY_CAP = 10**4
-SEARCH_EXHAUSTIVE_CAP = 10**7
-SEARCH_SAMPLE_COUNT = 10**5
 _FIRST_BATCH = 64
 _BATCH = 8192
 
@@ -106,8 +106,9 @@ class WeightedSet:
         return sum(lookup[k] for k in keys)
 
 
-def _embedding_rows(oracle: GroupOracle, keys) -> tuple[int, np.ndarray]:
-    """Rows of the Z/n embedding for the given keys; n is the exponent."""
+def _embedding_rows(oracle: GroupOracle, keys) -> tuple[tuple[int, ...], np.ndarray]:
+    """Live invariant factors ``moduli`` (descending, so ``moduli[0]`` is
+    the exponent n) and the rows of the Z/n embedding for the given keys."""
     moduli, lookup = abelian_coords(oracle)
     live = [i for i, m in enumerate(moduli) if m > 1]
     if not live:
@@ -122,33 +123,33 @@ def _embedding_rows(oracle: GroupOracle, keys) -> tuple[int, np.ndarray]:
                 "nonzero element embedded to zero; coordinates are broken"
             )
         rows.append(row)
-    return n, np.asarray(rows, dtype=np.int64)
-
-
-def _weighted_seed(b: WeightedSet) -> int:
-    text = "\n".join(
-        [b.base.oracle.domain]
-        + [f"{b.base.oracle.kencode(k)}={w}" for k, w in zip(b.base.keys, b.weights)]
-    )
-    return int(hashlib.sha256(text.encode()).hexdigest()[:16], 16)
+    return tuple(moduli[i] for i in live), np.asarray(rows, dtype=np.int64)
 
 
 def alon_kleitman_weighted(
-    b: WeightedSet,
-    *,
-    exhaustive_cap: int = SEARCH_EXHAUSTIVE_CAP,
-    sample_count: int = SEARCH_SAMPLE_COUNT,
+    b: WeightedSet, *, budget: int = DEFAULT_PRODUCT_BUDGET
 ) -> MultSet:
     """Weighted sum-free extraction in a finite abelian group.
 
-    Embeds the group into (Z/n)^s along its invariant factors and scans
-    characters c there, keeping elements whose pairing lands in the
-    middle-third interval of Z/n.  The average weight captured is at least
-    a quarter of the total, so the exhaustive scan cannot fail; it returns
-    the first qualifying c in canonical order, scanning batches that grow
-    geometrically from 64 to 8192 characters.  When the scan space
-    exceeds *exhaustive_cap* the search samples *sample_count* characters
-    from a digest-seeded generator and errors honestly on a miss.
+    Embeds the group into (Z/n)^s along its invariant factors m_1, ..., m_s
+    (n = m_1 the exponent; row i carries the factor n / m_i) and scans the
+    characters c in Z/m_1 x ... x Z/m_s, keeping elements whose pairing
+    lands in the middle-third interval of Z/n.  The average weight captured
+    is at least a quarter of the total, so the scan cannot fail; it returns
+    the first qualifying c in canonical (lexicographic) order, scanning
+    batches that grow geometrically from 64 to 8192 characters.
+
+    These are all |G| characters, and the first hit is the first hit of a
+    scan over the whole of (Z/n)^s.  Since row i carries n / m_i, the
+    pairing depends on c_i mod m_i only.  Reducing every coordinate of a
+    hit therefore gives a hit that is no larger in any coordinate, so no
+    later in lexicographic order.  The first hit in (Z/n)^s thus already
+    lies in the product of the [0, m_i), and it is the first hit there.
+
+    In an enumerated group (|G| <= ``ENUM_CAP``) the scan covers at most
+    |G| characters and nothing cuts it short.  In a larger group the
+    characters scanned times |B| count against *budget*, checked before
+    each batch; past it the scan raises ``BudgetExceededError``.
     """
     oracle = b.base.oracle
     if oracle.order is None:
@@ -158,61 +159,36 @@ def alon_kleitman_weighted(
     if len(b.base) == 0:
         raise PreconditionError("weighted set is empty")
 
-    n, rows = _embedding_rows(oracle, b.base.keys)
-    s = rows.shape[1]
+    moduli, rows = _embedding_rows(oracle, b.base.keys)
+    n = moduli[0]
     lo, hi = interval_bounds(n)
     member = np.zeros(n, dtype=bool)
     member[lo : hi + 1] = True
     weights = np.asarray(b.weights, dtype=np.int64)
     total_w = int(weights.sum())
 
-    def qualify(c_rows: np.ndarray) -> np.ndarray:
-        f_vals = (c_rows @ rows.T) % n
-        return (weights * member[f_vals]).sum(axis=1)
-
-    space = n**s
-    if space <= exhaustive_cap:
-        # batches double from _FIRST_BATCH to _BATCH: a scan that hits early
-        # (often the first few characters) evaluates only a small batch
-        start, size = 0, _FIRST_BATCH
-        while start < space:
-            idx = np.arange(start, min(start + size, space), dtype=np.int64)
-            c_rows = np.stack(np.unravel_index(idx, (n,) * s), axis=1)
-            got = qualify(c_rows)
-            good = np.nonzero(4 * got >= total_w)[0]
-            if good.size:
-                c = c_rows[good[0]]
-                break
-            start += size
-            size = min(2 * size, _BATCH)
-        else:
-            raise InvariantViolationError(
-                "exhaustive character scan found no quarter-weight set"
+    # batches double from _FIRST_BATCH to _BATCH: a scan that hits early
+    # (often the first few characters) evaluates only a small batch
+    space = math.prod(moduli)
+    start, size = 0, _FIRST_BATCH
+    while start < space:
+        stop = min(start + size, space)
+        pairs = stop * len(weights)
+        if oracle.order > ENUM_CAP and pairs > budget:
+            raise BudgetExceededError(
+                f"character scan: {stop} characters x {len(weights)} elements = "
+                f"{pairs} pairs exceed budget {budget}"
             )
-    else:
-        rng = np.random.Generator(np.random.Philox(key=_weighted_seed(b)))
-        best_w = -1
-        best_c = None
-        remaining = sample_count
-        while remaining > 0:
-            take = min(_BATCH, remaining)
-            c_rows = rng.integers(0, n, size=(take, s), dtype=np.int64)
-            got = qualify(c_rows)
-            j = int(np.argmax(got))
-            if int(got[j]) > best_w:
-                best_w = int(got[j])
-                best_c = c_rows[j]
-            remaining -= take
-        if best_c is None or 4 * best_w < total_w:
-            raise SearchExhaustedError(
-                f"sampled {sample_count} characters, best weight {best_w} "
-                f"of {total_w} misses the quarter bound"
-            )
-        c = best_c
-
-    f_vals = (rows @ c) % n
-    keep = member[f_vals]
-    return MultSet(oracle, (k for k, ok in zip(b.base.keys, keep) if ok))
+        idx = np.arange(start, stop, dtype=np.int64)
+        c_rows = np.stack(np.unravel_index(idx, moduli), axis=1)
+        got = (weights * member[(c_rows @ rows.T) % n]).sum(axis=1)
+        good = np.nonzero(4 * got >= total_w)[0]
+        if good.size:
+            keep = member[(rows @ c_rows[good[0]]) % n]
+            return MultSet(oracle, (k for k, ok in zip(b.base.keys, keep) if ok))
+        start = stop
+        size = min(2 * size, _BATCH)
+    raise InvariantViolationError("character scan found no quarter-weight set")
 
 
 def solvable_extract(c: MultSet, series: SubnormalSeries) -> ExtractionCertificate:

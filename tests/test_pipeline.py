@@ -172,12 +172,12 @@ def test_finder_threshold_split_on_integers(int_group):
     up = naive_triple_product_keys(int_group, *[p.keys for p in tup.u_parts])
     vp = naive_triple_product_keys(int_group, *[p.keys for p in tup.v_parts])
     assert not (up & vp)
-    assert tup.u_product_size == len(up) == 22
-    assert tup.v_product_size == len(vp) == 22
+    assert len(tup.u_product) == len(up) == 22
+    assert len(tup.v_product) == len(vp) == 22
     assert tup.side == "u"  # tie resolves to u
     assert tup.achieved_density == HALF
     assert tup.chosen() == tup.u_parts
-    assert tup.chosen_product_size() == 22
+    assert len(tup.chosen_product()) == 22
 
 
 def test_finder_density_floor_of_two(int_group):
@@ -613,6 +613,11 @@ def _short_arcs():
             MultSet(build_group("cyclic:100000"), [a % 100000 for a in range(-50, 51)]),
             17,
             "77875e094bbd4181f5459a281f5aca5d8c03ac27cdddf3daf5c679e6c2b56dec",
+        ),
+        "cyclic:100000 {-1000..1000}": (
+            MultSet(build_group("cyclic:100000"), [a % 100000 for a in range(-1000, 1001)]),
+            321,
+            "b79765a94cf1abd61591bd25b20f671222a8e4c73f3611ff638f712af1421e4b",
         ),
         # the cube product of the box takes 11029041 pairs
         "abelian:1000,1000 41x41 box": (

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prodfree import (
+    BudgetExceededError,
     MultSet,
     PreconditionError,
     SUMFREE_ALPHA,
@@ -123,14 +124,13 @@ def test_alon_kleitman_deterministic():
     assert alon_kleitman_weighted(w).keys == alon_kleitman_weighted(w).keys
 
 
-def test_alon_kleitman_sampled_mode():
-    # force the sampled branch by shrinking the exhaustive budget
-    g = build_group("cyclic:97")
-    ks = list(range(1, 41, 2))
-    w = WeightedSet.uniform(MultSet(g, ks))
-    kept = alon_kleitman_weighted(w, exhaustive_cap=1, sample_count=2000)
-    assert naive_is_product_free(g, kept.keys)
-    assert 4 * len(kept) >= len(ks)
+def test_alon_kleitman_scan_budget_above_enum_cap():
+    # {1} first qualifies at c = n // 3 + 1, after about 3.3 * 10^6 pairs
+    g = build_group("cyclic:10000000")
+    w = WeightedSet.uniform(MultSet(g, [1]))
+    assert alon_kleitman_weighted(w).keys == (1,)
+    with pytest.raises(BudgetExceededError, match="^character scan: .* exceed budget 1000000$"):
+        alon_kleitman_weighted(w, budget=10**6)
 
 
 def test_alon_kleitman_preconditions():
@@ -238,7 +238,8 @@ def _reference_first_character(b):
     """Index and kept keys of the first character, in canonical order, whose
     middle-third pairing keeps a quarter of the weight: one character at a
     time over the whole space."""
-    n, rows = _embedding_rows(b.base.oracle, b.base.keys)
+    moduli, rows = _embedding_rows(b.base.oracle, b.base.keys)
+    n = moduli[0]
     lo, hi = interval_bounds(n)
     for i, c in enumerate(itertools.product(range(n), repeat=rows.shape[1])):
         keep = [lo <= v <= hi for v in ((rows @ np.array(c)) % n).tolist()]
@@ -268,9 +269,16 @@ def _late_hit():
         (lambda: _minus_identity("cyclic:1000"), 1),
         (lambda: _minus_identity("abelian:40,40"), 1),
         (lambda: _minus_identity("abelian:6,10"), 1),
+        (lambda: _minus_identity("abelian:2,2,2,2,2,2,2,2,2,8"), 1),
         (_late_hit, 280),
     ],
-    ids=["cyclic:1000", "abelian:40,40", "abelian:6,10", "weighted-late-hit"],
+    ids=[
+        "cyclic:1000",
+        "abelian:40,40",
+        "abelian:6,10",
+        "abelian:2,2,2,2,2,2,2,2,2,8",
+        "weighted-late-hit",
+    ],
 )
 def test_character_scan_returns_the_first_qualifying_character(make, first):
     b = make()
