@@ -132,8 +132,8 @@ def alon_kleitman_weighted(
     """Weighted sum-free extraction in a finite abelian group.
 
     Embeds the group into (Z/n)^s along its invariant factors m_1, ..., m_s
-    (n = m_1 the exponent; row i carries the factor n / m_i) and scans the
-    characters c in Z/m_1 x ... x Z/m_s, keeping elements whose pairing
+    (n = m_1 the exponent) and scans the characters c in
+    Z/m_1 x ... x Z/m_s, keeping elements whose pairing
     lands in the middle-third interval of Z/n.  The average weight captured
     is at least a quarter of the total, so the scan cannot fail; it returns
     the first qualifying c in canonical (lexicographic) order, scanning
