@@ -221,9 +221,12 @@ def build_certificate(
     witness: MultSet,
     guarantee: Fraction | None,
     trace: list[TraceRecord],
+    *,
+    budget: int = DEFAULT_PRODUCT_BUDGET,
 ) -> ExtractionCertificate:
-    """Assemble a certificate, re-verifying product-freeness of the witness."""
-    verified = is_product_free(witness) if len(witness) else False
+    """Assemble a certificate, re-verifying product-freeness of the witness
+    within *budget* pairs."""
+    verified = is_product_free(witness, budget) if len(witness) else False
     return ExtractionCertificate(
         input_digest=input_digest(x),
         algorithm=algorithm,

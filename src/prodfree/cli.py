@@ -28,6 +28,7 @@ from .certificates import (
     verify_certificate,
 )
 from .errors import (
+    BudgetExceededError,
     GroupSpecError,
     NotEnumerableError,
     PreconditionError,
@@ -117,16 +118,20 @@ def _run_algorithm(
         return product_free_extract(x, profile, budget=budget)
     if algorithm == "solvable":
         series = derived_subnormal_series(x.oracle)
-        return solvable_extract(x, series)
+        return solvable_extract(x, series, budget=budget)
+    params, guarantee, trace = {}, None, []
     if algorithm == "alon-kleitman":
+        # the witness keeps a quarter of B, and its certificate checks all
+        # its pairs: refuse before the scan when they cannot fit
+        least = -(-len(x) // 4)
+        if least * least > budget:
+            raise BudgetExceededError(f"{least}^2 witness pairs exceed budget {budget}")
         witness = alon_kleitman_weighted(WeightedSet.uniform(x), budget=budget)
+        params, guarantee = {"weights": "uniform"}, Fraction(len(x), 4)
         trace = [
             record("quarter-weight", {"a": len(witness), "b": len(x)}, "4 * a >= b")
         ]
-        return build_certificate(
-            x, "alon-kleitman", {"weights": "uniform"}, witness, Fraction(len(x), 4), trace
-        )
-    if algorithm == "interval":
+    elif algorithm == "interval":
         if x.oracle.kind != "cyclic":
             raise PreconditionError("the interval algorithm needs a cyclic:n source")
         n = x.oracle.order
@@ -135,17 +140,15 @@ def _run_algorithm(
                 "the interval algorithm extracts from the full cyclic group"
             )
         witness = MultSet(x.oracle, cyclic_interval(n).keys)
+        params, guarantee = {"n": str(n)}, Fraction(n, 4)
         trace = [record("interval-density", {"i": len(witness), "g": n}, "4 * i >= g")]
-        return build_certificate(
-            x, "interval", {"n": str(n)}, witness, Fraction(n, 4), trace
-        )
-    if algorithm == "greedy":
-        return build_certificate(x, "greedy", {}, greedy_product_free(x), None, [])
-    if algorithm == "exhaustive":
-        return build_certificate(
-            x, "exhaustive", {}, exhaustive_max_product_free(x), None, []
-        )
-    raise GroupSpecError(f"unknown algorithm {algorithm!r}")
+    elif algorithm == "greedy":
+        witness = greedy_product_free(x)
+    elif algorithm == "exhaustive":
+        witness = exhaustive_max_product_free(x)
+    else:
+        raise GroupSpecError(f"unknown algorithm {algorithm!r}")
+    return build_certificate(x, algorithm, params, witness, guarantee, trace, budget=budget)
 
 
 def cmd_analyze(args) -> int:

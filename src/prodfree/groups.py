@@ -81,45 +81,8 @@ class Element(NamedTuple):
 # small arithmetic helpers
 
 
-def _factorint(n: int) -> dict[int, int]:
-    """Prime factorisation by trial division; fine for desk-scale moduli."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _is_prime(n: int) -> bool:
-    return n >= 2 and _factorint(n) == {n: 1}
-
-
-def invariant_factors_of(moduli: Iterable[int]) -> tuple[int, ...]:
-    """Invariant factors of a direct product of cyclic groups.
-
-    Returned ascending, each dividing the next.
-    """
-    per_prime: dict[int, list[int]] = {}
-    for m in moduli:
-        if m < 1:
-            raise GroupSpecError(f"modulus must be positive, got {m}")
-        for p, e in _factorint(m).items():
-            per_prime.setdefault(p, []).append(e)
-    width = max((len(v) for v in per_prime.values()), default=0)
-    factors = []
-    for j in range(width):
-        d = 1
-        for p, exps in per_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if j < len(exps_sorted):
-                d *= p ** exps_sorted[j]
-        factors.append(d)
-    return tuple(sorted(factors))
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _mat_mul(a: tuple, b: tuple, d: int, m: int) -> tuple:
@@ -188,7 +151,6 @@ class GroupOracle:
     abelian: bool
     order: int | None = None
     enum_keys: tuple | None = None
-    invariant_factors: tuple[int, ...] | None = None
     component_moduli: tuple[int, ...] | None = None
     kencode: Callable[[Any], str] = str
     kdecode: Callable[[str], Any] | None = None
@@ -294,7 +256,6 @@ def _build_cyclic(n: int) -> GroupOracle:
         abelian=True,
         order=n,
         enum_keys=enum,
-        invariant_factors=(n,) if n > 1 else (),
         component_moduli=(n,),
         kencode=str,
         kdecode=dec,
@@ -350,7 +311,6 @@ def _build_abelian(moduli: tuple[int, ...]) -> GroupOracle:
         abelian=True,
         order=order,
         enum_keys=tuple(range(order)) if order <= ENUM_CAP else None,
-        invariant_factors=invariant_factors_of(moduli),
         component_moduli=moduli,
         kencode=enc,
         kdecode=dec,
@@ -756,13 +716,6 @@ def cayley_table(oracle: GroupOracle, build: bool = True) -> CayleyTable | None:
     return oracle._cayley
 
 
-@dataclass
-class ProjectionMap:
-    """Quotient map G -> G/H: each key of G to its coset representative."""
-
-    key_map: dict
-
-
 def _subset_digest(oracle: GroupOracle, keys: Iterable[Any]) -> str:
     text = "\n".join(oracle.kencode(k) for k in sorted(keys))
     return hashlib.sha256(text.encode()).hexdigest()[:8]
@@ -799,24 +752,9 @@ def _escaping_conjugates(oracle: GroupOracle, gens: list, h_keys) -> dict:
     return out
 
 
-def _quotient_build(
-    parent: GroupOracle, h_keys: frozenset, *, verify: bool
-) -> tuple[GroupOracle, ProjectionMap, list]:
-    """Left-coset quotient and projection, plus the parent generators that
-    normality was checked on (none without *verify*)."""
-    if parent.enum_keys is None:
-        raise NotEnumerableError("quotient needs a finite parent enumeration")
-    if not h_keys <= set(parent.enum_keys):
-        raise NotASubgroupError("subgroup not contained in parent enumeration")
-    gens: list = []
-    if verify:
-        _check_subgroup(parent, h_keys)
-        gens = generating_keys(parent)
-        escaped = _escaping_conjugates(parent, gens, h_keys)
-        if escaped:
-            h = next(iter(escaped.values()))
-            raise NotNormalError(f"subgroup not normal: conjugate of {h!r} escapes")
-
+def _quotient_build(parent: GroupOracle, h_keys: frozenset) -> tuple[GroupOracle, dict]:
+    """Left-coset quotient of a finite oracle by the subgroup *h_keys*, and
+    its key map: each key of the parent to its coset representative."""
     kmul = parent.kmul
     rep_of: dict = {}
     reps = []
@@ -856,17 +794,18 @@ def _quotient_build(
         kdecode=qdec,
     )
     quotient.abelian = _generators_commute(quotient)
-    return quotient, ProjectionMap(rep_of), gens
+    return quotient, rep_of
 
 
 def quotient_projection(
     parent: GroupOracle, subgroup: Iterable
-) -> tuple[GroupOracle, ProjectionMap]:
+) -> tuple[GroupOracle, dict]:
     """Quotient of a finite group by a verified normal subgroup.
 
     Exhaustive on the parent's generators g at |gens| |G| cost: g H g^-1 is
     inside H, so equal to it (G is finite), so H is normal; every left coset
-    has |H| elements; so ``key_map`` is the canonical map G -> G/H.  Then
+    has |H| elements; so the returned ``key_map``, each key of G to its
+    coset representative, is the canonical map G -> G/H.  Then
     ``key_map[g x] == q.kmul(key_map[g], key_map[x])`` for every g and x
     reads every entry (x -> g x is onto), and each fiber of ``key_map``
     must hold exactly |H| elements: together they catch one entry moved
@@ -875,8 +814,18 @@ def quotient_projection(
     h_keys = frozenset(
         m.key if isinstance(m, Element) else m for m in subgroup
     )
-    quotient, proj, gens = _quotient_build(parent, h_keys, verify=True)
-    key_map, kmul, qmul = proj.key_map, parent.kmul, quotient.kmul
+    if parent.enum_keys is None:
+        raise NotEnumerableError("quotient needs a finite parent enumeration")
+    if not h_keys <= set(parent.enum_keys):
+        raise NotASubgroupError("subgroup not contained in parent enumeration")
+    _check_subgroup(parent, h_keys)
+    gens = generating_keys(parent)
+    escaped = _escaping_conjugates(parent, gens, h_keys)
+    if escaped:
+        h = next(iter(escaped.values()))
+        raise NotNormalError(f"subgroup not normal: conjugate of {h!r} escapes")
+    quotient, key_map = _quotient_build(parent, h_keys)
+    kmul, qmul = parent.kmul, quotient.kmul
     for g in gens:
         g_rep = key_map[g]
         for x in parent.enum_keys:
@@ -884,9 +833,7 @@ def quotient_projection(
                 raise GroupAxiomError("projection is not a homomorphism")
     if any(c != len(h_keys) for c in Counter(key_map.values()).values()):
         raise GroupAxiomError("projection is not a homomorphism")
-    if quotient.abelian and quotient.order <= COORDS_ORDER_CAP:
-        abelian_coords(quotient)
-    return quotient, proj
+    return quotient, key_map
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +909,7 @@ def abelian_basis(oracle: GroupOracle) -> list[tuple[Any, int]]:
     if m == oracle.order:
         return [(g, m)]
 
-    quotient, proj, _ = _quotient_build(oracle, frozenset(powers), verify=False)
+    quotient, key_map = _quotient_build(oracle, frozenset(powers))
     basis = [(g, m)]
     for qk, t in abelian_basis(quotient):
         # qk is its own coset representative, hence a parent key
@@ -971,7 +918,7 @@ def abelian_basis(oracle: GroupOracle) -> list[tuple[Any, int]]:
         if u % t != 0:
             raise GroupAxiomError("lift correction failed; group not abelian?")
         h = oracle.kmul(qk, key_power(oracle, g, (m - u // t) % m))
-        if element_order(oracle, h) != t or proj.key_map[h] != qk:
+        if element_order(oracle, h) != t or key_map[h] != qk:
             raise GroupAxiomError("basis lift lost its order")
         basis.append((h, t))
     total = math.prod(o for _, o in basis)
@@ -1019,8 +966,6 @@ def abelian_coords(oracle: GroupOracle):
     for a, b in zip(asc, asc[1:]):
         if b % a != 0:
             raise GroupAxiomError(f"invariant factor chain broken: {asc}")
-    if oracle.invariant_factors is None:
-        oracle.invariant_factors = asc
     res = (moduli, table.__getitem__)
     oracle._coords = res
     return res
@@ -1031,36 +976,52 @@ def abelian_coords(oracle: GroupOracle):
 
 
 @dataclass
-class QuotientStep:
-    quotient: GroupOracle
-    project: ProjectionMap
-
-
-@dataclass
 class SubnormalSeries:
-    """Chain G = L0 > L1 > ... > {1} with abelian factor oracles.
+    """Chain G = L0 > L1 > ... > {1} of subgroup views with abelian factors.
 
     ``exponent`` is the n of the size bound alpha |C| / 2^n: one less than
-    the number of steps.
+    the number of steps L_i > L_{i+1}.  No quotient is built here;
+    ``solvable_extract`` builds the one it reads.
     """
 
     levels: tuple[GroupOracle, ...]
-    steps: tuple[QuotientStep, ...]
 
     @property
     def exponent(self) -> int:
-        return len(self.steps) - 1
+        return len(self.levels) - 2
 
     def validate(self) -> None:
-        if len(self.levels) != len(self.steps) + 1:
-            raise PreconditionError("levels/steps length mismatch")
+        """Check every step L > N of the chain on the generators of L.
+
+        N is normal in L: g N g^-1 lies in N for each generator g, so
+        equals it (N is finite), and so for every product of generators,
+        which is every element of L.  L/N is abelian: a^-1 b^-1 a b lies
+        in N for any two generators a, b.  That suffices, since the normal
+        closure K of these commutators is the derived subgroup L': K lies
+        in L', and the generators' images commute in L/K, so L/K is
+        abelian and L' lies in K.  N is normal and holds the commutators,
+        so it holds K = L', which is exactly when L/N is abelian.
+        """
         if self.levels[-1].order != 1:
             raise PreconditionError("series must end at the trivial subgroup")
-        for step in self.steps:
-            if not step.quotient.abelian:
-                raise PreconditionError(
-                    f"factor {step.quotient.domain!r} is not abelian"
+        for i, (lvl, nxt) in enumerate(zip(self.levels, self.levels[1:])):
+            n_keys = frozenset(nxt.enum_keys)
+            if not n_keys < set(lvl.enum_keys):
+                raise PreconditionError("chain must strictly decrease")
+            gens = generating_keys(lvl)
+            escaped = _escaping_conjugates(lvl, gens, n_keys)
+            if escaped:
+                h = next(iter(escaped.values()))
+                raise NotNormalError(
+                    f"level {i + 1} is not normal in level {i}: "
+                    f"a conjugate of {h!r} escapes"
                 )
+            kmul, kinv = lvl.kmul, lvl.kinv
+            for a, b in itertools.combinations(gens, 2):
+                if kmul(kmul(kinv(a), kinv(b)), kmul(a, b)) not in n_keys:
+                    raise PreconditionError(
+                        f"level {i} over level {i + 1} is not abelian"
+                    )
 
 
 def derived_subgroup_keys(oracle: GroupOracle) -> frozenset:
@@ -1085,14 +1046,13 @@ def derived_subgroup_keys(oracle: GroupOracle) -> frozenset:
 
 
 def derived_subnormal_series(oracle: GroupOracle) -> SubnormalSeries:
-    """Derived series of a finite solvable group, with abelian quotients."""
+    """Derived series of a finite solvable group, checked by ``validate``."""
     if oracle.order is None or oracle.enum_keys is None:
         raise NotEnumerableError("series needs a finite enumeration")
     if oracle.order > SERIES_ORDER_CAP:
         raise PreconditionError(
             f"order {oracle.order} above series cap {SERIES_ORDER_CAP}"
         )
-    chain = [frozenset(oracle.enum_keys)]
     current = subgroup_view(oracle, oracle.enum_keys, verify=False)
     levels = [current]
     while current.order > 1:
@@ -1101,14 +1061,9 @@ def derived_subnormal_series(oracle: GroupOracle) -> SubnormalSeries:
             raise NotSolvableError(
                 f"derived series of {oracle.domain!r} stabilised at order {current.order}"
             )
-        chain.append(d_keys)
         current = subgroup_view(oracle, d_keys, verify=False)
         levels.append(current)
-    steps = []
-    for lvl, nxt in zip(levels, chain[1:]):
-        q, p = quotient_projection(lvl, nxt)
-        steps.append(QuotientStep(q, p))
-    series = SubnormalSeries(tuple(levels), tuple(steps))
+    series = SubnormalSeries(tuple(levels))
     series.validate()
     return series
 
@@ -1123,17 +1078,9 @@ def subnormal_series_from_chain(
     ]
     if not key_chain or key_chain[0] != set(oracle.enum_keys or ()):
         raise PreconditionError("chain must start at the whole group")
-    if key_chain[-1] != {oracle.identity_key}:
-        raise PreconditionError("chain must end at the trivial subgroup")
-    for big, small in zip(key_chain, key_chain[1:]):
-        if not small < big:
-            raise PreconditionError("chain must strictly decrease")
-    levels = [subgroup_view(oracle, ks, verify=True) for ks in key_chain]
-    steps = []
-    for lvl, nxt in zip(levels, key_chain[1:]):
-        q, p = quotient_projection(lvl, nxt)
-        steps.append(QuotientStep(q, p))
-    series = SubnormalSeries(tuple(levels), tuple(steps))
+    series = SubnormalSeries(
+        tuple(subgroup_view(oracle, ks, verify=True) for ks in key_chain)
+    )
     series.validate()
     return series
 
@@ -1176,7 +1123,7 @@ def verify_group_axioms(oracle: GroupOracle) -> int:
     generator g and all x, y, so by induction on word length every g in S
     passes, and S is associative and closed; then commuting generators make
     it abelian, so the flag is checked both ways.  Other groups are sampled
-    on 10^4 seeded triples.  Also checks invariant-factor metadata.
+    on 10^4 seeded triples.
     """
     kmul, kinv, e = oracle.kmul, oracle.kinv, oracle.identity_key
 
@@ -1226,14 +1173,4 @@ def verify_group_axioms(oracle: GroupOracle) -> int:
             check_element(a)
             if oracle.abelian and kmul(a, b) != kmul(b, a):
                 raise GroupAxiomError(f"abelian flag wrong on {(a, b)!r}")
-
-    facs = oracle.invariant_factors
-    if facs:
-        for a, b in zip(facs, facs[1:]):
-            if b % a != 0:
-                raise GroupAxiomError(f"invariant factors not a chain: {facs}")
-        if oracle.order is not None and math.prod(facs) != oracle.order:
-            raise GroupAxiomError(
-                f"invariant factors {facs} inconsistent with order {oracle.order}"
-            )
     return tested

@@ -527,7 +527,8 @@ def product_free_extract(
         witness = MultSet(oracle, (zk,))
         claimed = guarantee if 1 >= math.ceil(guarantee) else None
         return build_certificate(
-            x, "thm33", {**params, "branch": "singleton"}, witness, claimed, trace
+            x, "thm33", {**params, "branch": "singleton"}, witness, claimed, trace,
+            budget=budget,
         )
 
     stage = "petridis"
@@ -653,6 +654,7 @@ def product_free_extract(
                 witness,
                 None,
                 trace,
+                budget=budget,
             )
             raise StageFailedError(
                 f"pigeonhole bucket of size {len(witness)} misses |Z|/(2 k^3)",
@@ -670,6 +672,7 @@ def product_free_extract(
             witness,
             claimed,
             trace,
+            budget=budget,
         )
     except StageFailedError:
         raise
@@ -681,5 +684,6 @@ def product_free_extract(
             MultSet(oracle, ()),
             None,
             trace,
+            budget=budget,
         )
         raise StageFailedError(f"stage {stage!r} failed: {exc}", certificate=partial) from exc

@@ -28,6 +28,7 @@ from .groups import (
     abelian_coords,
     build_group,
     cyclic_subgroups,
+    quotient_projection,
 )
 from .sets import DEFAULT_PRODUCT_BUDGET, MultSet, frac_str, is_product_free
 
@@ -191,13 +192,17 @@ def alon_kleitman_weighted(
     raise InvariantViolationError("character scan found no quarter-weight set")
 
 
-def solvable_extract(c: MultSet, series: SubnormalSeries) -> ExtractionCertificate:
+def solvable_extract(
+    c: MultSet, series: SubnormalSeries, *, budget: int = DEFAULT_PRODUCT_BUDGET
+) -> ExtractionCertificate:
     """Product-free extraction along a subnormal series with abelian factors.
 
     At each level, either at least half of the current set survives into
     the next subgroup (descend), or at least half sits outside it (push to
     the abelian quotient, extract there with fiber weights, pull back).
-    Guarantees |C| / (4 * 2^n) elements for a series of exponent n.
+    Only that one quotient is built, by ``quotient_projection`` with all
+    its checks.  Guarantees |C| / (4 * 2^n) elements for a series of
+    exponent n.  *budget* bounds the witness's freeness check.
     """
     top = series.levels[0]
     if c.oracle.domain != top.domain:
@@ -215,9 +220,8 @@ def solvable_extract(c: MultSet, series: SubnormalSeries) -> ExtractionCertifica
     level = 0
     witness_keys: set = set()
     while True:
-        steps_left = len(series.steps) - level
         lvl = series.levels[level]
-        if steps_left == 1:
+        if level == len(series.levels) - 2:
             base = MultSet(lvl, cur)
             kept = alon_kleitman_weighted(WeightedSet.uniform(base))
             trace.append(
@@ -250,11 +254,11 @@ def solvable_extract(c: MultSet, series: SubnormalSeries) -> ExtractionCertifica
                 "2 * outside >= c",
             )
         )
-        step = series.steps[level]
+        quotient, key_map = quotient_projection(lvl, h_keys)
         fibers: dict = {}
         for k in outside:
-            fibers.setdefault(step.project.key_map[k], []).append(k)
-        base = MultSet(step.quotient, fibers.keys())
+            fibers.setdefault(key_map[k], []).append(k)
+        base = MultSet(quotient, fibers.keys())
         weighted = WeightedSet(
             base, tuple(len(fibers[q]) for q in base.keys)
         )
@@ -281,6 +285,7 @@ def solvable_extract(c: MultSet, series: SubnormalSeries) -> ExtractionCertifica
         witness,
         guarantee,
         trace,
+        budget=budget,
     )
     if not cert.verified_product_free:
         raise InvariantViolationError("solvable extraction produced a bad witness")

@@ -50,18 +50,22 @@ from conftest import (
 Q8_GENS = [(0, 2, 1, 0), (1, 1, 1, 2)]
 
 
-def np_triple_sum_size(akeys, bkeys, ckeys):
-    """|A+B+C| for integer key sets, chunked to bound memory."""
-    a = np.asarray(sorted(akeys), dtype=np.int64)
-    b = np.asarray(sorted(bkeys), dtype=np.int64)
-    c = np.asarray(sorted(ckeys), dtype=np.int64)
-    ab = np.unique(np.add.outer(a, b).ravel())
-    step = max(1, 2_000_000 // max(1, ab.size))
-    pieces = [
-        np.unique(np.add.outer(ab, c[i : i + step]).ravel())
-        for i in range(0, c.size, step)
-    ]
-    return int(np.unique(np.concatenate(pieces)).size)
+def bitset_triple_sum_size(akeys, bkeys, ckeys):
+    """|A+B+C| for integer key sets: each sumset ORs the bitset of one
+    summand shifted by every key of the other, and the bits are counted."""
+
+    def sumset(mask, keys):
+        lo = min(keys)
+        out = 0
+        for k in keys:
+            out |= mask << (k - lo)
+        return out
+
+    lo = min(akeys)
+    a = 0
+    for k in akeys:
+        a |= 1 << (k - lo)
+    return sumset(sumset(a, bkeys), ckeys).bit_count()
 
 
 def test_criterion_01_cyclic_intervals_all_moduli():
@@ -303,7 +307,7 @@ def test_criterion_06_iterated_halving_invariants():
         first = res.stages[0]
         assert list(first.u.keys) == list(y.keys)
         sizes = [
-            np_triple_sum_size(st.u.keys, st.v.keys, st.w.keys)
+            bitset_triple_sum_size(st.u.keys, st.v.keys, st.w.keys)
             for st in res.stages
         ]
         for st, recomputed in zip(res.stages, sizes):

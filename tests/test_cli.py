@@ -100,6 +100,52 @@ def test_extract_thm33_writes_verifiable_certificate(tmp_path, capsys):
     assert out2.startswith("PASS")
 
 
+def test_extract_thm33_builds_its_certificate_within_the_given_budget(
+    tmp_path, capsys
+):
+    # the 3201-point witness has 3201^2 > 10^7 pairs, so the certificate
+    # needs the flag's budget, not the default one
+    out_path = tmp_path / "i10k.json"
+    argv = ["thm33", "interval:10000", "--out", str(out_path)]
+    code, _, err = run_cli(capsys, "extract", *argv, "--budget", "2000000000")
+    assert code == 0, err
+    assert ExtractionCertificate.load(out_path).achieved_size == 3201
+    code, out, _ = run_cli(
+        capsys, "verify", str(out_path), "interval:10000", "--budget", "2000000000"
+    )
+    assert code == 0 and out.startswith("PASS")
+    code, _, err = run_cli(capsys, "extract", *argv)
+    assert code == 1 and "exceed budget 10000000" in err
+
+
+@pytest.mark.parametrize(
+    "algorithm,source",
+    [
+        ("thm33", "interval:50"),
+        ("solvable", "full-group-minus-identity(sym:3)"),
+        ("alon-kleitman", "full-group-minus-identity(cyclic:13)"),
+        ("interval", "cyclic:10"),
+        ("greedy", "interval:6"),
+        ("exhaustive", "interval:4"),
+    ],
+)
+def test_every_algorithm_honours_the_budget(algorithm, source, capsys):
+    # each witness has at least 3 points, so 9 or more pairs
+    code, _, err = run_cli(capsys, "extract", algorithm, source, "--budget", "3")
+    assert code == 1 and "exceed budget 3" in err
+
+
+def test_alon_kleitman_refuses_before_the_scan(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "alon_kleitman_weighted", lambda *a, **k: calls.append(a))
+    code, _, err = run_cli(
+        capsys, "extract", "alon-kleitman", "full-group-minus-identity:cyclic:100000"
+    )
+    assert code == 1
+    assert "25000^2 witness pairs exceed budget 10000000" in err
+    assert calls == []
+
+
 def test_extract_to_stdout(capsys):
     code, out, _ = run_cli(capsys, "extract", "greedy", "interval:6")
     assert code == 0

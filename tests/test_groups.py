@@ -187,13 +187,13 @@ def test_quotient_projection_is_homomorphism():
     g = build_group("sym:3")
     a3 = closure_keys(g, [(1, 2, 0)])
     assert len(a3) == 3
-    q, proj = quotient_projection(g, a3)
+    q, key_map = quotient_projection(g, a3)
     assert q.order == 2
     assert "/" in q.domain
     for a in g.enum_keys:
         for b in g.enum_keys:
-            lhs = q.kmul(proj.key_map[a], proj.key_map[b])
-            assert lhs == proj.key_map[g.kmul(a, b)]
+            lhs = q.kmul(key_map[a], key_map[b])
+            assert lhs == key_map[g.kmul(a, b)]
 
 
 def test_quotient_rejects_non_normal_subgroup():
@@ -215,11 +215,11 @@ def test_quotient_rejects_a_projection_entry_in_the_wrong_coset(spec, monkeypatc
     real = groups._quotient_build
     for y in g.enum_keys[:: max(1, g.order // 24)]:
 
-        def corrupted(parent, h_keys, *, verify, y=y):
-            quotient, proj, gens = real(parent, h_keys, verify=verify)
-            right = proj.key_map[y]
-            proj.key_map[y] = next(r for r in quotient.enum_keys if r != right)
-            return quotient, proj, gens
+        def corrupted(parent, h_keys, y=y):
+            quotient, key_map = real(parent, h_keys)
+            right = key_map[y]
+            key_map[y] = next(r for r in quotient.enum_keys if r != right)
+            return quotient, key_map
 
         monkeypatch.setattr(groups, "_quotient_build", corrupted)
         with pytest.raises(GroupAxiomError, match="not a homomorphism"):
@@ -269,8 +269,8 @@ def test_derived_series_matches_commutator_closure(spec, orders):
     series = derived_subnormal_series(g)
     assert [lvl.order for lvl in series.levels] == orders
     assert series.exponent == len(orders) - 2
-    for step in series.steps:
-        assert step.quotient.abelian
+    for lvl, nxt in zip(series.levels, series.levels[1:]):
+        assert quotient_projection(lvl, nxt.enum_keys)[0].abelian
 
 
 def test_derived_series_q8():
@@ -288,7 +288,11 @@ def test_series_levels_and_quotients_carry_the_right_abelian_flag(spec):
     else:
         g = build_group(spec)
     series = derived_subnormal_series(g)
-    oracles = list(series.levels) + [step.quotient for step in series.steps]
+    quotients = [
+        quotient_projection(lvl, nxt.enum_keys)[0]
+        for lvl, nxt in zip(series.levels, series.levels[1:])
+    ]
+    oracles = list(series.levels) + quotients
     assert not series.levels[0].abelian
     for o in oracles:
         ks = o.enum_keys
@@ -390,6 +394,70 @@ def test_series_chain_validation():
         subnormal_series_from_chain(g, [{0, 4, 8}, {0}])  # not the whole group
     with pytest.raises(PreconditionError):
         subnormal_series_from_chain(g, [set(range(12)), {0, 4, 8}])  # no bottom
+
+
+def test_series_chain_rejects_a_non_normal_level_and_a_non_abelian_factor():
+    g = build_group("sym:3")
+    e, swap = g.identity_key, g.kdecode("1,0,2")
+    with pytest.raises(NotNormalError):
+        subnormal_series_from_chain(g, [g.enum_keys, {e, swap}, {e}])
+    with pytest.raises(PreconditionError, match="not abelian"):
+        subnormal_series_from_chain(g, [g.enum_keys, {e}])
+
+
+@pytest.mark.parametrize(
+    "spec,kinds",
+    [
+        ("sym:4", {"not normal", "a non-abelian factor"}),
+        ("dihedral:6", {"not normal", "abelian factors", "a non-abelian factor"}),
+        ("heisenberg:3", {"not normal", "abelian factors"}),
+    ],
+)
+def test_series_checks_on_generators_agree_with_the_definitions(spec, kinds):
+    # every chain G > N > {1} with N generated by two elements: the checks
+    # on generators accept it iff N is normal and G/N and N are abelian,
+    # each tested here on all elements
+    g = build_group(spec)
+    ks, kmul, kinv = g.enum_keys, g.kmul, g.kinv
+    top, bottom = frozenset(ks), frozenset({g.identity_key})
+
+    def commutators_inside(keys, inside):
+        return all(
+            kmul(kmul(kinv(a), kinv(b)), kmul(a, b)) in inside
+            for a in keys for b in keys
+        )
+
+    subgroups = {closure_keys(g, pair) for pair in itertools.combinations(ks, 2)}
+    verdicts = set()
+    for n_keys in subgroups - {top, bottom}:
+        chain = [top, n_keys, bottom]
+        if not all(kmul(kmul(x, h), kinv(x)) in n_keys for x in ks for h in n_keys):
+            verdicts.add("not normal")
+            with pytest.raises(NotNormalError):
+                subnormal_series_from_chain(g, chain)
+        elif commutators_inside(ks, n_keys) and commutators_inside(n_keys, bottom):
+            verdicts.add("abelian factors")
+            series = subnormal_series_from_chain(g, chain)
+            assert [lvl.order for lvl in series.levels] == [g.order, len(n_keys), 1]
+        else:
+            verdicts.add("a non-abelian factor")
+            with pytest.raises(PreconditionError, match="not abelian"):
+                subnormal_series_from_chain(g, chain)
+    assert verdicts == kinds
+
+
+def test_derived_series_builds_no_quotient(monkeypatch):
+    calls = []
+    real = groups._quotient_build
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "_quotient_build", spy)
+    for spec in ("sym:4", "dihedral:200", "heisenberg:5"):
+        assert derived_subnormal_series(build_group(spec)).exponent >= 1
+    assert calls == []
 
 
 def test_cyclic_subgroups_are_the_divisor_lattice():

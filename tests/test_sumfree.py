@@ -21,6 +21,7 @@ from prodfree import (
     solvable_extract,
     verify_certificate,
 )
+from prodfree import sumfree
 from prodfree.sumfree import _embedding_rows
 from conftest import naive_is_product_free, naive_max_product_free_size
 
@@ -165,6 +166,24 @@ def test_solvable_extract_s3_nonidentity():
     assert cert.trace[0].stage.startswith("quotient")
     ok, problems = verify_certificate(cert, c)
     assert ok and problems == []
+
+
+def test_solvable_extract_builds_only_the_quotient_it_reads(monkeypatch):
+    g = build_group("dihedral:200")
+    series = derived_subnormal_series(g)
+    assert series.exponent == 1
+    calls = []
+    real = sumfree.quotient_projection
+
+    def spy(parent, subgroup):
+        calls.append((parent, frozenset(subgroup)))
+        return real(parent, subgroup)
+
+    monkeypatch.setattr(sumfree, "quotient_projection", spy)
+    nonid = [k for k in g.enum_keys if k != g.identity_key]
+    cert = solvable_extract(MultSet(g, nonid), series)
+    assert [t.stage for t in cert.trace] == ["quotient[0]", "weighted[0]"]
+    assert calls == [(series.levels[0], frozenset(series.levels[1].enum_keys))]
 
 
 def test_solvable_extract_descend_branch():
