@@ -20,7 +20,6 @@ and the sides are compared exactly by cross-multiplying the integers.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -30,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, CertificateError
+from .errors import BudgetExceededError, CertificateError, InvariantViolationError
+from .groups import key_digest
 from .sets import DEFAULT_PRODUCT_BUDGET, MultSet, frac_str, is_product_free
 
 # cells of one row block of verify's digit-vector freeness recheck
@@ -138,11 +138,21 @@ def record(stage: str, sizes: dict[str, int], inequality: str) -> TraceRecord:
     )
 
 
+def require(stage: str, sizes: dict[str, int], inequality: str) -> TraceRecord:
+    """The trace record of a bound that is a theorem: ``record``, raising
+    InvariantViolationError naming the stage, the inequality and the sizes
+    when the inequality fails."""
+    rec = record(stage, sizes, inequality)
+    if not rec.holds:
+        raise InvariantViolationError(
+            f"{stage}: {inequality!r} fails at {rec.sizes}"
+        )
+    return rec
+
+
 def input_digest(x: MultSet) -> str:
     """Content hash of (domain tag, canonical element encodings)."""
-    lines = [x.oracle.domain]
-    lines.extend(x.oracle.kencode(k) for k in x.keys)
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return key_digest(x.oracle, x.keys)
 
 
 @dataclass

@@ -716,9 +716,11 @@ def cayley_table(oracle: GroupOracle, build: bool = True) -> CayleyTable | None:
     return oracle._cayley
 
 
-def _subset_digest(oracle: GroupOracle, keys: Iterable[Any]) -> str:
-    text = "\n".join(oracle.kencode(k) for k in sorted(keys))
-    return hashlib.sha256(text.encode()).hexdigest()[:8]
+def key_digest(oracle: GroupOracle, keys: Iterable[Any]) -> str:
+    """The sha256 hex digest of the domain line and the encoding of each
+    sorted key, joined by newlines."""
+    lines = [oracle.domain, *(oracle.kencode(k) for k in sorted(keys))]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def _left_cosets(oracle: GroupOracle, h_keys: frozenset) -> list[list]:
@@ -763,7 +765,7 @@ def _quotient_build(parent: GroupOracle, h_keys: frozenset) -> tuple[GroupOracle
         for c in coset:
             rep_of[c] = coset[0]
 
-    qdomain = f"{parent.domain}/{_subset_digest(parent, h_keys)}"
+    qdomain = f"{parent.domain}/{key_digest(parent, h_keys)[:8]}"
 
     def qmul(a, b):
         return rep_of[kmul(a, b)]

@@ -20,16 +20,18 @@ passes X^2 to ``petridis_subset``, which returns Y and Y^3; Y^3 goes to
 triple and whose result carries the final UVW; UVW goes to
 ``localize_small_triple``.
 
-Every stage re-verifies its own output bounds with exact integer
-arithmetic; bounds that are theorems raise InvariantViolationError when
-they fail, bounds that depend on honest search (the non-abelian tripling
-subset, the halving split) raise SearchExhaustedError saying why.
+Every bound the certificate reports is checked once, where it is proven:
+each stage returns the trace records it checked, and a record made by
+``certificates.require`` raises InvariantViolationError when its
+inequality fails, for such a bound is a theorem.  Bounds that depend on
+honest search (the non-abelian tripling subset, the halving split) raise
+SearchExhaustedError saying why, and the pigeonhole's size bound, the one
+bound recorded with a plain ``record``, ends the run in StageFailedError
+when it fails.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificates import build_certificate, record
+from .certificates import TraceRecord, build_certificate, input_digest, record, require
 from .errors import (
     BudgetExceededError,
     DomainMismatchError,
@@ -58,7 +60,6 @@ from .sets import (
     product_set,
 )
 
-PETRIDIS_EXHAUSTIVE_MAX = 16
 PETRIDIS_MOVE_BUDGET = 10**4
 
 
@@ -100,18 +101,6 @@ def compute_bounds_profile(delta, alpha) -> BoundsProfile:
     return BoundsProfile(delta, alpha, c0, eps0, c1, eps1, c2, eps2)
 
 
-def _digest_seed(*sets: MultSet, extra: str = "") -> int:
-    h = hashlib.sha256()
-    for s in sets:
-        h.update(s.oracle.domain.encode())
-        for k in s.keys:
-            h.update(b"\x00")
-            h.update(s.oracle.kencode(k).encode())
-        h.update(b"\x01")
-    h.update(extra.encode())
-    return int(h.hexdigest()[:16], 16)
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -127,12 +116,11 @@ def petridis_subset(
     the Plunnecke-Ruzsa inequality |X^3| <= (|X^2|/|X|)^3 |X| <= k^3 |X|
     is a theorem (Petridis, "New proofs of Plunnecke-type estimates for
     product sets in groups", 2012, gives a short proof).  A failure there
-    raises InvariantViolationError.  Only non-abelian groups search: an
-    exhaustive subset scan for |X| <= 16 (largest subsets first,
-    lexicographic within a size), then a seeded local search.  Existence
-    is a theorem whenever |X^2| <= k |X|, but the search is not complete
-    above 16 elements, so a miss raises SearchExhaustedError rather than
-    pretending.
+    raises InvariantViolationError.  Only non-abelian groups search, by a
+    local search seeded from X's input digest that returns only a
+    qualifying subset.  Existence is a theorem whenever |X^2| <= k |X|, but
+    the search is not complete, so a miss raises SearchExhaustedError
+    rather than pretending.
     """
     k = Fraction(k)
     if k < 1:
@@ -161,18 +149,7 @@ def petridis_subset(
             f"|X^3| = {len(x3)} exceeds k^3 |X| = {k}^3 * {len(x)} in an abelian group"
         )
 
-    if len(x) <= PETRIDIS_EXHAUSTIVE_MAX:
-        for size in range(len(x) - 1, min_size - 1, -1):
-            for combo in itertools.combinations(x.keys, size):
-                y = MultSet(x.oracle, combo)
-                y3 = power_set(y, 3, budget=budget)
-                if qualifies(y, y3):
-                    return y, y3
-        raise SearchExhaustedError(
-            f"no qualifying subset of the {len(x)}-point set exists at k = {k}"
-        )
-
-    rng = np.random.Generator(np.random.Philox(key=_digest_seed(x, extra=str(k))))
+    rng = np.random.Generator(np.random.Philox(key=int(input_digest(x)[:16], 16)))
     current = list(x.keys)
     cur_ratio = Fraction(len(x3), len(x))
     for _ in range(PETRIDIS_MOVE_BUDGET):
@@ -202,53 +179,50 @@ def petridis_subset(
 
 @dataclass(frozen=True)
 class HomogeneousTuple:
-    """Two triples of dense subsets whose triple products do not meet."""
+    """The low and the high parts of one triple, whose triple products do
+    not meet."""
 
-    u_parts: tuple[MultSet, MultSet, MultSet]
-    v_parts: tuple[MultSet, MultSet, MultSet]
-    achieved_density: Fraction
+    u_parts: tuple[MultSet, MultSet, MultSet]  # the low parts
+    v_parts: tuple[MultSet, MultSet, MultSet]  # the high parts
     u_product: MultSet  # (u1 u2) u3
     v_product: MultSet  # (v1 v2) v3
-    side: str  # "u" or "v": the triple whose product came out smaller
 
     def chosen(self) -> tuple[MultSet, MultSet, MultSet]:
-        return self.u_parts if self.side == "u" else self.v_parts
+        """The parts whose triple product is smaller, ties going to u."""
+        return self.u_parts if len(self.u_product) <= len(self.v_product) else self.v_parts
 
     def chosen_product(self) -> MultSet:
-        return self.u_product if self.side == "u" else self.v_product
+        return min(self.u_product, self.v_product, key=len)
 
 
 def find_homogeneous_tuple(
-    u1: MultSet,
-    u2: MultSet,
-    u3: MultSet,
-    v1: MultSet,
-    v2: MultSet,
-    v3: MultSet,
+    u: MultSet,
+    v: MultSet,
+    w: MultSet,
     target_delta,
     *,
     pair_budget: int = DEFAULT_PRODUCT_BUDGET,
 ) -> HomogeneousTuple:
-    """Subsets of six input sets, each of density >= target_delta and size
-    >= 2, whose two triple products are disjoint (verified directly).
+    """Two sub-triples of (u, v, w), each part of density >= target_delta
+    and size >= 2, whose triple products are disjoint (verified directly).
 
-    One candidate, in every group: the low/high split.  Each U part is the
-    first max(2, ceil(delta |s|)) canonical keys of its input, each V part
-    the last as many of its input.  In the integers this gives the U
-    product the least maximum and the V product the greatest minimum that
-    parts of these sizes can have, so if any choice of parts puts the U
-    product wholly below the V product, this one does.  In other groups key
-    order carries no such meaning and the split is simply the one
-    candidate tried.  The exact disjointness check alone accepts it, so
-    correctness never rests on how it was chosen.  A miss raises
-    SearchExhaustedError saying why: the two triple products share
-    elements (how many), or the pair budget stopped a product.
+    One candidate, in every group: the low/high split.  Each low part is
+    the first max(2, ceil(delta |s|)) canonical keys of its input s, each
+    high part the last as many.  In the integers this gives the low product
+    the least maximum and the high product the greatest minimum that parts
+    of these sizes can have, so if any choice of parts puts one product
+    wholly below the other, this one does.  In other groups key order
+    carries no such meaning and the split is simply the one candidate
+    tried.  The exact disjointness check alone accepts it, so correctness
+    never rests on how it was chosen.  A miss raises SearchExhaustedError
+    saying why: the two triple products share elements (how many), or the
+    pair budget stopped a product.
     """
-    inputs = (u1, u2, u3, v1, v2, v3)
-    oracle = u1.oracle
+    inputs = (u, v, w)
+    oracle = u.oracle
     for s in inputs:
         if s.oracle.domain != oracle.domain:
-            raise DomainMismatchError("all six inputs must share a group")
+            raise DomainMismatchError("all three inputs must share a group")
         if len(s) < 2:
             raise PreconditionError("every input needs at least 2 elements")
     delta = Fraction(target_delta)
@@ -258,24 +232,20 @@ def find_homogeneous_tuple(
         max(2, _ceil_div(len(s) * delta.numerator, delta.denominator))
         for s in inputs
     ]
-    u_sets = tuple(MultSet(oracle, s.keys[:m]) for s, m in zip(inputs[:3], need[:3]))
-    v_sets = tuple(MultSet(oracle, s.keys[-m:]) for s, m in zip(inputs[3:], need[3:]))
+    low = tuple(MultSet(oracle, s.keys[:m]) for s, m in zip(inputs, need))
+    high = tuple(MultSet(oracle, s.keys[-m:]) for s, m in zip(inputs, need))
     miss = f"no homogeneous tuple of density {delta}: the low/high split"
     try:
         up, vp = [
             product_set(product_set(a, b, budget=pair_budget), c, budget=pair_budget)
-            for a, b, c in (u_sets, v_sets)
+            for a, b, c in (low, high)
         ]
     except BudgetExceededError as exc:
         raise SearchExhaustedError(f"{miss} stopped at the pair budget: {exc}") from exc
     shared = len(up.key_set() & vp.key_set())
     if shared:
         raise SearchExhaustedError(f"{miss}'s triple products share {shared} elements")
-    density = min(
-        Fraction(len(part), len(inp)) for part, inp in zip(u_sets + v_sets, inputs)
-    )
-    side = "u" if len(up) <= len(vp) else "v"
-    return HomogeneousTuple(u_sets, v_sets, density, up, vp, side)
+    return HomogeneousTuple(low, high, up, vp)
 
 
 @dataclass(frozen=True)
@@ -296,6 +266,7 @@ class SehHalvingResult:
     stages: tuple[SehStage, ...]
     used_fallback: bool
     planned_steps: int
+    trace: tuple[TraceRecord, ...]  # the halving records, each checked
 
 
 def seh_halving(
@@ -313,10 +284,11 @@ def seh_halving(
     previous one.  Each step checks three invariants on the product the
     finder computed for the chosen triple: containment in the previous
     triple, size at least delta times the previous size, and product at
-    most half the previous product.  When the planned number of steps
-    would push sizes below 2, a two-point triple is returned instead,
-    whose product has at most 8 <= alpha |Y| points.  The result carries
-    the final product UVW.
+    most half the previous product, the step's ``halving-i`` record.
+    When the planned number of steps would push sizes below 2, a two-point
+    triple is returned instead, whose product has at most 8 <= alpha |Y|
+    points (``halving-fallback``).  Either way ``halving-final`` records
+    |UVW| <= alpha |Y|.  The result carries the final product UVW.
     """
     alpha = Fraction(alpha)
     delta = Fraction(finder_delta)
@@ -334,25 +306,32 @@ def seh_halving(
     n = t + 1
     stages = [SehStage(y, y, y, len(y3))]
 
+    def final(uvw: MultSet) -> TraceRecord:
+        return require(
+            "halving-final",
+            {"uvw": len(uvw), "y": len(y)},
+            f"uvw * {alpha.denominator} <= {alpha.numerator} * y",
+        )
+
     if n >= 2 and 2 * delta.denominator ** (n - 2) > delta.numerator ** (n - 2) * len(y):
         small = MultSet(y.oracle, y.keys[:2])
         prod = power_set(small, 3, budget=budget)
-        if len(prod) * alpha.denominator > alpha.numerator * len(y):
-            raise InvariantViolationError(
-                "8-point fallback product exceeded alpha |Y|"
-            )
+        trace = (
+            require("halving-fallback", {"uvw": len(prod), "y": len(y)}, "uvw <= 8"),
+            final(prod),
+        )
         stages.append(SehStage(small, small, small, len(prod)))
         return SehHalvingResult(
-            small, small, small, prod, profile, tuple(stages), True, n
+            small, small, small, prod, profile, tuple(stages), True, n, trace
         )
 
     u = v = w = y
     cur = y3
-    transitions = 0
+    trace = []
     while len(cur) * alpha.denominator > alpha.numerator * len(y):
-        if transitions >= t:
+        if len(stages) > t:
             raise InvariantViolationError("halving exceeded its planned step count")
-        tup = find_homogeneous_tuple(u, v, w, u, v, w, delta, pair_budget=budget)
+        tup = find_homogeneous_tuple(u, v, w, delta, pair_budget=budget)
         nu, nv, nw = tup.chosen()
         nxt = tup.chosen_product()
         for new, old in ((nu, u), (nv, v), (nw, w)):
@@ -360,12 +339,19 @@ def seh_halving(
                 raise InvariantViolationError("halving step escaped containment")
             if len(new) * delta.denominator < delta.numerator * len(old):
                 raise InvariantViolationError("halving step lost its density bound")
-        if 2 * len(nxt) > len(cur):
-            raise InvariantViolationError("triple product failed to halve")
+        trace.append(
+            require(
+                f"halving-{len(stages)}",
+                {"prev": len(cur), "next": len(nxt)},
+                "2 * next <= prev",
+            )
+        )
         u, v, w, cur = nu, nv, nw, nxt
         stages.append(SehStage(u, v, w, len(cur)))
-        transitions += 1
-    return SehHalvingResult(u, v, w, cur, profile, tuple(stages), False, n)
+    trace.append(final(cur))
+    return SehHalvingResult(
+        u, v, w, cur, profile, tuple(stages), False, n, tuple(trace)
+    )
 
 
 @dataclass(frozen=True)
@@ -376,6 +362,7 @@ class LocalizeResult:
     zzz: MultSet  # Z^-1 Z Z^-1
     uvw_size: int
     pair_total: int
+    trace: tuple[TraceRecord, ...]  # the localize records, each checked
 
 
 def _bucket_best(
@@ -434,8 +421,9 @@ def localize_small_triple(
     the product UVW = (U V) W.
 
     Requires |UVW| <= |Y|/2.  Validates the exact counting identity
-    sum |Z(g,h)| = |U||V||W|, the averaging bound
-    |Z| >= 4 |U||V||W| / |Y|^2, and |Z^-1 Z Z^-1| <= |UVW| <= |Y|/2.
+    sum |Z(g,h)| = |U||V||W| (``localize-count``), the averaging bound
+    |Z| >= 4 |U||V||W| / |Y|^2 (``localize-density``), and
+    |Z^-1 Z Z^-1| <= |UVW| <= |Y|/2 (``localize-compress``).
     Ties between equally large buckets resolve to the least (g, h).
     """
     oracle = y.oracle
@@ -452,10 +440,10 @@ def localize_small_triple(
         )
 
     g, h, best_count, total = _bucket_best(oracle, u, v, w)
-    if total != len(u) * len(v) * len(w):
-        raise InvariantViolationError(
-            f"bucket counting identity broke: {total} != |U||V||W|"
-        )
+    uvw_sizes = {"u": len(u), "v": len(v), "w": len(w)}
+    trace = [
+        require("localize-count", {"pair_sum": total, **uvw_sizes}, "pair_sum == u * v * w")
+    ]
 
     kmul, kinv = oracle.kmul, oracle.kinv
     u_set, w_set = u.key_set(), w.key_set()
@@ -468,15 +456,20 @@ def localize_small_triple(
         raise InvariantViolationError("bucket reconstruction mismatch")
     z = MultSet(oracle, z_keys)
 
-    if len(z) * len(y) ** 2 < 4 * len(u) * len(v) * len(w):
-        raise InvariantViolationError("localization averaging bound failed")
+    trace.append(
+        require(
+            "localize-density",
+            {"z": len(z), "y": len(y), **uvw_sizes},
+            "z * y * y >= 4 * u * v * w",
+        )
+    )
     z_inv = inverse_set(z)
     zzz = product_set(product_set(z_inv, z, budget=budget), z_inv, budget=budget)
     if len(zzz) > len(uvw):
         raise InvariantViolationError("|Z^-1 Z Z^-1| exceeded |UVW|")
-    if 2 * len(zzz) > len(y):
-        raise InvariantViolationError("|Z^-1 Z Z^-1| exceeded |Y|/2")
-    return LocalizeResult(z, Element(oracle.domain, g), Element(oracle.domain, h), zzz, len(uvw), total)
+    trace.append(require("localize-compress", {"zzz": len(zzz), "y": len(y)}, "2 * zzz <= y"))
+    g_el, h_el = Element(oracle.domain, g), Element(oracle.domain, h)
+    return LocalizeResult(z, g_el, h_el, zzz, len(uvw), total, tuple(trace))
 
 
 def _theorem_guarantee(profile: BoundsProfile, x_size: int, k: Fraction) -> Fraction:
@@ -494,9 +487,10 @@ def product_free_extract(
 
     With k = |X^2|/|X|: sets with |X| < 16k get a singleton witness (the
     least non-identity element); otherwise the full chain runs and the
-    witness is the largest Y meet gZ over admissible shifts g.  Every
-    stage inequality lands in the certificate trace.  A stage that fails
-    its search raises StageFailedError carrying the partial certificate.
+    witness is the largest Y meet gZ over admissible shifts g.  The trace
+    joins the records each stage checked.  A stage that fails its search,
+    or a pigeonhole bucket below |Z|/(2 k^3), raises StageFailedError
+    carrying the partial certificate.
     """
     oracle = x.oracle
     if len(x) == 0:
@@ -517,12 +511,9 @@ def product_free_extract(
         "k": frac_str(k),
     }
     guarantee = _theorem_guarantee(profile, len(x), k)
-    trace = []
 
     if len(x) ** 2 < 16 * len(x2):
-        trace.append(
-            record("singleton-branch", {"x": len(x), "x2": len(x2)}, "x * x < 16 * x2")
-        )
+        trace = [require("singleton-branch", {"x": len(x), "x2": len(x2)}, "x * x < 16 * x2")]
         zk = next(kk for kk in x.keys if kk != oracle.identity_key)
         witness = MultSet(oracle, (zk,))
         claimed = guarantee if 1 >= math.ceil(guarantee) else None
@@ -531,159 +522,80 @@ def product_free_extract(
             budget=budget,
         )
 
+    trace = []
+
+    def partial(stage: str, witness: MultSet):
+        status = {"branch": "main", "status": f"incomplete:{stage}"}
+        return build_certificate(
+            x, "thm33", {**params, **status}, witness, None, trace, budget=budget
+        )
+
     stage = "petridis"
     try:
         y, y3 = petridis_subset(x, x2, k, budget=budget)
-        trace.append(
-            record(
+        trace += [
+            require(
                 "petridis-size",
                 {"x": len(x), "y": len(y)},
                 f"y * {k.numerator} >= x * {k.denominator}",
-            )
-        )
-        trace.append(
-            record(
+            ),
+            require(
                 "petridis-tripling",
                 {"y": len(y), "y3": len(y3)},
                 f"y3 * {k.denominator ** 3} <= {k.numerator ** 3} * y",
-            )
-        )
-
+            ),
+        ]
         stage = "halving"
         halv = seh_halving(y, y3, profile.alpha, profile.delta, budget=budget)
-        if halv.used_fallback:
-            trace.append(
-                record(
-                    "halving-fallback",
-                    {"uvw": halv.stages[-1].product_size, "y": len(y)},
-                    "uvw <= 8",
-                )
-            )
-        else:
-            for i in range(1, len(halv.stages)):
-                trace.append(
-                    record(
-                        f"halving-{i}",
-                        {
-                            "prev": halv.stages[i - 1].product_size,
-                            "next": halv.stages[i].product_size,
-                        },
-                        "2 * next <= prev",
-                    )
-                )
-        trace.append(
-            record(
-                "halving-final",
-                {"uvw": halv.stages[-1].product_size, "y": len(y)},
-                f"uvw * {profile.alpha.denominator} <= {profile.alpha.numerator} * y",
-            )
-        )
-
+        trace += halv.trace
         stage = "localize"
         loc = localize_small_triple(y, halv.u, halv.v, halv.w, halv.uvw, budget=budget)
-        trace.append(
-            record(
-                "localize-count",
-                {
-                    "pair_sum": loc.pair_total,
-                    "u": len(halv.u),
-                    "v": len(halv.v),
-                    "w": len(halv.w),
-                },
-                "pair_sum == u * v * w",
-            )
-        )
-        trace.append(
-            record(
-                "localize-density",
-                {
-                    "z": len(loc.z),
-                    "y": len(y),
-                    "u": len(halv.u),
-                    "v": len(halv.v),
-                    "w": len(halv.w),
-                },
-                "z * y * y >= 4 * u * v * w",
-            )
-        )
-        trace.append(
-            record("localize-compress", {"zzz": len(loc.zzz), "y": len(y)}, "2 * zzz <= y")
-        )
-
-        stage = "pigeonhole"
-        kmul = oracle.kmul
-        zzz_set = loc.zzz.key_set()
-        # no budget here: |Y||Z| <= |Y|^2, the pairs of Y^3's first product
-        shifts = _product_counts(y, inverse_set(loc.z))
-        for gk in zzz_set:
-            shifts.pop(gk, None)
-        if not shifts:
-            raise InvariantViolationError(
-                "every shift bucket fell inside Z^-1 Z Z^-1"
-            )
-        best = max(shifts.values())
-        gk = min(cand for cand, c in shifts.items() if c == best)
-        g_translate = MultSet(oracle, (kmul(gk, zk) for zk in loc.z.keys))
-        if not is_product_free(g_translate, budget=budget):
-            raise InvariantViolationError(
-                "shifted copy of Z lost product-freeness despite g outside Z^-1 Z Z^-1"
-            )
-        witness_keys = g_translate.key_set() & y.key_set()
-        if len(witness_keys) != best:
-            raise InvariantViolationError("pigeonhole bucket recount mismatch")
-        witness = MultSet(oracle, witness_keys)
-        trace.append(
-            record(
-                "pigeonhole",
-                {"yg": len(witness), "z": len(loc.z)},
-                f"yg * 2 * {k.numerator ** 3} >= z * {k.denominator ** 3}",
-            )
-        )
-        trace.append(
-            record(
-                "product-free-shift",
-                {"overlap": 1 if gk in zzz_set else 0},
-                "overlap == 0",
-            )
-        )
-        if not trace[-2].holds:
-            partial = build_certificate(
-                x,
-                "thm33",
-                {**params, "branch": "main", "status": "incomplete:pigeonhole"},
-                witness,
-                None,
-                trace,
-                budget=budget,
-            )
-            raise StageFailedError(
-                f"pigeonhole bucket of size {len(witness)} misses |Z|/(2 k^3)",
-                certificate=partial,
-            )
-        claimed = (
-            guarantee
-            if all(r.holds for r in trace) and len(witness) >= math.ceil(guarantee)
-            else None
-        )
-        return build_certificate(
-            x,
-            "thm33",
-            {**params, "branch": "main", "g": oracle.kencode(gk)},
-            witness,
-            claimed,
-            trace,
-            budget=budget,
-        )
-    except StageFailedError:
-        raise
+        trace += loc.trace
     except SearchExhaustedError as exc:
-        partial = build_certificate(
-            x,
-            "thm33",
-            {**params, "branch": "main", "status": f"incomplete:{stage}"},
-            MultSet(oracle, ()),
-            None,
-            trace,
-            budget=budget,
+        raise StageFailedError(
+            f"stage {stage!r} failed: {exc}", certificate=partial(stage, MultSet(oracle, ()))
+        ) from exc
+
+    zzz_set = loc.zzz.key_set()
+    # no budget here: |Y||Z| <= |Y|^2, the pairs of Y^3's first product
+    shifts = _product_counts(y, inverse_set(loc.z))
+    for gk in zzz_set:
+        shifts.pop(gk, None)
+    if not shifts:
+        raise InvariantViolationError("every shift bucket fell inside Z^-1 Z Z^-1")
+    best = max(shifts.values())
+    gk = min(cand for cand, c in shifts.items() if c == best)
+    g_translate = MultSet(oracle, (oracle.kmul(gk, zk) for zk in loc.z.keys))
+    if not is_product_free(g_translate, budget=budget):
+        raise InvariantViolationError(
+            "shifted copy of Z lost product-freeness despite g outside Z^-1 Z Z^-1"
         )
-        raise StageFailedError(f"stage {stage!r} failed: {exc}", certificate=partial) from exc
+    witness_keys = g_translate.key_set() & y.key_set()
+    if len(witness_keys) != best:
+        raise InvariantViolationError("pigeonhole bucket recount mismatch")
+    witness = MultSet(oracle, witness_keys)
+    # the one bound that may fail honestly
+    pigeonhole = record(
+        "pigeonhole",
+        {"yg": len(witness), "z": len(loc.z)},
+        f"yg * 2 * {k.numerator ** 3} >= z * {k.denominator ** 3}",
+    )
+    trace += [
+        pigeonhole,
+        require("product-free-shift", {"overlap": 1 if gk in zzz_set else 0}, "overlap == 0"),
+    ]
+    if not pigeonhole.holds:
+        raise StageFailedError(
+            f"pigeonhole bucket of size {len(witness)} misses |Z|/(2 k^3)",
+            certificate=partial("pigeonhole", witness),
+        )
+    claimed = guarantee if len(witness) >= math.ceil(guarantee) else None
+    return build_certificate(
+        x,
+        "thm33",
+        {**params, "branch": "main", "g": oracle.kencode(gk)},
+        witness,
+        claimed,
+        trace,
+        budget=budget,
+    )

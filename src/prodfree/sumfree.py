@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .certificates import ExtractionCertificate, build_certificate, record
+from .certificates import ExtractionCertificate, build_certificate, require
 from .errors import BudgetExceededError, InvariantViolationError, PreconditionError
 from .groups import (
     ENUM_CAP,
@@ -225,7 +225,7 @@ def solvable_extract(
             base = MultSet(lvl, cur)
             kept = alon_kleitman_weighted(WeightedSet.uniform(base))
             trace.append(
-                record(
+                require(
                     f"abelian-base[{level}]",
                     {"c": len(cur), "a": len(kept)},
                     "4 * a >= c",
@@ -237,7 +237,7 @@ def solvable_extract(
         inside = cur & h_keys
         if 2 * len(inside) >= len(cur):
             trace.append(
-                record(
+                require(
                     f"descend[{level}]",
                     {"c": len(cur), "ch": len(inside)},
                     "2 * ch >= c",
@@ -248,7 +248,7 @@ def solvable_extract(
             continue
         outside = cur - h_keys
         trace.append(
-            record(
+            require(
                 f"quotient[{level}]",
                 {"c": len(cur), "outside": len(outside)},
                 "2 * outside >= c",
@@ -265,7 +265,7 @@ def solvable_extract(
         kept = alon_kleitman_weighted(weighted)
         witness_keys = {k for q in kept.keys for k in fibers[q]}
         trace.append(
-            record(
+            require(
                 f"weighted[{level}]",
                 {"w_total": len(outside), "w_kept": len(witness_keys)},
                 "4 * w_kept >= w_total",

@@ -11,6 +11,7 @@ from prodfree import (
     BudgetExceededError,
     CertificateError,
     ExtractionCertificate,
+    InvariantViolationError,
     MultSet,
     build_certificate,
     build_group,
@@ -18,6 +19,7 @@ from prodfree import (
     generate,
     input_digest,
     record,
+    require,
     verify_certificate,
 )
 from prodfree import certificates, sets
@@ -175,6 +177,17 @@ def test_record_evaluates_on_the_spot():
     r = record("stage", {"x": 4, "y": 9}, "2 * x <= y")
     assert r.holds is True
     assert record("stage", {"x": 5, "y": 9}, "2 * x <= y").holds is False
+
+
+def test_require_is_a_record_that_raises_when_it_fails():
+    assert require("stage", {"x": 4, "y": 9}, "2 * x <= y") == record(
+        "stage", {"x": 4, "y": 9}, "2 * x <= y"
+    )
+    with pytest.raises(InvariantViolationError) as info:
+        require("halving-2", {"prev": 9, "next": 5}, "2 * next <= prev")
+    assert str(info.value) == (
+        "halving-2: '2 * next <= prev' fails at {'prev': 9, 'next': 5}"
+    )
 
 
 def test_input_digest_is_order_independent(int_group):

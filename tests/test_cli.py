@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from prodfree import ExtractionCertificate, MultSet, build_group, write_set
-from prodfree import cli
+from prodfree import cli, sumfree
 from prodfree.cli import main
 from conftest import (
     naive_incident_pairs,
@@ -144,6 +144,31 @@ def test_alon_kleitman_refuses_before_the_scan(monkeypatch, capsys):
     assert code == 1
     assert "25000^2 witness pairs exceed budget 10000000" in err
     assert calls == []
+
+
+def _one_point(extractor):
+    def kept(*args, **kwargs):
+        got = extractor(*args, **kwargs)
+        return MultSet(got.oracle, got.keys[:1])
+
+    return kept
+
+
+@pytest.mark.parametrize(
+    "algorithm,module,stage",
+    [("alon-kleitman", cli, "quarter-weight"), ("solvable", sumfree, "abelian-base[0]")],
+)
+def test_a_failed_theorem_record_exits_one(algorithm, module, stage, monkeypatch, capsys):
+    # an extractor that keeps 1 of the 59 points breaks the quarter bound,
+    # a theorem: an error, not an honest miss, and no certificate
+    monkeypatch.setattr(
+        module, "alon_kleitman_weighted", _one_point(module.alon_kleitman_weighted)
+    )
+    code, out, err = run_cli(
+        capsys, "extract", algorithm, "full-group-minus-identity:abelian:6,10"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {stage}: '4 * ")
 
 
 def test_extract_to_stdout(capsys):

@@ -166,7 +166,7 @@ def test_petridis_abelian_miss_is_an_invariant_violation():
 
 def test_finder_threshold_split_on_integers(int_group):
     s = MultSet(int_group, range(1, 17))
-    tup = find_homogeneous_tuple(s, s, s, s, s, s, HALF)
+    tup = find_homogeneous_tuple(s, s, s, HALF)
     assert all(p.keys == tuple(range(1, 9)) for p in tup.u_parts)
     assert all(p.keys == tuple(range(9, 17)) for p in tup.v_parts)
     up = naive_triple_product_keys(int_group, *[p.keys for p in tup.u_parts])
@@ -174,62 +174,70 @@ def test_finder_threshold_split_on_integers(int_group):
     assert not (up & vp)
     assert len(tup.u_product) == len(up) == 22
     assert len(tup.v_product) == len(vp) == 22
-    assert tup.side == "u"  # tie resolves to u
-    assert tup.achieved_density == HALF
-    assert tup.chosen() == tup.u_parts
+    assert tup.chosen() == tup.u_parts  # tie resolves to u
     assert len(tup.chosen_product()) == 22
 
 
+def test_finder_chooses_the_smaller_product(int_group):
+    # the low block {0, 1, 10, 100} has 20 triple sums, the high block
+    # {200..203} only 10, and they lie apart
+    s = MultSet(int_group, [0, 1, 10, 100, 200, 201, 202, 203])
+    tup = find_homogeneous_tuple(s, s, s, HALF)
+    assert (len(tup.u_product), len(tup.v_product)) == (20, 10)
+    assert tup.chosen() == tup.v_parts
+    assert tup.chosen_product() is tup.v_product
+
+
 def test_finder_density_floor_of_two(int_group):
-    a = MultSet(int_group, [0, 1, 2])
-    b = MultSet(int_group, [100, 101, 102])
-    tup = find_homogeneous_tuple(a, a, a, b, b, b, Fraction(1, 10))
-    # ceil(3/10) = 1 would be degenerate; the floor keeps 2 per part
-    assert all(len(p) == 2 for p in tup.u_parts + tup.v_parts)
+    s = MultSet(int_group, [0, 1, 2, 100, 101, 102])
+    tup = find_homogeneous_tuple(s, s, s, Fraction(1, 10))
+    # ceil(6/10) = 1 would be degenerate; the floor keeps 2 per part
+    assert all(p.keys == (0, 1) for p in tup.u_parts)
+    assert all(p.keys == (101, 102) for p in tup.v_parts)
 
 
 def test_finder_split_in_cyclic_group():
     g = build_group("cyclic:1000")
-    a = MultSet(g, range(1, 6))
-    b = MultSet(g, range(401, 406))
-    tup = find_homogeneous_tuple(a, a, a, b, b, b, TWO_FIFTHS)
-    # ceil(2/5 * 5) = 2: the low block of each U input, the high block of each V input
-    assert all(p.keys == (1, 2) for p in tup.u_parts)
-    assert all(p.keys == (404, 405) for p in tup.v_parts)
+    s = MultSet(g, [*range(1, 6), *range(401, 406)])
+    tup = find_homogeneous_tuple(s, s, s, TWO_FIFTHS)
+    # ceil(2/5 * 10) = 4: the low block of each input, and its high block,
+    # whose triple sums wrap around to 206..215
+    assert all(p.keys == (1, 2, 3, 4) for p in tup.u_parts)
+    assert all(p.keys == (402, 403, 404, 405) for p in tup.v_parts)
     up = naive_triple_product_keys(g, *[p.keys for p in tup.u_parts])
     vp = naive_triple_product_keys(g, *[p.keys for p in tup.v_parts])
     assert not (up & vp)
-    assert tup.achieved_density >= TWO_FIFTHS
+    assert vp == set(range(206, 216))
 
 
 def test_finder_exhausts_on_identical_two_point_inputs(int_group):
     s = MultSet(int_group, [0, 1])
     with pytest.raises(SearchExhaustedError, match="triple products share 4 elements"):
-        find_homogeneous_tuple(s, s, s, s, s, s, HALF)
+        find_homogeneous_tuple(s, s, s, HALF)
 
 
 def test_finder_names_the_pair_budget(int_group):
     s = MultSet(int_group, range(1, 17))
     with pytest.raises(SearchExhaustedError, match="split stopped at the pair budget: .* budget 10$"):
-        find_homogeneous_tuple(s, s, s, s, s, s, HALF, pair_budget=10)
+        find_homogeneous_tuple(s, s, s, HALF, pair_budget=10)
 
 
 def test_finder_input_validation(int_group):
     s = MultSet(int_group, range(4))
     tiny = MultSet(int_group, [1])
     with pytest.raises(PreconditionError):
-        find_homogeneous_tuple(tiny, s, s, s, s, s, HALF)
+        find_homogeneous_tuple(tiny, s, s, HALF)
     with pytest.raises(PreconditionError):
-        find_homogeneous_tuple(s, s, s, s, s, s, Fraction(3, 2))
+        find_homogeneous_tuple(s, s, s, Fraction(3, 2))
     other = MultSet(build_group("cyclic:9"), range(4))
     with pytest.raises(DomainMismatchError):
-        find_homogeneous_tuple(s, s, s, s, s, other, HALF)
+        find_homogeneous_tuple(s, s, other, HALF)
 
 
 def test_finder_is_deterministic(int_group):
     s = MultSet(int_group, range(-10, 11, 2))
-    t1 = find_homogeneous_tuple(s, s, s, s, s, s, TWO_FIFTHS)
-    t2 = find_homogeneous_tuple(s, s, s, s, s, s, TWO_FIFTHS)
+    t1 = find_homogeneous_tuple(s, s, s, TWO_FIFTHS)
+    t2 = find_homogeneous_tuple(s, s, s, TWO_FIFTHS)
     assert [p.keys for p in t1.u_parts] == [p.keys for p in t2.u_parts]
     assert [p.keys for p in t1.v_parts] == [p.keys for p in t2.v_parts]
 
@@ -289,6 +297,23 @@ def test_halving_stops_early_once_alpha_is_met(int_group):
     res = seh_halving(y, power_set(y, 3), HALF, TWO_FIFTHS)
     assert len(res.stages) - 1 < res.planned_steps
     assert 2 * res.stages[-1].product_size <= len(y)
+
+
+def test_a_step_that_fails_to_halve_is_an_invariant_violation(int_group, monkeypatch):
+    real = pipeline.find_homogeneous_tuple
+
+    def no_smaller(u, v, w, delta, **kwargs):
+        tup = real(u, v, w, delta, **kwargs)
+        whole = product_set(product_set(u, v), w)
+        return pipeline.HomogeneousTuple(tup.u_parts, tup.v_parts, whole, whole)
+
+    monkeypatch.setattr(pipeline, "find_homogeneous_tuple", no_smaller)
+    y = MultSet(int_group, range(1, 17))
+    with pytest.raises(
+        InvariantViolationError,
+        match=r"^halving-1: '2 \* next <= prev' fails at \{'prev': 46, 'next': 46\}$",
+    ):
+        seh_halving(y, power_set(y, 3), HALF, HALF)
 
 
 def test_halving_is_deterministic(int_group):
@@ -722,6 +747,77 @@ def test_extract_computes_each_product_once(spec, calls, monkeypatch):
         g, halv.u.keys, halv.v.keys, halv.w.keys
     )
     assert halv.stages[-1].product_size == len(halv.uvw)
+
+
+def test_stage_traces_are_the_certificate_trace():
+    x = generate("interval:50")
+    x2 = product_set(x, x)
+    y, y3 = petridis_subset(x, x2, Fraction(len(x2), len(x)))
+    halv = seh_halving(y, y3, HALF, TWO_FIFTHS)
+    loc = localize_small_triple(y, halv.u, halv.v, halv.w, halv.uvw)
+    assert [r.stage for r in halv.trace] == [
+        *(f"halving-{i}" for i in range(1, len(halv.stages))),
+        "halving-final",
+    ]
+    assert [r.stage for r in loc.trace] == [
+        "localize-count",
+        "localize-density",
+        "localize-compress",
+    ]
+    trace = product_free_extract(x).trace
+    assert trace[2:-2] == [*halv.trace, *loc.trace]
+
+
+def test_fallback_trace_is_the_certificate_trace():
+    x = generate("gap:3:2,2,2:1,20,400")
+    x2 = product_set(x, x)
+    y, y3 = petridis_subset(x, x2, Fraction(len(x2), len(x)))
+    halv = seh_halving(y, y3, HALF, TWO_FIFTHS)
+    assert halv.used_fallback
+    assert [r.stage for r in halv.trace] == ["halving-fallback", "halving-final"]
+    assert product_free_extract(x).trace[2:4] == list(halv.trace)
+
+
+def test_a_broken_counting_identity_is_an_invariant_violation(monkeypatch):
+    real = pipeline._bucket_best
+
+    def off_by_one(*args):
+        g, h, count, total = real(*args)
+        return g, h, count, total + 1
+
+    monkeypatch.setattr(pipeline, "_bucket_best", off_by_one)
+    with pytest.raises(InvariantViolationError, match="^localize-count: 'pair_sum == u"):
+        product_free_extract(generate("interval:50"))
+
+
+def _failing_pigeonhole(monkeypatch):
+    """Zero the witness size in the pigeonhole record, the one record that
+    may fail without breaking a theorem."""
+    real = pipeline.record
+
+    def zero_yg(stage, sizes, inequality):
+        assert stage == "pigeonhole"
+        return real(stage, {**sizes, "yg": 0}, inequality)
+
+    monkeypatch.setattr(pipeline, "record", zero_yg)
+
+
+def test_a_pigeonhole_miss_carries_its_partial_certificate(monkeypatch, capsys):
+    _failing_pigeonhole(monkeypatch)
+    x = generate("interval:50")
+    with pytest.raises(StageFailedError, match="^pigeonhole bucket of size 17 misses") as info:
+        product_free_extract(x)
+    cert = info.value.certificate
+    assert cert.params["status"] == "incomplete:pigeonhole"
+    assert cert.guarantee is None and cert.achieved_size == 17
+    assert [(r.stage, r.holds) for r in cert.trace[-2:]] == [
+        ("pigeonhole", False),
+        ("product-free-shift", True),
+    ]
+    assert main(["extract", "thm33", "interval:50"]) == 2
+    out, err = capsys.readouterr()
+    assert '"status": "incomplete:pigeonhole"' in out
+    assert err.startswith("not found: pigeonhole bucket of size 17")
 
 
 def test_extract_respects_custom_profile(int_group):
