@@ -27,14 +27,15 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import BudgetExceededError, CertificateError, InvariantViolationError
 from .groups import key_digest
 from .sets import DEFAULT_PRODUCT_BUDGET, MultSet, frac_str, is_product_free
 
-# cells of one row block of verify's digit-vector freeness recheck
-VERIFY_BLOCK_CELLS = 1 << 20
+# verify's freeness recheck in int, cyclic:N and abelian:* runs on a bitset
+# while its largest cell is below this many bits per key, else on raw kmul:
+# n = 300 / 1000 / 3000 free keys at 1024 n bits took 5-8 / 28-97 / 260-540 ms
+# (raw kmul 13-16 / 87-202 / 1000-1500 ms, even at 2048 n; in process, 2 CPUs)
+VERIFY_BITS_PER_KEY = 1024
 
 _FACTOR = re.compile(r"(-?\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z0-9_]*)")
 _SIDE = rf"(?:{_FACTOR.pattern})(?:\s*\*\s*(?:{_FACTOR.pattern}))*"
@@ -249,48 +250,54 @@ def build_certificate(
     )
 
 
-def _digit_vector_free(keys: tuple, moduli: tuple[int, ...] | None) -> bool:
+def _cell(key: int, moduli: tuple[int, ...]) -> int:
+    """The bit of a mixed-radix box key whose digit j spans 2 M_j cells."""
+    cell, width = 0, 1
+    for m in reversed(moduli):
+        key, digit = divmod(key, m)
+        cell, width = cell + digit * width, width * 2 * m
+    return cell
+
+
+def _bitset_free(keys: tuple, moduli: tuple[int, ...] | None) -> bool:
     """Whether no product of two of the sorted ``keys`` is again a key.
 
-    ``keys`` are integers when ``moduli`` is None, added as they are; else
-    mixed-radix keys of the box Z_M1 x ... x Z_Mr, split into their digit
-    vectors, added digit by digit mod M_j and recombined with the strides.
-    The caller keeps every sum inside int64.  A block of rows at a time, of
-    at most VERIFY_BLOCK_CELLS products, is looked up among the keys with a
-    binary search.
+    Each key sets one bit, its cell, so the bitset shifted by a's cell holds
+    every product a b.  In ``int`` (``moduli`` None) k's cell is k - lo, and
+    a + b sits where the bitset shifted down by lo holds the keys.  In a box
+    Z_M1 x ... x Z_Mr digit j gets 2 M_j cells, so digit vectors add without
+    a carry; the key bitset OR'd, axis by axis, with itself shifted by M_j
+    cells of that axis holds the keys at every wrapped digit sum.
     """
-    w = np.fromiter(keys, dtype=np.int64, count=len(keys))
-    digits = []
-    stride = 1
+    if moduli is None:
+        lo, span = keys[0], keys[-1] - keys[0]
+        if not -2 * span <= lo <= span:
+            return True  # the sums [2 lo, 2 hi] miss [lo, hi]
+        cells = [k - lo for k in keys]
+    else:
+        lo, cells = 0, [_cell(k, moduli) for k in keys]
+    buf = bytearray(cells[-1] // 8 + 1)
+    for c in cells:
+        buf[c >> 3] |= 1 << (c & 7)
+    bits = int.from_bytes(buf, "little")
+    target = bits >> lo if lo >= 0 else bits << -lo
+    width = 1
     for m in reversed(moduli or ()):
-        digits.append((w // stride % m, m, stride))
-        stride *= m
-    step = max(1, VERIFY_BLOCK_CELLS // len(w))
-    for lo in range(0, len(w), step):
-        if moduli:
-            prods = 0
-            for d, m, s in digits:
-                cell = np.add.outer(d[lo : lo + step], d)
-                cell %= m
-                cell *= s
-                prods = prods + cell
-        else:
-            prods = np.add.outer(w[lo : lo + step], w)
-        pos = np.searchsorted(w, prods)
-        np.minimum(pos, len(w) - 1, out=pos)
-        if (w[pos] == prods).any():
-            return False
-    return True
+        if m * width <= 2 * cells[-1]:  # else past every sum
+            target |= target << m * width
+        width *= 2 * m
+    return not any(bits << c & target for c in cells)
 
 
 def _recheck_free(witness: MultSet) -> bool:
-    """Product-freeness of a nonempty witness, from digit vectors where the
-    sums fit in int64, else straight from the oracle's kmul."""
+    """Product-freeness of a nonempty witness: on the bitset below its
+    VERIFY_BITS_PER_KEY gate, else straight from the oracle's kmul."""
     o, keys = witness.oracle, witness.keys
-    if o.kind == "int" and max(-keys[0], keys[-1]) < 2**61:
-        return _digit_vector_free(keys, None)
-    if o.component_moduli is not None and o.order < 2**62:
-        return _digit_vector_free(keys, o.component_moduli)
+    moduli = o.component_moduli
+    if o.kind == "int" or moduli is not None:
+        top = keys[-1] - keys[0] if moduli is None else _cell(keys[-1], moduli)
+        if top < VERIFY_BITS_PER_KEY * len(keys):
+            return _bitset_free(keys, moduli)
     kmul, member = o.kmul, witness.key_set()
     return not any(kmul(a, b) in member for a in keys for b in keys)
 
@@ -305,14 +312,12 @@ def verify_certificate(
     guarantee ceiling.  Returns (ok, problems).
 
     Freeness is rechecked independently of the set calculus that built the
-    witness.  In ``int`` (every |key| < 2^61) and in the full box groups
-    ``cyclic:N`` and ``abelian:*`` (order < 2^62) it is computed from the
-    witness keys' own digit vectors (:func:`_digit_vector_free`), sharing
-    no code with the counting kernel; every other group, subgroup view and
-    quotient, and ``int`` with a larger key, runs the oracle's raw ``kmul``
-    over all pairs.  On every path the witness's n^2 pairs stay within
-    ``budget`` (at the default 10^7, at most 3162 points), or
-    BudgetExceededError is raised.
+    witness: in ``int``, ``cyclic:N`` and ``abelian:*`` on a bitset of the
+    witness keys (:func:`_bitset_free`) while its largest cell is below
+    VERIFY_BITS_PER_KEY bits per key, else, and in every other group,
+    subgroup view and quotient, by the oracle's raw ``kmul`` over all pairs.
+    On every path the witness's n^2 pairs stay within ``budget`` (at the
+    default 10^7, at most 3162 points), or BudgetExceededError is raised.
     """
     problems: list[str] = []
 

@@ -510,42 +510,36 @@ def _build_matrix(d: int, m: int) -> GroupOracle:
     )
 
 
+# spec head -> (':' tokens its spec takes, builder from the later tokens' text)
+_GROUP_SPECS = {
+    "int": (1, _build_int),
+    "cyclic": (2, lambda n: _build_cyclic(int(n))),
+    "abelian": (2, lambda m: _build_abelian(tuple(int(t) for t in m.split(",") if t))),
+    "sym": (2, lambda n: _build_sym(int(n))),
+    "dihedral": (2, lambda n: _build_dihedral(int(n))),
+    "heisenberg": (2, lambda p: _build_heisenberg(int(p))),
+    "matrix": (3, lambda d, m: _build_matrix(int(d), int(m))),
+}
+
+
 def build_group(spec: str) -> GroupOracle:
     """Build an oracle from a group spec string such as ``cyclic:12``."""
-    parts = spec.strip().split(":")
-    name = parts[0]
-    try:
+    name, *args = spec.strip().split(":")
+    if name not in _GROUP_SPECS or 1 + len(args) != group_spec_token_count(name):
         if name == "int":
-            if len(parts) != 1:
-                raise GroupSpecError(f"int takes no parameters: {spec!r}")
-            return _build_int()
-        if name == "cyclic" and len(parts) == 2:
-            return _build_cyclic(int(parts[1]))
-        if name == "abelian" and len(parts) == 2:
-            moduli = tuple(int(t) for t in parts[1].split(",") if t)
-            return _build_abelian(moduli)
-        if name == "sym" and len(parts) == 2:
-            return _build_sym(int(parts[1]))
-        if name == "dihedral" and len(parts) == 2:
-            return _build_dihedral(int(parts[1]))
-        if name == "heisenberg" and len(parts) == 2:
-            return _build_heisenberg(int(parts[1]))
-        if name == "matrix" and len(parts) == 3:
-            return _build_matrix(int(parts[1]), int(parts[2]))
+            raise GroupSpecError(f"int takes no parameters: {spec!r}")
+        raise GroupSpecError(f"unknown group spec {spec!r}")
+    try:
+        return _GROUP_SPECS[name][1](*args)
     except ValueError as exc:
         raise GroupSpecError(f"bad group spec {spec!r}: {exc}") from None
-    raise GroupSpecError(f"unknown group spec {spec!r}")
 
 
 def group_spec_token_count(name: str) -> int:
     """How many ':'-separated tokens a group spec starting with *name* uses."""
-    if name == "int":
-        return 1
-    if name in ("cyclic", "abelian", "sym", "dihedral", "heisenberg"):
-        return 2
-    if name == "matrix":
-        return 3
-    raise GroupSpecError(f"unknown group spec head {name!r}")
+    if name not in _GROUP_SPECS:
+        raise GroupSpecError(f"unknown group spec head {name!r}")
+    return _GROUP_SPECS[name][0]
 
 
 # ---------------------------------------------------------------------------

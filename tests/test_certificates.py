@@ -357,17 +357,26 @@ def _fuzz_witnesses(spec, rng):
     if spec == "int":
         for scale in (1, 7, 2**59, 2**60):
             for _ in range(6):
-                # |keys| reach 3 * 2^60 >= 2^61 only at scale 2^60
                 small = rng.sample(range(-3, 4), rng.randint(1, 5))
                 out.append([scale * t for t in small])
         for _ in range(6):
             keys = rng.sample(range(-60, 61), rng.randint(1, 30))
             out.append(keys)
             out.append(_greedy_free(g, keys))
-        out.append([2**60, 2**61])  # 2^60 + 2^60 = 2^61, at the fallback
-        out.append([-(2**61), 1, 2])  # product-free, at the fallback
-        out.append([-(2**61) + 1, 2**61 - 1])  # product-free, just inside
-        out.append([-(2**61) + 1, 0])  # 0 + 0 = 0, just inside
+            sparse = [2**20 * t for t in keys]  # past the bitset's gate
+            out.append(sparse)
+            out.append(_greedy_free(g, sparse))
+        # dense windows far from 0: their sums miss them, with no shift by -lo
+        out.append([2**70 + t for t in range(-80, 81)])
+        out.append([-(2**70) + t for t in range(-80, 81)])
+    elif spec == "cyclic:100000000":
+        for _ in range(6):
+            near = rng.sample(range(60), rng.randint(1, 30))
+            out.append(near)
+            out.append(_greedy_free(g, near))
+            sparse = rng.sample(range(g.order), rng.randint(1, 30))  # past the gate
+            out.append(sparse)
+            out.append(_greedy_free(g, sparse))
     else:
         keys = list(g.enum_keys)
         for _ in range(8):
@@ -377,25 +386,29 @@ def _fuzz_witnesses(spec, rng):
     return g, out
 
 
-@pytest.mark.parametrize("block", [1, 7, 64, None])
+def _bitset_route(g, keys):
+    # the bitset runs while its largest cell is below VERIFY_BITS_PER_KEY per key
+    moduli = g.component_moduli
+    top = keys[-1] - keys[0] if moduli is None else certificates._cell(keys[-1], moduli)
+    return top < certificates.VERIFY_BITS_PER_KEY * len(keys)
+
+
 @pytest.mark.parametrize(
     "spec",
-    ["int", "cyclic:1", "cyclic:1000", "abelian:6,10", "abelian:2,2,4", "abelian:40,40"],
+    ["int", "cyclic:1", "cyclic:1000", "cyclic:100000000", "abelian:6,10",
+     "abelian:2,2,4", "abelian:3,1,5", "abelian:40,40"],
 )
-def test_digit_vector_recheck_matches_raw_kmul(spec, block, monkeypatch):
-    if block is not None:
-        # row blocks of at most `block` products cross many row boundaries
-        monkeypatch.setattr(certificates, "VERIFY_BLOCK_CELLS", block)
+def test_bitset_recheck_matches_raw_kmul(spec, monkeypatch):
     calls = []
-    vectorised = certificates._digit_vector_free
+    bitset_free = certificates._bitset_free
 
     def spy(keys, moduli):
         calls.append(keys)
-        return vectorised(keys, moduli)
+        return bitset_free(keys, moduli)
 
-    monkeypatch.setattr(certificates, "_digit_vector_free", spy)
-    g, witnesses = _fuzz_witnesses(spec, random.Random(f"{spec}/{block}"))
-    verdicts = set()
+    monkeypatch.setattr(certificates, "_bitset_free", spy)
+    g, witnesses = _fuzz_witnesses(spec, random.Random(spec))
+    verdicts, routes = set(), set()
     for keys in filter(None, witnesses):
         x = MultSet(g, set(keys) | {g.identity_key})
         free = naive_is_product_free(g, set(keys))
@@ -403,11 +416,16 @@ def test_digit_vector_recheck_matches_raw_kmul(spec, block, monkeypatch):
         ok, problems = verify_certificate(_claimed_free_cert(x, keys), x)
         assert ok == free, (keys, problems)
         assert ("witness is not product-free on recomputation" in problems) != free
-        vector_path = spec != "int" or max(map(abs, keys)) < 2**61
-        assert (calls[-1:] == [tuple(sorted(set(keys)))]) == vector_path
+        keys = tuple(sorted(set(keys)))
+        route = _bitset_route(g, keys)
+        routes.add(route)
+        assert calls == ([keys] if route else [])
         calls.clear()
     # every group but the trivial one sees both verdicts
     assert verdicts == ({False} if spec == "cyclic:1" else {True, False})
+    # every group runs the bitset; the sparse picks run raw kmul
+    assert True in routes
+    assert False in routes or spec not in ("int", "cyclic:100000000")
 
 
 @pytest.fixture(scope="module")
@@ -450,7 +468,7 @@ def _append_product(data, x):
         "full-group-minus-identity:abelian:40,40",
     ],
 )
-def test_digit_vector_recheck_is_independent_of_the_kernel(
+def test_bitset_recheck_is_independent_of_the_kernel(
     source, real_certificates, monkeypatch
 ):
     data, x = real_certificates[source]
@@ -578,17 +596,20 @@ def test_verify_budget_bounds_the_witness_recheck(
     ) == (0, "PASS\n", "")
 
 
-@pytest.mark.parametrize("base", [0, 2**61], ids=["digit-vectors", "raw-kmul"])
-def test_verify_witness_ceiling_is_3162_points_on_both_paths(base, int_group):
+@pytest.mark.parametrize("scale", [1, 2**40], ids=["bitset", "raw-kmul"])
+def test_verify_witness_ceiling_is_3162_points_on_both_paths(scale, int_group):
     def cert_for(keys):
-        x = MultSet(int_group, keys)
+        x = MultSet(int_group, [scale * k for k in keys])
         return x, ExtractionCertificate(
             input_digest(x), "demo", {}, x.encoded(), True, len(x), None
         )
 
+    x, cert = cert_for(range(3163, 6326))
+    # keys k * 2^40 lie past the bitset's gate, on the raw kmul loop
+    assert _bitset_route(int_group, x.keys) == (scale == 1)
     with pytest.raises(BudgetExceededError):
-        verify_certificate(*reversed(cert_for(range(base + 3163, base + 6326))))
-    if base == 0:
+        verify_certificate(cert, x)
+    if scale == 1:
         # {3162, ..., 6323} is product-free: every sum is at least 6324
         x, cert = cert_for(range(3162, 6324))
         assert verify_certificate(cert, x) == (True, [])

@@ -129,7 +129,8 @@ def test_matrix_group_round_trip_and_inverse():
 
 def test_bad_specs_rejected():
     for bad in ("nosuch:3", "cyclic", "cyclic:1:2", "sym:0", "heisenberg:4",
-                "dihedral:2", "matrix:2", "abelian:", "cyclic:x"):
+                "dihedral:2", "matrix:2", "abelian:", "cyclic:x", "int:5",
+                "matrix:2:3:4"):
         with pytest.raises(GroupSpecError):
             build_group(bad)
 
