@@ -393,12 +393,16 @@ def _bitset_route(g, keys):
     return top < certificates.VERIFY_BITS_PER_KEY * len(keys)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64, None])
 @pytest.mark.parametrize(
     "spec",
     ["int", "cyclic:1", "cyclic:1000", "cyclic:100000000", "abelian:6,10",
      "abelian:2,2,4", "abelian:3,1,5", "abelian:40,40"],
 )
-def test_bitset_recheck_matches_raw_kmul(spec, monkeypatch):
+def test_digit_vector_recheck_matches_raw_kmul(spec, block, monkeypatch):
+    if block is not None:
+        # a gate of `block` bits per key moves witnesses from the bitset to raw kmul
+        monkeypatch.setattr(certificates, "VERIFY_BITS_PER_KEY", block)
     calls = []
     bitset_free = certificates._bitset_free
 
@@ -407,7 +411,7 @@ def test_bitset_recheck_matches_raw_kmul(spec, monkeypatch):
         return bitset_free(keys, moduli)
 
     monkeypatch.setattr(certificates, "_bitset_free", spy)
-    g, witnesses = _fuzz_witnesses(spec, random.Random(spec))
+    g, witnesses = _fuzz_witnesses(spec, random.Random(f"{spec}/{block}"))
     verdicts, routes = set(), set()
     for keys in filter(None, witnesses):
         x = MultSet(g, set(keys) | {g.identity_key})
@@ -423,9 +427,10 @@ def test_bitset_recheck_matches_raw_kmul(spec, monkeypatch):
         calls.clear()
     # every group but the trivial one sees both verdicts
     assert verdicts == ({False} if spec == "cyclic:1" else {True, False})
-    # every group runs the bitset; the sparse picks run raw kmul
-    assert True in routes
-    assert False in routes or spec not in ("int", "cyclic:100000000")
+    if block is None:
+        # at the default gate every group runs the bitset; the sparse picks run raw kmul
+        assert True in routes
+        assert False in routes or spec not in ("int", "cyclic:100000000")
 
 
 @pytest.fixture(scope="module")
