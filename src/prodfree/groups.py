@@ -22,15 +22,21 @@ Payload conventions:
 * ``heisenberg:p`` unitriangular 3x3 matrices mod p, flattened row-major
 * ``matrix:d:m``   invertible d x d matrices mod m, flattened row-major
 
-A finite oracle with an enumeration of at most :data:`CAYLEY_ORDER_CAP`
-elements and no ``component_moduli`` (``sym:n``, ``dihedral:n``,
-``heisenberg:p``, subgroup views and quotients) can carry a Cayley table,
-built on first demand by :func:`cayley_table` and held on the oracle: the
-position of every product x_i x_j in the enumeration, int16, so at most
-4096^2 * 2 bytes = 32 MB.  It is built from the left-multiplication
-permutations L_s of the greedy generators s; row c is L_s gathered at row a
-whenever c = s a, since c x = s (a x) by associativity, so every entry is a
-product the oracle's ``kmul`` would give.
+Cayley tables give the position in the enumeration of every product
+x_i x_j, read through one ``outer(a, b)`` on position arrays.
+``dihedral:n`` and an enumerated ``heisenberg:p`` come with a
+:class:`LawTable`, of any order: their ``kmul`` formula, the dihedral
+composition rule or the unitriangular matrix product, read on positions
+and evaluated on numpy arrays, with no cells stored.  Any other finite
+oracle with an enumeration of at most :data:`CAYLEY_ORDER_CAP` elements and
+no ``component_moduli`` (``sym:n``, subgroup views and quotients) can carry
+a :class:`CayleyTable`, built on first demand by :func:`cayley_table` and
+held on the oracle: int16 cells, so at most 4096^2 * 2 bytes = 32 MB.  It
+is built from the left-multiplication permutations L_s of the greedy
+generators s; row c is L_s gathered at row a whenever c = s a, since
+c x = s (a x) by associativity, so every entry is a product the oracle's
+``kmul`` would give.  :func:`verify_group_axioms` compares an oracle's
+table with its ``kmul``.
 """
 
 from __future__ import annotations
@@ -156,7 +162,7 @@ class GroupOracle:
     kdecode: Callable[[str], Any] | None = None
     ksample: Callable[[Any], Any] | None = None
     _coords: tuple | None = field(default=None, repr=False)
-    _cayley: CayleyTable | None = field(default=None, repr=False)
+    _cayley: CayleyTable | LawTable | None = field(default=None, repr=False)
 
     # -- element-level conveniences -------------------------------------
     def wrap(self, key: Any) -> Element:
@@ -423,6 +429,7 @@ def _build_dihedral(n: int) -> GroupOracle:
         enum_keys=tuple(range(2 * n)),
         kencode=enc,
         kdecode=dec,
+        _cayley=_dihedral_law(n, flip),
     )
 
 
@@ -451,13 +458,12 @@ def _build_heisenberg(p: int) -> GroupOracle:
 
     enum = None
     if p**3 <= ENUM_CAP:
+        # generated in sorted order: by a, then c, then b
         enum = tuple(
-            sorted(
-                (1, a, c, 0, 1, b, 0, 0, 1)
-                for a in range(p)
-                for b in range(p)
-                for c in range(p)
-            )
+            (1, a, c, 0, 1, b, 0, 0, 1)
+            for a in range(p)
+            for c in range(p)
+            for b in range(p)
         )
     return GroupOracle(
         domain=f"heisenberg:{p}",
@@ -481,6 +487,7 @@ def _build_heisenberg(p: int) -> GroupOracle:
             0,
             1,
         ),
+        _cayley=None if enum is None else _heisenberg_law(p, enum),
     )
 
 
@@ -644,7 +651,7 @@ def generated_subgroup(parent: GroupOracle, generators: Iterable) -> GroupOracle
 
 @dataclass(frozen=True)
 class CayleyTable:
-    """Products of a finite oracle by enumeration position.
+    """Products of a finite oracle by enumeration position, built cell by cell.
 
     ``keys`` is the sorted enumeration (position -> key), ``index`` its
     inverse, and ``cells[i, j]`` the position of ``keys[i] * keys[j]``;
@@ -654,14 +661,149 @@ class CayleyTable:
     keys: tuple
     index: dict
     cells: np.ndarray
+    cell_bytes = 2  # an outer product is one int16 gather
+
+    @property
+    def order(self) -> int:
+        return len(self.keys)
+
+    def positions(self, keys) -> np.ndarray:
+        """The positions of ``keys`` (KeyError for a key outside the table)."""
+        index = self.index
+        return np.fromiter((index[k] for k in keys), dtype=np.intp, count=len(keys))
+
+    def keys_at(self, values) -> list:
+        keys = self.keys
+        return [keys[i] for i in values.tolist()]
+
+    def outer(self, a, b) -> np.ndarray:
+        """The |a| x |b| matrix of the positions of the products a_i b_j."""
+        return self.cells[np.ix_(a, b)]
 
 
-def cayley_table(oracle: GroupOracle, build: bool = True) -> CayleyTable | None:
+@dataclass(frozen=True)
+class LawTable:
+    """Products of ``dihedral:n`` or ``heisenberg:p`` by a closed-form law on
+    enumeration positions, with the interface of :class:`CayleyTable` and
+    no cells.
+
+    ``codes(a, b)`` evaluates the law on the operands' 1-D digit arrays.
+    It puts each row i in a group g_i on which the law is one lookup of a
+    sum, and returns (r, g, c, t): the int32 code r_i of each row, its
+    group g_i, and the int32 column codes c[g] and column shifts t[g] (or
+    None) of each group.  The product of row i and column j sits at
+    position lookup[r_i + c[g_i, j]] (+ t[g_i, j]), so ``outer`` is one
+    outer add and one gather, made for every group at once.
+    """
+
+    order: int
+    positions: Callable[[Any], np.ndarray]  # keys -> int64 positions
+    keys_at: Callable[[Any], list]  # positions -> keys
+    codes: Callable[[Any, Any], tuple]
+    lookup: np.ndarray
+    cell_bytes = 8  # an outer product's peak: the int32 codes and result
+
+    def outer(self, a, b) -> np.ndarray:
+        """The |a| x |b| int32 matrix of the positions of the products a_i b_j."""
+        r, g, c, shift = self.codes(np.asarray(a), np.asarray(b))
+        cells = c[g]
+        cells += r[:, None]
+        out = self.lookup[cells]
+        if shift is not None:
+            # into the codes' buffer; g is in range, and "clip" mode writes
+            # there directly, where the default mode gathers into a copy
+            out += np.take(shift, g, axis=0, out=cells, mode="clip")
+        return out
+
+
+def _dihedral_law(n: int, flip: list) -> LawTable:
+    """The composition rule of ``dihedral:n`` read on its keys, which are
+    their own positions.
+
+    Key c is (k, s) = (c >> 1, (c & 1) xor flip[k]), and (j, s)(k, t) =
+    (j + (-1)^s k mod n, s xor t) has key 2 K + (s xor t xor flip[K]) with
+    K = j + (-1)^s k mod n, as in ``kmul``.  Rows are grouped by s.  Row
+    code 2 (j + n) and column code 2 (-1)^s k + t sum to 2 (j + (-1)^s k
+    + n) + t, in [0, 6n); lookup entry 6n s + that sum holds the key.
+    """
+    flips = np.array(flip, dtype=np.int64)
+    code = np.arange(6 * n)
+    k = (code // 2 - n) % n
+    lookup = np.concatenate(
+        [2 * k + ((code & 1) ^ s ^ flips[k]) for s in (0, 1)]
+    ).astype(np.int32)
+    # each key's row code, s, and column codes for s = 0 and s = 1
+    keys = np.arange(2 * n)
+    kk, ss = keys >> 1, (keys & 1) ^ flips[keys >> 1]
+    rows = (2 * (kk + n)).astype(np.int32)
+    cols = np.stack([2 * kk + ss, 6 * n - 2 * kk + ss]).astype(np.int32)
+
+    return LawTable(
+        order=2 * n,
+        positions=lambda keys: np.fromiter(keys, dtype=np.int64, count=len(keys)),
+        keys_at=lambda values: values.tolist(),
+        codes=lambda a, b: (rows[a], ss[a], cols[:, b], None),
+        lookup=lookup,
+    )
+
+
+def _heisenberg_law(p: int, enum: tuple) -> LawTable:
+    """The unitriangular matrix product of ``heisenberg:p`` read on positions.
+
+    The key (1, a, c, 0, 1, b, 0, 0, 1) sits at position a p^2 + c p + b,
+    its rank in the sorted enumeration *enum*.  As in ``kmul``, (a, c, b)
+    times (a', c', b') is (a + a', c + c' + a b', b + b') mod p.  Rows are
+    grouped by a: for a fixed a the block is the sum in Z_p^3 of the rows
+    (a, c, b) and the columns (a', c' + a b' mod p, b'), a box sumset.
+    With W = 2p - 1, row code c W + b and column code
+    (c' + a b' mod p) W + b' sum to a code below W^2 whose lookup holds
+    (c + c' + a b' mod p) p + (b + b' mod p); the column shift adds
+    (a + a' mod p) p^2.
+    """
+    pp, w = p * p, 2 * p - 1
+    code = np.arange(w * w)
+
+    def digits(values):
+        a, rest = np.divmod(values, pp)
+        return (a, *np.divmod(rest, p))
+
+    def positions(keys):
+        return np.fromiter(
+            (k[1] * pp + k[2] * p + k[5] for k in keys), dtype=np.int64, count=len(keys)
+        )
+
+    def codes(a, b):
+        ar, cr, br = digits(a)
+        if len(a) >= p:  # the column codes of all p groups cost no more than the rows
+            xs, g = np.arange(p), ar
+        else:
+            xs, g = np.unique(ar, return_inverse=True)
+        xs = xs[:, None]
+        ac, cc, bc = digits(b)
+        c = ((cc + xs * bc) % p * w + bc).astype(np.int32)
+        shift = ((ac + xs) % p * pp).astype(np.int32)
+        return (cr * w + br).astype(np.int32), g, c, shift
+
+    return LawTable(
+        order=p**3,
+        positions=positions,
+        keys_at=lambda values: [enum[i] for i in values.tolist()],
+        codes=codes,
+        lookup=(code // w % p * p + code % w % p).astype(np.int32),
+    )
+
+
+def cayley_table(
+    oracle: GroupOracle, build: bool = True
+) -> CayleyTable | LawTable | None:
     """The oracle's Cayley table, built on first demand and held on it.
 
-    None when the oracle has no enumeration, has ``component_moduli`` (box
-    groups have their own kernel), or has more than CAYLEY_ORDER_CAP
-    elements; also when no table exists yet and *build* is false.
+    ``dihedral:n`` and enumerated ``heisenberg:p`` come with a
+    :class:`LawTable`, whatever their order.  Other oracles get a built
+    :class:`CayleyTable`; None when the oracle has no enumeration, has
+    ``component_moduli`` (box groups have their own kernel), or has more
+    than CAYLEY_ORDER_CAP elements; also when no table exists yet and
+    *build* is false.
 
     The build makes n |gens| ``kmul`` calls and n row gathers.  With the
     greedy generators s and L_s[i] the position of s x_i, the identity's
@@ -1120,6 +1262,10 @@ def verify_group_axioms(oracle: GroupOracle) -> int:
     passes, and S is associative and closed; then commuting generators make
     it abelian, so the flag is checked both ways.  Other groups are sampled
     on 10^4 seeded triples.
+
+    An oracle that holds a table (:func:`cayley_table`, a law table for
+    ``dihedral:n`` and ``heisenberg:p``) has it compared with ``kmul``: on
+    every pair when n^2 <= LIGHT_TEST_CAP, else on the sampled pairs.
     """
     kmul, kinv, e = oracle.kmul, oracle.kinv, oracle.identity_key
 
@@ -1162,6 +1308,7 @@ def verify_group_axioms(oracle: GroupOracle) -> int:
                 f"{oracle.domain!r} has neither enumeration nor sampler"
             )
         tested = 10**4
+        drawn = []
         for _ in range(tested):
             a, b, c = draw(), draw(), draw()
             if kmul(kmul(a, b), c) != kmul(a, kmul(b, c)):
@@ -1169,4 +1316,25 @@ def verify_group_axioms(oracle: GroupOracle) -> int:
             check_element(a)
             if oracle.abelian and kmul(a, b) != kmul(b, a):
                 raise GroupAxiomError(f"abelian flag wrong on {(a, b)!r}")
+            drawn.append((a, b))
+    table = cayley_table(oracle, build=False)
+    if table is not None:
+        if 0 < n * n <= LIGHT_TEST_CAP:
+            _check_table(oracle, table, ks, ks)
+        else:
+            for lo in range(0, len(drawn), 100):
+                _check_table(oracle, table, *zip(*drawn[lo : lo + 100]), pairs=True)
     return tested
+
+
+def _check_table(oracle: GroupOracle, table, xs, ys, pairs: bool = False) -> None:
+    """GroupAxiomError unless ``table`` gives ``kmul``'s product x y for
+    every x in *xs* and y in *ys*, or, with *pairs*, for each (xs[i], ys[i]):
+    the diagonal of their outer product."""
+    cells = table.outer(table.positions(xs), table.positions(ys))
+    if pairs:
+        got, want = [cells.diagonal()], [list(map(oracle.kmul, xs, ys))]
+    else:
+        got, want = cells, ([oracle.kmul(x, y) for y in ys] for x in xs)
+    if any(table.keys_at(row) != products for row, products in zip(got, want)):
+        raise GroupAxiomError(f"the table of {oracle.domain!r} disagrees with kmul")

@@ -32,18 +32,25 @@ Products take one of three paths, chosen in one place,
   with ``np.unique``.  ``int`` takes the kernel from :data:`NUMPY_MIN_PAIRS`
   pairs on, where it starts to beat the ``kmul`` loop; a box group from
   there too, or on fewer pairs when its FFT is dense (order <= |A||B|).
-* Every other enumerated group of order n <= 4096 -- ``sym:n``,
-  ``dihedral:n``, ``heisenberg:p``, subgroup views and quotients -- reads
-  its products from the oracle's Cayley table
-  (:func:`groups.cayley_table`), by enumeration position: the same kernel
-  gathers the cells of A x B a row block at a time and counts them with
-  ``np.bincount``.  The table is built once per oracle, when it already
-  exists or when n^2 <= CAYLEY_GATE |A||B|: a build writes n^2 int16 cells
-  at about 10-20 ns each and makes n |gens| ``kmul`` calls, against about
-  1 us per ``kmul`` pair, so from that size on the first product already
-  pays for it, and every later product on the oracle is free of ``kmul``.
-  Below it (``heisenberg-ball:11:1``, 27 points in an order-1331 group) the
-  products stay on ``kmul``.
+* ``dihedral:n``, an enumerated ``heisenberg:p`` and every other
+  enumerated group of order n <= 4096 -- ``sym:n``, subgroup views and
+  quotients -- read their products from the oracle's Cayley table
+  (:func:`groups.cayley_table`), by enumeration position, through one
+  ``table.outer(a, b)``: the same kernel takes the outer product of A x B a
+  row block of at most TABLE_BLOCK_BYTES at a time and counts it with
+  ``np.bincount`` over the n positions, or, when n > |A||B|, sorts the
+  |A||B| products with ``np.unique`` instead.
+  ``dihedral:n`` and ``heisenberg:p`` come with a law table
+  (:class:`groups.LawTable`) at any order: their ``kmul`` formula read on
+  positions, one outer add and one lookup per row group at about 6-8 ns
+  a pair, so even ``heisenberg-ball:11:1`` (27 points in an order-1331
+  group) and every product in ``heisenberg:17`` (order 4913) are free of
+  ``kmul``.  The others build a table of int16 cells once per oracle, when
+  it already exists or when n^2 <= CAYLEY_GATE |A||B|: a build writes n^2
+  cells at about 10-20 ns each and makes n |gens| ``kmul`` calls, against
+  about 1 us per ``kmul`` pair, so from that size on the first product
+  already pays for it, and every later product on the oracle is free of
+  ``kmul``.  Below it the products stay on ``kmul``.
 * Everything else -- ``matrix:d:m``, larger groups, small products in
   groups without a table -- runs through the oracle's ``kmul``.
 
@@ -53,7 +60,7 @@ difference class h g^-1 at a time.
 The covering translates t X and X t of ``approx_report`` are bitmasks over
 X^2's keys.  Where X X takes a kernel they are built from its outer
 products (:func:`_outer_sums`: the sums the exact path counts, or the
-table's cells), each placed among X^2's keys by one gather from a position
+table's outer product), each placed among X^2's keys by one gather from a position
 array over their range when that range is small, else by a binary search;
 elsewhere from |X|^2 ``kmul`` calls.
 Budgets bound the |A||B| pairs of a product on the sums kernel and the
@@ -77,7 +84,14 @@ from .errors import (
     DomainMismatchError,
     PreconditionError,
 )
-from .groups import CAYLEY_ORDER_CAP, CayleyTable, Element, GroupOracle, cayley_table
+from .groups import (
+    CAYLEY_ORDER_CAP,
+    CayleyTable,
+    Element,
+    GroupOracle,
+    LawTable,
+    cayley_table,
+)
 
 DEFAULT_PRODUCT_BUDGET = 10**7
 NUMPY_MIN_PAIRS = 512
@@ -86,6 +100,7 @@ FOLD_GAIN = 4  # ... when that shrinks the grid at least this many times
 CAYLEY_GATE = 64  # build a Cayley table of order n for |A||B| >= n^2 / 64 pairs
 EXACT_COVER_UNIVERSE = 4096
 MASK_CHUNK_CELLS = 1 << 22
+TABLE_BLOCK_BYTES = 1 << 23  # most bytes of one table.outer block of _pair_counts
 
 
 def frac_str(x: Fraction) -> str:
@@ -187,24 +202,20 @@ class _Operands(NamedTuple):
     a: Any
     b: Any
     moduli: tuple[int, ...] | None = None
-    table: CayleyTable | None = None
+    table: CayleyTable | LawTable | None = None
 
 
-def _values(keys, table: CayleyTable | None = None):
+def _values(keys, table: CayleyTable | LawTable | None = None):
     """The kernel values of group keys: the int64 keys themselves, or their
     positions in ``table``'s enumeration (KeyError for a key outside it)."""
     if table is None:
         return np.fromiter(keys, dtype=np.int64, count=len(keys))
-    index = table.index
-    return np.fromiter((index[k] for k in keys), dtype=np.intp, count=len(keys))
+    return table.positions(keys)
 
 
-def _keys(values, table: CayleyTable | None = None) -> list:
+def _keys(values, table: CayleyTable | LawTable | None = None) -> list:
     """The group keys of kernel values; inverse of :func:`_values`."""
-    if table is None:
-        return values.tolist()
-    keys = table.keys
-    return [keys[i] for i in values.tolist()]
+    return values.tolist() if table is None else table.keys_at(values)
 
 
 class _Grid(NamedTuple):
@@ -264,7 +275,9 @@ def _int_grid(a, b) -> _Grid | None:
     i m + j is injective on the cells and increasing in row-major order, so
     each cell counts exactly the pairs of one sum and the nonzero cells,
     read in order, are the sorted distinct sums.  The choice of m decides
-    only the grid's size, never the counts.
+    only the grid's size, never the counts.  The larger operand is folded
+    first: its own spans bound the grid below, so a fold they already
+    reject never folds the other operand.
 
     Both FFT paths cost about the same per cell, but the two-axis one has a
     fixed cost of about 0.2 ms (the stride, the two folds, three rfftn
@@ -281,39 +294,59 @@ def _int_grid(a, b) -> _Grid | None:
     # a fold puts each of the at least |A| + |B| - 1 distinct sums in a
     # cell of its own, so no grid of n / FOLD_GAIN cells fits them below this
     if n >= FOLD_MIN_LENGTH and n >= FOLD_GAIN * (len(a) + len(b) - 1):
-        m = _fold_modulus(a if len(a) >= len(b) else b)
+        larger = a if len(a) >= len(b) else b
+        m = _fold_modulus(larger)
         if m is not None:
-            ca, qa, ra = _fold_axes(a, m)
-            cb, qb, rb = _fold_axes(b, m)
-            rows = int(qa[-1] + qb[-1]) + 1
-            cols = int(ra.max() + rb.max()) + 1
-            width = 1 << (cols - 1).bit_length()
-            shape = (1 << (rows - 1).bit_length(), width)
-            if cols <= m and FOLD_GAIN * math.prod(shape) <= n:
-                return _Grid(shape, qa * width + ra, qb * width + rb, ca + cb, width, m)
+            fold = _fold_axes(larger, m)
+            # the other operand's q and r are >= 0, so it only widens the
+            # grid: the larger operand's spans alone can reject the fold
+            q_span, r_span = int(fold[1][-1]) + 1, int(fold[2].max()) + 1
+            least = (1 << (q_span - 1).bit_length()) * (1 << (r_span - 1).bit_length())
+            if r_span <= m and FOLD_GAIN * least <= n:
+                (ca, qa, ra), (cb, qb, rb) = (
+                    (fold, _fold_axes(b, m)) if larger is a else (_fold_axes(a, m), fold)
+                )
+                rows = int(qa[-1] + qb[-1]) + 1
+                cols = int(ra.max() + rb.max()) + 1
+                width = 1 << (cols - 1).bit_length()
+                shape = (1 << (rows - 1).bit_length(), width)
+                if cols <= m and FOLD_GAIN * math.prod(shape) <= n:
+                    return _Grid(shape, qa * width + ra, qb * width + rb, ca + cb, width, m)
     return _Grid((n,), a - a0, b - b0, a0 + b0)
 
 
 def _pair_counts(
-    a, b, moduli: tuple[int, ...] | None = None, table: CayleyTable | None = None
+    a,
+    b,
+    moduli: tuple[int, ...] | None = None,
+    table: CayleyTable | LawTable | None = None,
 ):
     """Sorted distinct products a_i b_j and the exact number of pairs (i, j)
     giving each.  a and b are int64 keys: integers when ``moduli`` is None,
     else mixed-radix keys of the box Z_M1 x ... x Z_Mr, added digit-wise
     mod M_j; or, with a Cayley ``table``, enumeration positions, multiplied
-    by reading its cells a block of rows at a time.
+    by its ``outer`` a block of rows at a time, each block within
+    TABLE_BLOCK_BYTES.  The blocks are counted with ``np.bincount`` over the
+    table's n positions, or, when n exceeds |A||B|, with ``np.unique``.
 
     Integers convolve on the grid of :func:`_int_grid`, the key range on
     one axis or, for a sparse progression-like pair, folded onto two; a
     box on the box itself, when it has at most |A||B| cells.  Everything
     else takes the exact outer-sum path."""
     if table is not None:
-        n = len(table.keys)
-        step = MASK_CHUNK_CELLS // max(1, len(b))  # at least 1024: |B| <= 4096
+        n = table.order
+        step = max(1, TABLE_BLOCK_BYTES // (table.cell_bytes * max(1, len(b))))
+        blocks = (
+            table.outer(a[lo : lo + step], b).ravel() for lo in range(0, len(a), step)
+        )
+        if n > len(a) * len(b):
+            # fewer pairs than positions: sort the products, not n counters
+            # (the empty head keeps the dtype when A is empty)
+            cells = np.concatenate([np.zeros(0, np.int32), *blocks])
+            return np.unique(cells, return_counts=True)
         counts = np.zeros(n, dtype=np.int64)
-        for lo in range(0, len(a), step):
-            block = _outer_sums(a[lo : lo + step], b, table=table)
-            counts += np.bincount(block.ravel(), minlength=n)
+        for block in blocks:
+            counts += np.bincount(block, minlength=n)
         hit = np.flatnonzero(counts)
         return hit, counts[hit]
     if moduli:
@@ -355,13 +388,16 @@ def _pair_counts(
 
 
 def _outer_sums(
-    a, b, moduli: tuple[int, ...] | None = None, table: CayleyTable | None = None
+    a,
+    b,
+    moduli: tuple[int, ...] | None = None,
+    table: CayleyTable | LawTable | None = None,
 ):
     """The |A| x |B| matrix of products a_i b_j: sums of int64 keys, added
     digit-wise mod M_j when ``moduli`` names a box (see :func:`_pair_counts`),
-    or a Cayley ``table``'s cells at positions a_i, b_j."""
+    or the positions a Cayley ``table`` gives for positions a_i, b_j."""
     if table is not None:
-        return table.cells[np.ix_(a, b)]
+        return table.outer(a, b)
     sums = np.add.outer(a, b)
     stride = 1
     for m in reversed(moduli or ()):
@@ -399,8 +435,9 @@ def _product_operands(x: MultSet, y: MultSet) -> _Operands | None:
     The one place that decides which products take a kernel, and so which
     covering translates are built from its outer products: the sums kernel
     where :func:`_kernel_operands` takes X Y, else the oracle's Cayley table
-    where it already exists or n^2 <= CAYLEY_GATE |X||Y| (see the module
-    docstring), as long as every key of X and Y is in its enumeration.
+    where it already exists (a law table always does) or n^2 <= CAYLEY_GATE
+    |X||Y| (see the module docstring), as long as every key of X and Y is
+    in its enumeration.
     """
     operands = _kernel_operands(x, y)
     if operands is not None:
@@ -668,7 +705,8 @@ def _translates(x: MultSet, square: MultSet, side: str) -> list[int]:
     :func:`_product_operands` takes X X to a kernel, the matrix places the
     kernel's outer products among X^2's values: by one gather from an array
     indexed by value where their range is at most max(|X|^2, 4096) cells
-    (always, for the positions of a Cayley table), else by a binary search.
+    (always, for the positions of a built Cayley table), else by a binary
+    search.
     On the sums kernel (``int``, full ``cyclic:N`` and ``abelian:*``) it is
     symmetric, so each right translate is the left one.  Elsewhere it takes
     |X|^2 ``kmul`` calls.

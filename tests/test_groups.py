@@ -30,6 +30,7 @@ from prodfree import groups
 from prodfree.groups import (
     DIHEDRAL_MAX,
     GroupOracle,
+    LawTable,
     _mat_mul,
     _perm_inv,
     _perm_mul,
@@ -642,13 +643,17 @@ def test_abelian_element_order_matches_brute_force(moduli):
 @pytest.mark.parametrize("name", list(table_oracles()))
 def test_cayley_table_matches_kmul_on_every_pair(name):
     g = table_oracles()[name]
-    assert cayley_table(g, build=False) is None
+    # dihedral:n and heisenberg:p come with their law; the others build cells
+    law = isinstance(g._cayley, LawTable)
+    assert (cayley_table(g, build=False) is not None) == law
     table = cayley_table(g)
-    assert table.keys == g.enum_keys and table.cells.dtype.name == "int16"
-    for i, a in enumerate(table.keys):
-        assert [table.keys[c] for c in table.cells[i].tolist()] == [
-            g.kmul(a, b) for b in table.keys
-        ]
+    if not law:
+        assert table.keys == g.enum_keys and table.cells.dtype.name == "int16"
+    positions = table.positions(g.enum_keys)
+    assert positions.tolist() == list(range(g.order)) and table.order == g.order
+    cells = table.outer(positions, positions)
+    for a, row in zip(g.enum_keys, cells):
+        assert table.keys_at(row) == [g.kmul(a, b) for b in g.enum_keys]
     assert cayley_table(g) is table and cayley_table(g, build=False) is table
 
 
@@ -659,10 +664,75 @@ def test_cayley_table_only_for_small_enumerated_groups_without_a_box():
 
 
 def test_cayley_table_rejects_a_broken_oracle():
-    # products leaving the enumeration: 0..5 of dihedral:6's twelve keys
+    s4 = build_group("sym:4")
+    # products leaving the enumeration: six of sym:4's keys, not a subgroup
     with pytest.raises(GroupAxiomError, match="leaves the enumeration"):
-        cayley_table(_with("dihedral:6", order=6, enum_keys=tuple(range(6))))
+        cayley_table(_with("sym:4", order=6, enum_keys=s4.enum_keys[1:7]))
     # s a == a for every s: no generator moves the walk off the identity
-    projection = _with("dihedral:6", kmul=lambda a, b: b)
-    with pytest.raises(GroupAxiomError, match="11 Cayley table rows"):
+    projection = _with("sym:4", kmul=lambda a, b: b)
+    with pytest.raises(GroupAxiomError, match="23 Cayley table rows"):
         cayley_table(projection)
+    # a law table comes with its oracle and reads no kmul, so the same two
+    # breaks in dihedral:6 show in the axiom check
+    for broken in (
+        _with("dihedral:6", order=6, enum_keys=tuple(range(6))),
+        _with("dihedral:6", kmul=lambda a, b: b),
+    ):
+        assert isinstance(cayley_table(broken), LawTable)
+        with pytest.raises(GroupAxiomError):
+            verify_group_axioms(broken)
+
+
+LAW_EVERY_PAIR = [
+    *(f"dihedral:{n}" for n in range(3, 13)),
+    "dihedral:200",
+    *(f"heisenberg:{p}" for p in (2, 3, 5, 7)),
+]
+
+
+@pytest.mark.parametrize("spec", LAW_EVERY_PAIR)
+def test_law_matches_kmul_on_every_pair(spec):
+    g = build_group(spec)
+    table = cayley_table(g, build=False)
+    assert isinstance(table, LawTable) and table.order == g.order
+    # positions are ranks in the sorted enumeration, found without it
+    keys = g.enum_keys
+    assert list(keys) == sorted(keys)
+    positions = table.positions(keys)
+    assert positions.tolist() == list(range(g.order))
+    assert table.keys_at(positions) == list(keys)
+    cells = table.outer(positions, positions)
+    assert cells.shape == (g.order, g.order)
+    for a, row in zip(keys, cells):
+        assert table.keys_at(row) == [g.kmul(a, b) for b in keys]
+
+
+@pytest.mark.parametrize(
+    "spec", ["heisenberg:11", "heisenberg:17", "heisenberg:97", "dihedral:1024"]
+)
+def test_law_matches_kmul_on_random_blocks(spec):
+    g = build_group(spec)
+    table = cayley_table(g, build=False)
+    rng = random.Random(spec)
+    for _ in range(8):
+        # unsorted operands, with fewer and with more rows than groups
+        xs = rng.sample(g.enum_keys, rng.randint(1, 200))
+        ys = rng.sample(g.enum_keys, rng.randint(1, 60))
+        cells = table.outer(table.positions(xs), table.positions(ys))
+        assert cells.shape == (len(xs), len(ys))
+        assert [table.keys_at(row) for row in cells] == [
+            [g.kmul(x, y) for y in ys] for x in xs
+        ]
+    empty = table.positions([])
+    assert table.outer(empty, table.positions(ys)).shape == (0, len(ys))
+
+
+@pytest.mark.parametrize("spec", ["dihedral:6", "heisenberg:11"])
+def test_axiom_check_compares_the_law_with_kmul(spec):
+    g = build_group(spec)
+    verify_group_axioms(g)
+    # the opposite group is a group, so only the law comparison fails: on
+    # every pair in dihedral:6, on the sampled pairs in heisenberg:11
+    opposite = _with(spec, kmul=lambda a, b, _mul=g.kmul: _mul(b, a))
+    with pytest.raises(GroupAxiomError, match="disagrees with kmul"):
+        verify_group_axioms(opposite)

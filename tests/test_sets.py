@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -22,10 +24,13 @@ from prodfree import (
     product_set,
 )
 from prodfree.families import generate
-from prodfree.groups import cayley_table, subgroup_view
+from prodfree.groups import LawTable, cayley_table, subgroup_view
 from prodfree.sets import (
+    FOLD_GAIN,
+    FOLD_MIN_LENGTH,
     NUMPY_MIN_PAIRS,
     _exact_cover_size,
+    _fold_axes,
     _fold_modulus,
     _greedy_cover,
     _int_grid,
@@ -516,15 +521,18 @@ def test_frac_str():
     assert frac_str(Fraction(3)) == "3/1"
 
 
-@pytest.mark.parametrize("name", list(table_oracles()))
+@pytest.mark.parametrize("name", [*table_oracles(), "dihedral:1024", "heisenberg:17"])
 def test_table_path_matches_raw_kmul(name):
-    g = table_oracles()[name]
+    # two law oracles beyond the built ones: heisenberg:17 is above the
+    # 4096 elements a built table may have
+    g = table_oracles().get(name) or build_group(name)
     cayley_table(g)  # from now on every product of g reads the table
     rng = random.Random(name)
     keys = list(g.enum_keys)
+    top = len(keys) if len(keys) <= 125 else 60  # any size, up to 60 points in a large group
     for _ in range(25):
-        x = MultSet(g, rng.sample(keys, rng.randint(1, len(keys))))
-        y = MultSet(g, rng.sample(keys, rng.randint(1, len(keys))))
+        x = MultSet(g, rng.sample(keys, rng.randint(1, top)))
+        y = MultSet(g, rng.sample(keys, rng.randint(1, top)))
         assert _product_operands(x, y).table is not None
         want = Counter(g.kmul(a, b) for a in x.keys for b in y.keys)
         assert _product_counts(x, y) == want
@@ -551,17 +559,23 @@ def test_table_path_budget_and_empty_sets():
 
 
 def test_table_gate_follows_the_pair_count():
-    # 27 points in an order-1331 group never pay for a table; the cube
-    # product of the 2-ball (110k pairs) does, and its square then reuses it
-    small = generate("heisenberg-ball:11:1")
+    # in sym:6 (order 720) a table is built from 720^2 / 64 = 8100 pairs on:
+    # 20 points never pay for one; the cube product of 80 points does, and
+    # its square (6400 pairs) then reuses it
+    s6 = build_group("sym:6")
+    keys = random.Random(6).sample(s6.enum_keys, 100)
+    small = MultSet(s6, keys[:20])
     approx_report(small, 2)
-    assert cayley_table(small.oracle, build=False) is None
-    big = generate("heisenberg-ball:11:2")
+    assert cayley_table(s6, build=False) is None
+    big = MultSet(s6, keys[20:])
     square = product_set(big, big)
-    assert cayley_table(big.oracle, build=False) is None
+    assert cayley_table(s6, build=False) is None
     product_set(square, big)
-    assert cayley_table(big.oracle, build=False) is not None
+    assert cayley_table(s6, build=False) is not None
     assert _product_operands(big, big).table is not None
+    # a law table is there from the start, so even the 27-point ball reads it
+    ball = generate("heisenberg-ball:11:1")
+    assert _product_operands(ball, ball).table is cayley_table(ball.oracle, build=False)
 
 
 def test_table_path_falls_back_to_kmul_off_the_enumeration():
@@ -678,6 +692,116 @@ def test_sparse_gap_square_takes_the_fold(monkeypatch):
     assert ranks == [1]
 
 
+def test_sparse_table_path_sorts_instead_of_counting(monkeypatch):
+    # the 1-ball in heisenberg:97 (order 912673): every product, the incident
+    # pairs and the translates have fewer pairs than the group has positions
+    x = generate("heisenberg-ball:97:1")
+    g = x.oracle
+    table = cayley_table(g, build=False)
+    assert isinstance(table, LawTable) and table.order == 97**3
+    lengths, sorts = [], []
+
+    def bincount(values, *args, _count=np.bincount, **kwargs):
+        lengths.append(kwargs.get("minlength"))
+        return _count(values, *args, **kwargs)
+
+    def unique(values, *args, _unique=np.unique, **kwargs):
+        sorts.append(len(values))
+        return _unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    monkeypatch.setattr(np, "unique", unique)
+    tracemalloc.start()
+    square = product_set(x, x)
+    cube = product_set(square, x)
+    counts = _product_counts(square, x)
+    incident = count_incident_pairs(square)
+    masks = _translates(x, square, "two-sided")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert g.order not in lengths and len(x) ** 2 in sorts
+    # the edge, in dihedral:6 (order 12): 12 pairs count, 9 pairs sort
+    d6 = build_group("dihedral:6")
+    lengths.clear(), sorts.clear()
+    assert _product_counts(MultSet(d6, [1, 4, 7]), MultSet(d6, [0, 2, 5, 11])) == Counter(
+        d6.kmul(a, b) for a in (1, 4, 7) for b in (0, 2, 5, 11)
+    )
+    assert (lengths, sorts) == ([12], [])
+    small = product_set(MultSet(d6, [1, 4, 7]), MultSet(d6, [0, 2, 5]))
+    assert small.key_set() == naive_product_keys(d6, [1, 4, 7], [0, 2, 5])
+    assert lengths == [12] and sorts == [9]
+    # a dict over the enumeration's 912673 keys alone would take over 40 MB
+    assert peak < 8 << 20
+    want = Counter(g.kmul(a, b) for a in square.keys for b in x.keys)
+    assert counts == want and cube.key_set() == frozenset(want)
+    assert square.key_set() == frozenset(naive_product_keys(g, x.keys, x.keys))
+    assert incident == naive_incident_pairs(g, square.keys)
+    assert masks == _naive_translates(g, x.keys, square.keys, "two-sided")[0]
+
+
+def _int_grid_folding_both(a, b):
+    """:func:`_int_grid` as it was before the larger operand could reject a
+    fold on its own: both operands folded, then one gate."""
+    a0, b0 = int(a[0]), int(b[0])
+    length = int(a[-1] + b[-1]) - a0 - b0 + 1
+    n = 1 << (length - 1).bit_length()
+    if n > len(a) * len(b):
+        return None
+    if n >= FOLD_MIN_LENGTH and n >= FOLD_GAIN * (len(a) + len(b) - 1):
+        m = _fold_modulus(a if len(a) >= len(b) else b)
+        if m is not None:
+            ca, qa, ra = _fold_axes(a, m)
+            cb, qb, rb = _fold_axes(b, m)
+            rows = int(qa[-1] + qb[-1]) + 1
+            cols = int(ra.max() + rb.max()) + 1
+            width = 1 << (cols - 1).bit_length()
+            shape = (1 << (rows - 1).bit_length(), width)
+            if cols <= m and FOLD_GAIN * math.prod(shape) <= n:
+                return (shape, qa * width + ra, qb * width + rb, ca + cb, width, m)
+    return ((n,), a - a0, b - b0, a0 + b0, 0, 0)
+
+
+def _grid_operands():
+    """Int operand pairs for :func:`_int_grid`: the GAP blocks of
+    FOLD_CASES, random sparse sets, intervals, and a fold whose grid is
+    exactly n / FOLD_GAIN cells, as are the larger operand's spans alone."""
+    rng = random.Random(29)
+    pairs = [(_int_keys(ka), _int_keys(kb)) for _, ka, kb in FOLD_CASES]
+    edge = _int_keys(generate("gap:2:8,16:1,128").keys)
+    pairs.append((edge, edge[:16]))
+    for size in (50, 300, 1000, 3000):
+        for span in (10**4, 10**6):
+            pairs.append(tuple(
+                _int_keys(rng.sample(range(-span // 3, span), size)) for _ in range(2)
+            ))
+    pairs += [(_int_keys(range(0, 3000, 3)), _int_keys(range(100, 600)))] * 2
+    return pairs
+
+
+def test_int_grid_rejects_a_fold_from_the_larger_operand(monkeypatch):
+    folds = []
+
+    def fold_axes(keys, m, _fold=_fold_axes):
+        folds.append(len(keys))
+        return _fold(keys, m)
+
+    monkeypatch.setattr("prodfree.sets._fold_axes", fold_axes)
+    seen = Counter()
+    for a, b in _grid_operands():
+        folds.clear()
+        got, want = _int_grid(a, b), _int_grid_folding_both(a, b)
+        if want is None:
+            assert got is None
+            continue
+        assert (got.shape, got.base, got.width, got.stride) == (want[0], *want[3:])
+        assert np.array_equal(got.a, want[1]) and np.array_equal(got.b, want[2])
+        if folds:
+            assert folds[0] == max(len(a), len(b))
+        seen[len(folds), len(got.shape)] += 1
+    # folds taken, folds rejected from the larger operand alone, no fold tried
+    assert seen[2, 2] and seen[1, 1] and seen[0, 1]
+
+
 def _product_inputs():
     """(name, X, Y): every KERNEL_CASES input times itself and its every
     other key, and random pairs in every BOX_SPECS group."""
@@ -710,15 +834,15 @@ def test_kernel_products_match_the_sorting_constructor(name, x, y):
 
 
 def test_table_products_are_sorted_whatever_the_enumeration():
-    g = build_group("dihedral:6")
+    g = build_group("sym:4")
     # the same group enumerated backwards: its table still sorts its keys,
     # so table products come out sorted without a re-sort
     r = dataclasses.replace(g, enum_keys=tuple(reversed(g.enum_keys)), _cayley=None)
     assert cayley_table(r).keys == cayley_table(g).keys == g.enum_keys
     rng = random.Random(12)
     for _ in range(10):
-        ka = rng.sample(g.enum_keys, rng.randint(1, 12))
-        kb = rng.sample(g.enum_keys, rng.randint(1, 12))
+        ka = rng.sample(g.enum_keys, rng.randint(1, 24))
+        kb = rng.sample(g.enum_keys, rng.randint(1, 24))
         want = MultSet(g, naive_product_keys(g, ka, kb)).keys
         for oracle in (g, r):
             x, y = MultSet(oracle, ka), MultSet(oracle, kb)
