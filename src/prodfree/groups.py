@@ -22,21 +22,13 @@ Payload conventions:
 * ``heisenberg:p`` unitriangular 3x3 matrices mod p, flattened row-major
 * ``matrix:d:m``   invertible d x d matrices mod m, flattened row-major
 
-Cayley tables give the position in the enumeration of every product
-x_i x_j, read through one ``outer(a, b)`` on position arrays.
-``dihedral:n`` and an enumerated ``heisenberg:p`` come with a
-:class:`LawTable`, of any order: their ``kmul`` formula, the dihedral
-composition rule or the unitriangular matrix product, read on positions
-and evaluated on numpy arrays, with no cells stored.  Any other finite
-oracle with an enumeration of at most :data:`CAYLEY_ORDER_CAP` elements and
-no ``component_moduli`` (``sym:n``, subgroup views and quotients) can carry
-a :class:`CayleyTable`, built on first demand by :func:`cayley_table` and
-held on the oracle: int16 cells, so at most 4096^2 * 2 bytes = 32 MB.  It
-is built from the left-multiplication permutations L_s of the greedy
-generators s; row c is L_s gathered at row a whenever c = s a, since
-c x = s (a x) by associativity, so every entry is a product the oracle's
-``kmul`` would give.  :func:`verify_group_axioms` compares an oracle's
-table with its ``kmul``.
+``dihedral:n`` and an enumerated ``heisenberg:p`` carry a product law,
+a :class:`LawTable` held on the oracle's ``law`` field: their ``kmul``
+formula, the dihedral composition rule or the unitriangular matrix
+product, read on enumeration positions and evaluated on numpy arrays, so
+one ``outer(a, b)`` gives the position of every product x_i x_j with no
+cells stored.  Every other group multiplies with ``kmul`` alone.
+:func:`verify_group_axioms` compares a law with its oracle's ``kmul``.
 """
 
 from __future__ import annotations
@@ -66,7 +58,6 @@ DIHEDRAL_MAX = 1024
 SERIES_ORDER_CAP = 10**4
 COORDS_ORDER_CAP = 4096
 LIGHT_TEST_CAP = 10**6  # most |gens| * n^2 checks of a proven associativity
-CAYLEY_ORDER_CAP = 4096  # largest order with a Cayley table; positions fit int16
 
 
 class Element(NamedTuple):
@@ -146,7 +137,10 @@ class GroupOracle:
 
     ``enum_keys`` is populated iff the group is finite with order within
     :data:`ENUM_CAP` (and the builder can enumerate at all); ``order`` is
-    ``None`` for groups handled purely as oracles.
+    ``None`` for groups handled purely as oracles.  ``law`` is the
+    :class:`LawTable` that the builder attaches to ``dihedral:n`` and an
+    enumerated ``heisenberg:p``, and None on every other group, subgroup
+    views and quotients included.
     """
 
     domain: str
@@ -162,7 +156,7 @@ class GroupOracle:
     kdecode: Callable[[str], Any] | None = None
     ksample: Callable[[Any], Any] | None = None
     _coords: tuple | None = field(default=None, repr=False)
-    _cayley: CayleyTable | LawTable | None = field(default=None, repr=False)
+    law: LawTable | None = field(default=None, repr=False)
 
     # -- element-level conveniences -------------------------------------
     def wrap(self, key: Any) -> Element:
@@ -429,7 +423,7 @@ def _build_dihedral(n: int) -> GroupOracle:
         enum_keys=tuple(range(2 * n)),
         kencode=enc,
         kdecode=dec,
-        _cayley=_dihedral_law(n, flip),
+        law=_dihedral_law(n, flip),
     )
 
 
@@ -487,7 +481,7 @@ def _build_heisenberg(p: int) -> GroupOracle:
             0,
             1,
         ),
-        _cayley=None if enum is None else _heisenberg_law(p, enum),
+        law=None if enum is None else _heisenberg_law(p, enum),
     )
 
 
@@ -646,46 +640,14 @@ def generated_subgroup(parent: GroupOracle, generators: Iterable) -> GroupOracle
 
 
 # ---------------------------------------------------------------------------
-# Cayley tables
-
-
-@dataclass(frozen=True)
-class CayleyTable:
-    """Products of a finite oracle by enumeration position, built cell by cell.
-
-    ``keys`` is the sorted enumeration (position -> key), ``index`` its
-    inverse, and ``cells[i, j]`` the position of ``keys[i] * keys[j]``;
-    increasing positions read off increasing keys.
-    """
-
-    keys: tuple
-    index: dict
-    cells: np.ndarray
-    cell_bytes = 2  # an outer product is one int16 gather
-
-    @property
-    def order(self) -> int:
-        return len(self.keys)
-
-    def positions(self, keys) -> np.ndarray:
-        """The positions of ``keys`` (KeyError for a key outside the table)."""
-        index = self.index
-        return np.fromiter((index[k] for k in keys), dtype=np.intp, count=len(keys))
-
-    def keys_at(self, values) -> list:
-        keys = self.keys
-        return [keys[i] for i in values.tolist()]
-
-    def outer(self, a, b) -> np.ndarray:
-        """The |a| x |b| matrix of the positions of the products a_i b_j."""
-        return self.cells[np.ix_(a, b)]
+# product laws
 
 
 @dataclass(frozen=True)
 class LawTable:
     """Products of ``dihedral:n`` or ``heisenberg:p`` by a closed-form law on
-    enumeration positions, with the interface of :class:`CayleyTable` and
-    no cells.
+    enumeration positions, with no cells stored; increasing positions read
+    off increasing keys.
 
     ``codes(a, b)`` evaluates the law on the operands' 1-D digit arrays.
     It puts each row i in a group g_i on which the law is one lookup of a
@@ -701,7 +663,6 @@ class LawTable:
     keys_at: Callable[[Any], list]  # positions -> keys
     codes: Callable[[Any, Any], tuple]
     lookup: np.ndarray
-    cell_bytes = 8  # an outer product's peak: the int32 codes and result
 
     def outer(self, a, b) -> np.ndarray:
         """The |a| x |b| int32 matrix of the positions of the products a_i b_j."""
@@ -791,65 +752,6 @@ def _heisenberg_law(p: int, enum: tuple) -> LawTable:
         codes=codes,
         lookup=(code // w % p * p + code % w % p).astype(np.int32),
     )
-
-
-def cayley_table(
-    oracle: GroupOracle, build: bool = True
-) -> CayleyTable | LawTable | None:
-    """The oracle's Cayley table, built on first demand and held on it.
-
-    ``dihedral:n`` and enumerated ``heisenberg:p`` come with a
-    :class:`LawTable`, whatever their order.  Other oracles get a built
-    :class:`CayleyTable`; None when the oracle has no enumeration, has
-    ``component_moduli`` (box groups have their own kernel), or has more
-    than CAYLEY_ORDER_CAP elements; also when no table exists yet and
-    *build* is false.
-
-    The build makes n |gens| ``kmul`` calls and n row gathers.  With the
-    greedy generators s and L_s[i] the position of s x_i, the identity's
-    row is 0..n-1 and, for c = s a, row c is L_s[row a]: c x_j = s (a x_j)
-    by associativity.  A breadth-first walk from the identity along the
-    generators reaches every element of a group they generate, so a row
-    left unfilled, or a product outside the enumeration, is a
-    GroupAxiomError.
-    """
-    if oracle._cayley is not None or not build:
-        return oracle._cayley
-    keys = oracle.enum_keys
-    if keys is None or len(keys) > CAYLEY_ORDER_CAP or oracle.component_moduli is not None:
-        return None
-    keys = tuple(sorted(keys))  # every enumeration here already ascends
-    n = len(keys)
-    index = {k: i for i, k in enumerate(keys)}
-    kmul = oracle.kmul
-    try:
-        left = [
-            np.fromiter((index[kmul(s, k)] for k in keys), dtype=np.int16, count=n)
-            for s in generating_keys(oracle)
-        ]
-    except KeyError:
-        raise GroupAxiomError(
-            f"a product leaves the enumeration of {oracle.domain!r}"
-        ) from None
-    cells = np.empty((n, n), dtype=np.int16)
-    e = index[oracle.identity_key]
-    cells[e] = np.arange(n)
-    filled = {e}
-    order = [e]
-    steps = [(perm, perm.tolist()) for perm in left]
-    for a in order:  # grows as rows fill: a breadth-first walk
-        for perm, image in steps:
-            c = image[a]
-            if c not in filled:
-                cells[c] = perm[cells[a]]
-                filled.add(c)
-                order.append(c)
-    if len(order) != n:
-        raise GroupAxiomError(
-            f"{n - len(order)} Cayley table rows of {oracle.domain!r} left unfilled"
-        )
-    oracle._cayley = CayleyTable(keys, index, cells)
-    return oracle._cayley
 
 
 def key_digest(oracle: GroupOracle, keys: Iterable[Any]) -> str:
@@ -1263,9 +1165,9 @@ def verify_group_axioms(oracle: GroupOracle) -> int:
     it abelian, so the flag is checked both ways.  Other groups are sampled
     on 10^4 seeded triples.
 
-    An oracle that holds a table (:func:`cayley_table`, a law table for
-    ``dihedral:n`` and ``heisenberg:p``) has it compared with ``kmul``: on
-    every pair when n^2 <= LIGHT_TEST_CAP, else on the sampled pairs.
+    An oracle with a ``law`` (``dihedral:n`` and an enumerated
+    ``heisenberg:p``) has it compared with ``kmul``: on every pair when
+    n^2 <= LIGHT_TEST_CAP, else on the sampled pairs.
     """
     kmul, kinv, e = oracle.kmul, oracle.kinv, oracle.identity_key
 
@@ -1317,24 +1219,24 @@ def verify_group_axioms(oracle: GroupOracle) -> int:
             if oracle.abelian and kmul(a, b) != kmul(b, a):
                 raise GroupAxiomError(f"abelian flag wrong on {(a, b)!r}")
             drawn.append((a, b))
-    table = cayley_table(oracle, build=False)
-    if table is not None:
+    if oracle.law is not None:
         if 0 < n * n <= LIGHT_TEST_CAP:
-            _check_table(oracle, table, ks, ks)
+            _check_law(oracle, ks, ks)
         else:
             for lo in range(0, len(drawn), 100):
-                _check_table(oracle, table, *zip(*drawn[lo : lo + 100]), pairs=True)
+                _check_law(oracle, *zip(*drawn[lo : lo + 100]), pairs=True)
     return tested
 
 
-def _check_table(oracle: GroupOracle, table, xs, ys, pairs: bool = False) -> None:
-    """GroupAxiomError unless ``table`` gives ``kmul``'s product x y for
-    every x in *xs* and y in *ys*, or, with *pairs*, for each (xs[i], ys[i]):
-    the diagonal of their outer product."""
-    cells = table.outer(table.positions(xs), table.positions(ys))
+def _check_law(oracle: GroupOracle, xs, ys, pairs: bool = False) -> None:
+    """GroupAxiomError unless the oracle's law gives ``kmul``'s product x y
+    for every x in *xs* and y in *ys*, or, with *pairs*, for each
+    (xs[i], ys[i]): the diagonal of their outer product."""
+    law = oracle.law
+    cells = law.outer(law.positions(xs), law.positions(ys))
     if pairs:
         got, want = [cells.diagonal()], [list(map(oracle.kmul, xs, ys))]
     else:
         got, want = cells, ([oracle.kmul(x, y) for y in ys] for x in xs)
-    if any(table.keys_at(row) != products for row, products in zip(got, want)):
-        raise GroupAxiomError(f"the table of {oracle.domain!r} disagrees with kmul")
+    if any(law.keys_at(row) != products for row, products in zip(got, want)):
+        raise GroupAxiomError(f"the law of {oracle.domain!r} disagrees with kmul")

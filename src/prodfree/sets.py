@@ -32,27 +32,20 @@ Products take one of three paths, chosen in one place,
   with ``np.unique``.  ``int`` takes the kernel from :data:`NUMPY_MIN_PAIRS`
   pairs on, where it starts to beat the ``kmul`` loop; a box group from
   there too, or on fewer pairs when its FFT is dense (order <= |A||B|).
-* ``dihedral:n``, an enumerated ``heisenberg:p`` and every other
-  enumerated group of order n <= 4096 -- ``sym:n``, subgroup views and
-  quotients -- read their products from the oracle's Cayley table
-  (:func:`groups.cayley_table`), by enumeration position, through one
-  ``table.outer(a, b)``: the same kernel takes the outer product of A x B a
-  row block of at most TABLE_BLOCK_BYTES at a time and counts it with
-  ``np.bincount`` over the n positions, or, when n > |A||B|, sorts the
-  |A||B| products with ``np.unique`` instead.
-  ``dihedral:n`` and ``heisenberg:p`` come with a law table
-  (:class:`groups.LawTable`) at any order: their ``kmul`` formula read on
-  positions, one outer add and one lookup per row group at about 6-8 ns
-  a pair, so even ``heisenberg-ball:11:1`` (27 points in an order-1331
-  group) and every product in ``heisenberg:17`` (order 4913) are free of
-  ``kmul``.  The others build a table of int16 cells once per oracle, when
-  it already exists or when n^2 <= CAYLEY_GATE |A||B|: a build writes n^2
-  cells at about 10-20 ns each and makes n |gens| ``kmul`` calls, against
-  about 1 us per ``kmul`` pair, so from that size on the first product
-  already pays for it, and every later product on the oracle is free of
-  ``kmul``.  Below it the products stay on ``kmul``.
-* Everything else -- ``matrix:d:m``, larger groups, small products in
-  groups without a table -- runs through the oracle's ``kmul``.
+* ``dihedral:n`` and an enumerated ``heisenberg:p`` read their products
+  from the oracle's product law (:class:`groups.LawTable`, the ``law``
+  field), by enumeration position, through one ``law.outer(a, b)``: their
+  ``kmul`` formula read on positions, one outer add and one lookup per row
+  group at about 6-8 ns a pair, at any order, so even
+  ``heisenberg-ball:11:1`` (27 points in an order-1331 group) and every
+  product in ``heisenberg:17`` (order 4913) are free of ``kmul``.  The
+  same kernel takes the outer product of A x B a row block of at most
+  TABLE_BLOCK_BYTES at a time and counts it with ``np.bincount`` over the
+  n positions, or, when n > |A||B|, sorts the |A||B| products with
+  ``np.unique`` instead.
+* Everything else -- ``sym:n``, subgroup views, quotients, ``matrix:d:m``,
+  ``heisenberg:p`` above p = 97, small products in ``int`` and box
+  groups -- runs through the oracle's ``kmul``.
 
 Triple localization (``pipeline._bucket_best``) counts its (g, h)
 buckets through :func:`_product_counts` in every abelian group, one
@@ -60,12 +53,12 @@ difference class h g^-1 at a time.
 The covering translates t X and X t of ``approx_report`` are bitmasks over
 X^2's keys.  Where X X takes a kernel they are built from its outer
 products (:func:`_outer_sums`: the sums the exact path counts, or the
-table's outer product), each placed among X^2's keys by one gather from a position
+law's outer product), each placed among X^2's keys by one gather from a position
 array over their range when that range is small, else by a binary search;
 elsewhere from |X|^2 ``kmul`` calls.
 Budgets bound the |A||B| pairs of a product on the sums kernel and the
 |X|^2 pairs of the freeness and incident-pair counts; a product on the
-table or ``kmul`` path is bounded by its number of distinct products
+law or ``kmul`` path is bounded by its number of distinct products
 instead.
 """
 
@@ -84,23 +77,15 @@ from .errors import (
     DomainMismatchError,
     PreconditionError,
 )
-from .groups import (
-    CAYLEY_ORDER_CAP,
-    CayleyTable,
-    Element,
-    GroupOracle,
-    LawTable,
-    cayley_table,
-)
+from .groups import Element, GroupOracle, LawTable
 
 DEFAULT_PRODUCT_BUDGET = 10**7
 NUMPY_MIN_PAIRS = 512
 FOLD_MIN_LENGTH = 8192  # fold int operands onto two axes from this FFT length
 FOLD_GAIN = 4  # ... when that shrinks the grid at least this many times
-CAYLEY_GATE = 64  # build a Cayley table of order n for |A||B| >= n^2 / 64 pairs
 EXACT_COVER_UNIVERSE = 4096
 MASK_CHUNK_CELLS = 1 << 22
-TABLE_BLOCK_BYTES = 1 << 23  # most bytes of one table.outer block of _pair_counts
+TABLE_BLOCK_BYTES = 1 << 23  # most bytes of one law.outer block in _pair_counts, 8 a cell
 
 
 def frac_str(x: Fraction) -> str:
@@ -197,23 +182,23 @@ def _require_same(x: MultSet, y: MultSet) -> None:
 
 class _Operands(NamedTuple):
     """Arguments of :func:`_pair_counts` and :func:`_outer_sums`: sorted
-    int64 keys (with a box's moduli), or positions in a Cayley table."""
+    int64 keys (with a box's moduli), or positions under a product law."""
 
     a: Any
     b: Any
     moduli: tuple[int, ...] | None = None
-    table: CayleyTable | LawTable | None = None
+    table: LawTable | None = None
 
 
-def _values(keys, table: CayleyTable | LawTable | None = None):
+def _values(keys, table: LawTable | None = None):
     """The kernel values of group keys: the int64 keys themselves, or their
-    positions in ``table``'s enumeration (KeyError for a key outside it)."""
+    positions in ``table``'s enumeration."""
     if table is None:
         return np.fromiter(keys, dtype=np.int64, count=len(keys))
     return table.positions(keys)
 
 
-def _keys(values, table: CayleyTable | LawTable | None = None) -> list:
+def _keys(values, table: LawTable | None = None) -> list:
     """The group keys of kernel values; inverse of :func:`_values`."""
     return values.tolist() if table is None else table.keys_at(values)
 
@@ -319,12 +304,12 @@ def _pair_counts(
     a,
     b,
     moduli: tuple[int, ...] | None = None,
-    table: CayleyTable | LawTable | None = None,
+    table: LawTable | None = None,
 ):
     """Sorted distinct products a_i b_j and the exact number of pairs (i, j)
     giving each.  a and b are int64 keys: integers when ``moduli`` is None,
     else mixed-radix keys of the box Z_M1 x ... x Z_Mr, added digit-wise
-    mod M_j; or, with a Cayley ``table``, enumeration positions, multiplied
+    mod M_j; or, with a law ``table``, enumeration positions, multiplied
     by its ``outer`` a block of rows at a time, each block within
     TABLE_BLOCK_BYTES.  The blocks are counted with ``np.bincount`` over the
     table's n positions, or, when n exceeds |A||B|, with ``np.unique``.
@@ -335,7 +320,7 @@ def _pair_counts(
     else takes the exact outer-sum path."""
     if table is not None:
         n = table.order
-        step = max(1, TABLE_BLOCK_BYTES // (table.cell_bytes * max(1, len(b))))
+        step = max(1, TABLE_BLOCK_BYTES // (8 * max(1, len(b))))
         blocks = (
             table.outer(a[lo : lo + step], b).ravel() for lo in range(0, len(a), step)
         )
@@ -391,11 +376,11 @@ def _outer_sums(
     a,
     b,
     moduli: tuple[int, ...] | None = None,
-    table: CayleyTable | LawTable | None = None,
+    table: LawTable | None = None,
 ):
     """The |A| x |B| matrix of products a_i b_j: sums of int64 keys, added
     digit-wise mod M_j when ``moduli`` names a box (see :func:`_pair_counts`),
-    or the positions a Cayley ``table`` gives for positions a_i, b_j."""
+    or the positions a law ``table`` gives for positions a_i, b_j."""
     if table is not None:
         return table.outer(a, b)
     sums = np.add.outer(a, b)
@@ -434,24 +419,16 @@ def _product_operands(x: MultSet, y: MultSet) -> _Operands | None:
 
     The one place that decides which products take a kernel, and so which
     covering translates are built from its outer products: the sums kernel
-    where :func:`_kernel_operands` takes X Y, else the oracle's Cayley table
-    where it already exists (a law table always does) or n^2 <= CAYLEY_GATE
-    |X||Y| (see the module docstring), as long as every key of X and Y is
-    in its enumeration.
+    where :func:`_kernel_operands` takes X Y, else the oracle's product law
+    where it has one.
     """
     operands = _kernel_operands(x, y)
     if operands is not None:
         return operands
-    o = x.oracle
-    if o.order is None:  # no enumeration, so no table
+    law = x.oracle.law
+    if law is None:
         return None
-    table = cayley_table(o, build=o.order**2 <= CAYLEY_GATE * len(x) * len(y))
-    if table is None:
-        return None
-    try:
-        return _Operands(_values(x.keys, table), _values(y.keys, table), table=table)
-    except KeyError:  # a set holding keys outside the oracle's enumeration
-        return None
+    return _Operands(_values(x.keys, law), _values(y.keys, law), table=law)
 
 
 def product_set(
@@ -469,10 +446,10 @@ def product_set(
             )
         table = operands.table
         out = _keys(_pair_counts(*operands)[0], table)
-        # on the table path the budget bounds distinct products, as on kmul's
+        # on the law path the budget bounds distinct products, as on kmul's
         if len(out) > budget:
             raise BudgetExceededError(f"product set grew past budget {budget}")
-        # kernel values come sorted, and a table's keys ascend by position
+        # kernel values come sorted, and a law's keys ascend by position
         return MultSet._from_sorted(x.oracle, out)
     kmul = x.oracle.kmul
     out: set = set()
@@ -704,9 +681,8 @@ def _translates(x: MultSet, square: MultSet, side: str) -> list[int]:
     of x_r x_j, so row r is x_r X and column r is X x_r.  Where
     :func:`_product_operands` takes X X to a kernel, the matrix places the
     kernel's outer products among X^2's values: by one gather from an array
-    indexed by value where their range is at most max(|X|^2, 4096) cells
-    (always, for the positions of a built Cayley table), else by a binary
-    search.
+    indexed by value where their range is at most max(|X|^2, 4096) cells,
+    else by a binary search.
     On the sums kernel (``int``, full ``cyclic:N`` and ``abelian:*``) it is
     symmetric, so each right translate is the left one.  Elsewhere it takes
     |X|^2 ``kmul`` calls.
@@ -723,8 +699,9 @@ def _translates(x: MultSet, square: MultSet, side: str) -> list[int]:
         products = _outer_sums(*operands)
         values = _values(square.keys, operands.table)
         lo, hi = int(values.min()), int(values.max())
-        # a position array no larger than the matrix, or than a table's order
-        if hi - lo < max(len(x) ** 2, CAYLEY_ORDER_CAP):
+        # a position array no larger than the matrix, or than 16 KB of int32
+        # cells, which costs less to fill than a binary search of the matrix
+        if hi - lo < max(len(x) ** 2, 4096):
             # int32 positions: |X^2| is far below 2^31
             where = np.zeros(hi - lo + 1, dtype=np.int32)
             where[values - lo] = np.arange(len(values))

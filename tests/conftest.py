@@ -126,19 +126,22 @@ def fft_calls(monkeypatch):
     return patch_irfft(monkeypatch)
 
 
-def table_oracles():
-    """Oracles whose products a Cayley table serves, by name: three built
-    groups, a subgroup view (A4 in sym:4) and a quotient (sym:4 / V4)."""
+def law_oracles():
+    """Oracles that read their products from a product law, by name:
+    heisenberg:17 has 4913 elements."""
+    from prodfree import build_group
+
+    names = ("dihedral:6", "heisenberg:5", "dihedral:1024", "heisenberg:17")
+    return {name: build_group(name) for name in names}
+
+
+def kmul_oracles():
+    """Enumerated oracles without a law, which multiply on ``kmul``, by
+    name: sym:4, a subgroup view (A4 in sym:4) and a quotient (sym:4 / V4)."""
     from prodfree import build_group, quotient_projection
     from prodfree.groups import derived_subgroup_keys, subgroup_view
 
     s4 = build_group("sym:4")
     a4 = subgroup_view(s4, derived_subgroup_keys(s4))
     v4 = derived_subgroup_keys(a4)
-    return {
-        "sym:4": s4,
-        "dihedral:6": build_group("dihedral:6"),
-        "heisenberg:5": build_group("heisenberg:5"),
-        "A4-view": a4,
-        "S4/V4": quotient_projection(s4, v4)[0],
-    }
+    return {"sym:4": s4, "A4-view": a4, "S4/V4": quotient_projection(s4, v4)[0]}

@@ -34,11 +34,10 @@ from prodfree.groups import (
     _mat_mul,
     _perm_inv,
     _perm_mul,
-    cayley_table,
     derived_subgroup_keys,
     generating_keys,
 )
-from conftest import naive_closure, naive_derived_orders, table_oracles
+from conftest import kmul_oracles, naive_closure, naive_derived_orders
 
 Q8_GENS = [(0, 2, 1, 0), (1, 1, 1, 2)]  # i and j inside GL2(F3)
 
@@ -640,45 +639,25 @@ def test_abelian_element_order_matches_brute_force(moduli):
         assert element_order(g, a) == n
 
 
-@pytest.mark.parametrize("name", list(table_oracles()))
-def test_cayley_table_matches_kmul_on_every_pair(name):
-    g = table_oracles()[name]
-    # dihedral:n and heisenberg:p come with their law; the others build cells
-    law = isinstance(g._cayley, LawTable)
-    assert (cayley_table(g, build=False) is not None) == law
-    table = cayley_table(g)
-    if not law:
-        assert table.keys == g.enum_keys and table.cells.dtype.name == "int16"
-    positions = table.positions(g.enum_keys)
-    assert positions.tolist() == list(range(g.order)) and table.order == g.order
-    cells = table.outer(positions, positions)
-    for a, row in zip(g.enum_keys, cells):
-        assert table.keys_at(row) == [g.kmul(a, b) for b in g.enum_keys]
-    assert cayley_table(g) is table and cayley_table(g, build=False) is table
+def test_only_dihedral_and_enumerated_heisenberg_carry_a_law():
+    for spec in ("dihedral:3", "dihedral:1024", "heisenberg:2", "heisenberg:5"):
+        assert isinstance(build_group(spec).law, LawTable)
+    # heisenberg:101 has 1030301 elements, more than ENUM_CAP: no enumeration
+    for spec in (
+        "int", "cyclic:12", "abelian:6,10", "matrix:2:5", "sym:4", "sym:7", "heisenberg:101"
+    ):
+        assert build_group(spec).law is None
+    assert all(g.law is None for g in kmul_oracles().values())
 
 
-def test_cayley_table_only_for_small_enumerated_groups_without_a_box():
-    for spec in ("int", "cyclic:12", "abelian:6,10", "matrix:2:5", "sym:7"):
-        g = build_group(spec)
-        assert cayley_table(g) is None and g._cayley is None
-
-
-def test_cayley_table_rejects_a_broken_oracle():
-    s4 = build_group("sym:4")
-    # products leaving the enumeration: six of sym:4's keys, not a subgroup
-    with pytest.raises(GroupAxiomError, match="leaves the enumeration"):
-        cayley_table(_with("sym:4", order=6, enum_keys=s4.enum_keys[1:7]))
-    # s a == a for every s: no generator moves the walk off the identity
-    projection = _with("sym:4", kmul=lambda a, b: b)
-    with pytest.raises(GroupAxiomError, match="23 Cayley table rows"):
-        cayley_table(projection)
-    # a law table comes with its oracle and reads no kmul, so the same two
-    # breaks in dihedral:6 show in the axiom check
+def test_axiom_check_catches_a_broken_law_oracle():
+    # a law comes with its oracle and reads no kmul, so a dihedral:6 whose
+    # enumeration or kmul is broken keeps its law and fails the axiom check
     for broken in (
         _with("dihedral:6", order=6, enum_keys=tuple(range(6))),
         _with("dihedral:6", kmul=lambda a, b: b),
     ):
-        assert isinstance(cayley_table(broken), LawTable)
+        assert isinstance(broken.law, LawTable)
         with pytest.raises(GroupAxiomError):
             verify_group_axioms(broken)
 
@@ -693,7 +672,7 @@ LAW_EVERY_PAIR = [
 @pytest.mark.parametrize("spec", LAW_EVERY_PAIR)
 def test_law_matches_kmul_on_every_pair(spec):
     g = build_group(spec)
-    table = cayley_table(g, build=False)
+    table = g.law
     assert isinstance(table, LawTable) and table.order == g.order
     # positions are ranks in the sorted enumeration, found without it
     keys = g.enum_keys
@@ -707,12 +686,31 @@ def test_law_matches_kmul_on_every_pair(spec):
         assert table.keys_at(row) == [g.kmul(a, b) for b in keys]
 
 
+@pytest.mark.parametrize("spec", ["dihedral:6", "heisenberg:5"])
+def test_cayley_table_matches_kmul_on_every_pair(spec):
+    # the law's cells on every pair form the Cayley table: a Latin square of
+    # positions, with the identity's row and column the enumeration itself
+    g = build_group(spec)
+    table = g.law
+    assert isinstance(table, LawTable) and table is g.law
+    positions = table.positions(g.enum_keys)
+    cells = table.outer(positions, positions)
+    every = list(range(g.order))
+    assert all(sorted(row) == every for row in cells.tolist())
+    assert all(sorted(col) == every for col in cells.T.tolist())
+    e = g.enum_keys.index(g.identity_key)
+    assert cells[e].tolist() == every == cells[:, e].tolist()
+    assert [table.keys_at(row) for row in cells] == [
+        [g.kmul(a, b) for b in g.enum_keys] for a in g.enum_keys
+    ]
+
+
 @pytest.mark.parametrize(
     "spec", ["heisenberg:11", "heisenberg:17", "heisenberg:97", "dihedral:1024"]
 )
 def test_law_matches_kmul_on_random_blocks(spec):
     g = build_group(spec)
-    table = cayley_table(g, build=False)
+    table = g.law
     rng = random.Random(spec)
     for _ in range(8):
         # unsorted operands, with fewer and with more rows than groups

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -24,7 +23,7 @@ from prodfree import (
     product_set,
 )
 from prodfree.families import generate
-from prodfree.groups import LawTable, cayley_table, subgroup_view
+from prodfree.groups import LawTable, subgroup_view
 from prodfree.sets import (
     FOLD_GAIN,
     FOLD_MIN_LENGTH,
@@ -42,11 +41,12 @@ from prodfree.sets import (
     _translates,
 )
 from conftest import (
+    kmul_oracles,
+    law_oracles,
     naive_incident_pairs,
     naive_is_product_free,
     naive_product_keys,
     patch_irfft,
-    table_oracles,
 )
 
 
@@ -521,19 +521,20 @@ def test_frac_str():
     assert frac_str(Fraction(3)) == "3/1"
 
 
-@pytest.mark.parametrize("name", [*table_oracles(), "dihedral:1024", "heisenberg:17"])
+@pytest.mark.parametrize("name", [*law_oracles(), *kmul_oracles()])
 def test_table_path_matches_raw_kmul(name):
-    # two law oracles beyond the built ones: heisenberg:17 is above the
-    # 4096 elements a built table may have
-    g = table_oracles().get(name) or build_group(name)
-    cayley_table(g)  # from now on every product of g reads the table
+    # the law groups read every product from their law, the others multiply
+    # on kmul, and both give the naive counts, products and translates
+    laws = law_oracles()
+    g = laws.get(name) or kmul_oracles()[name]
     rng = random.Random(name)
     keys = list(g.enum_keys)
     top = len(keys) if len(keys) <= 125 else 60  # any size, up to 60 points in a large group
     for _ in range(25):
         x = MultSet(g, rng.sample(keys, rng.randint(1, top)))
         y = MultSet(g, rng.sample(keys, rng.randint(1, top)))
-        assert _product_operands(x, y).table is not None
+        operands = _product_operands(x, y)
+        assert operands.table is g.law if name in laws else operands is None
         want = Counter(g.kmul(a, b) for a in x.keys for b in y.keys)
         assert _product_counts(x, y) == want
         assert product_set(x, y).key_set() == frozenset(want)
@@ -546,9 +547,8 @@ def test_table_path_matches_raw_kmul(name):
 
 def test_table_path_budget_and_empty_sets():
     g = build_group("dihedral:6")
-    cayley_table(g)
     x = MultSet(g, range(12))
-    assert _product_operands(x, x).table is not None
+    assert _product_operands(x, x).table is g.law
     # 144 pairs, 12 distinct products: the budget bounds the products
     assert len(product_set(x, x, budget=12)) == 12
     with pytest.raises(BudgetExceededError, match="^product set grew past budget 11$"):
@@ -559,30 +559,30 @@ def test_table_path_budget_and_empty_sets():
 
 
 def test_table_gate_follows_the_pair_count():
-    # in sym:6 (order 720) a table is built from 720^2 / 64 = 8100 pairs on:
-    # 20 points never pay for one; the cube product of 80 points does, and
-    # its square (6400 pairs) then reuses it
+    # no pair count opens a table path in sym:6 (order 720), which has no
+    # law: 20 points, the 6400 pairs of 80 points and their cube all take kmul
     s6 = build_group("sym:6")
+    assert s6.law is None
     keys = random.Random(6).sample(s6.enum_keys, 100)
     small = MultSet(s6, keys[:20])
-    approx_report(small, 2)
-    assert cayley_table(s6, build=False) is None
     big = MultSet(s6, keys[20:])
+    assert _product_operands(small, small) is None
+    assert _product_operands(big, big) is None
     square = product_set(big, big)
-    assert cayley_table(s6, build=False) is None
-    product_set(square, big)
-    assert cayley_table(s6, build=False) is not None
-    assert _product_operands(big, big).table is not None
-    # a law table is there from the start, so even the 27-point ball reads it
+    assert square.key_set() == frozenset(naive_product_keys(s6, big.keys, big.keys))
+    assert _product_operands(square, big) is None
+    assert product_set(square, big).key_set() == frozenset(
+        naive_product_keys(s6, square.keys, big.keys)
+    )
+    # a law is there from the start, so even the 27-point ball reads it
     ball = generate("heisenberg-ball:11:1")
-    assert _product_operands(ball, ball).table is cayley_table(ball.oracle, build=False)
+    assert _product_operands(ball, ball).table is ball.oracle.law is not None
 
 
 def test_table_path_falls_back_to_kmul_off_the_enumeration():
     # a set on a subgroup view holding a key of the parent outside the view
     s4 = build_group("sym:4")
     view = subgroup_view(s4, [(0, 1, 2, 3), (1, 0, 2, 3)])
-    cayley_table(view)
     x = MultSet(view, [(1, 0, 2, 3), (0, 2, 1, 3)])
     assert _product_operands(x, x) is None
     assert product_set(x, x).key_set() == frozenset(naive_product_keys(s4, x.keys, x.keys))
@@ -697,8 +697,7 @@ def test_sparse_table_path_sorts_instead_of_counting(monkeypatch):
     # pairs and the translates have fewer pairs than the group has positions
     x = generate("heisenberg-ball:97:1")
     g = x.oracle
-    table = cayley_table(g, build=False)
-    assert isinstance(table, LawTable) and table.order == 97**3
+    assert isinstance(g.law, LawTable) and g.law.order == 97**3
     lengths, sorts = [], []
 
     def bincount(values, *args, _count=np.bincount, **kwargs):
@@ -831,23 +830,6 @@ def test_kernel_products_match_the_sorting_constructor(name, x, y):
     got = product_set(x, y)
     assert got == want and got.key_set() == want.key_set()
     assert MultSet._from_sorted(g, list(want.keys)) == want
-
-
-def test_table_products_are_sorted_whatever_the_enumeration():
-    g = build_group("sym:4")
-    # the same group enumerated backwards: its table still sorts its keys,
-    # so table products come out sorted without a re-sort
-    r = dataclasses.replace(g, enum_keys=tuple(reversed(g.enum_keys)), _cayley=None)
-    assert cayley_table(r).keys == cayley_table(g).keys == g.enum_keys
-    rng = random.Random(12)
-    for _ in range(10):
-        ka = rng.sample(g.enum_keys, rng.randint(1, 24))
-        kb = rng.sample(g.enum_keys, rng.randint(1, 24))
-        want = MultSet(g, naive_product_keys(g, ka, kb)).keys
-        for oracle in (g, r):
-            x, y = MultSet(oracle, ka), MultSet(oracle, kb)
-            assert _product_operands(x, y).table is not None
-            assert product_set(x, y).keys == want
 
 
 def _eager_greedy_cover(full, masks):
