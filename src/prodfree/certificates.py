@@ -27,8 +27,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceededError, CertificateError, InvariantViolationError
-from .groups import key_digest
+from .groups import generating_keys, key_digest
 from .sets import DEFAULT_PRODUCT_BUDGET, MultSet, frac_str, is_product_free
 
 # verify's freeness recheck in int, cyclic:N and abelian:* runs on a bitset
@@ -36,6 +38,13 @@ from .sets import DEFAULT_PRODUCT_BUDGET, MultSet, frac_str, is_product_free
 # n = 300 / 1000 / 3000 free keys at 1024 n bits took 5-8 / 28-97 / 260-540 ms
 # (raw kmul 13-16 / 87-202 / 1000-1500 ms, even at 2048 n; in process, 2 CPUs)
 VERIFY_BITS_PER_KEY = 1024
+# elsewhere, in an enumerated group, it walks the group (_walk_free) when
+# this many times |G| is at most n^2, else runs raw kmul over the n^2 pairs:
+# n free keys with n^2 = 16 |G| took 0.66-1.02 times the pair loop's time
+# (1.3-1.9 at 8 |G|, 0.37-0.5 at 32 |G|) in sym:5, sym:6, dihedral:50,
+# dihedral:300, heisenberg:5, heisenberg:11, heisenberg:17, a view and a
+# quotient (in process, 2 CPUs)
+VERIFY_WALK_COST = 16
 
 _FACTOR = re.compile(r"(-?\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z0-9_]*)")
 _SIDE = rf"(?:{_FACTOR.pattern})(?:\s*\*\s*(?:{_FACTOR.pattern}))*"
@@ -289,15 +298,73 @@ def _bitset_free(keys: tuple, moduli: tuple[int, ...] | None) -> bool:
     return not any(bits << c & target for c in cells)
 
 
+def _walk_free(oracle, keys: tuple, pos: dict) -> bool:
+    """Whether no product of two of ``keys`` is again a key, by a walk of
+    the enumerated group from the identity along its generators.
+
+    ``pos`` maps each key of the enumeration to its position (below
+    ENUM_CAP, so int32 holds it).  With step_g[x] the position of x g for
+    each generator g, the row of h (the positions of w h for each key w)
+    gives the row of h g by one gather, step_g[row(h)], exact as ``kmul``
+    is associative.  The keys are product-free iff no key h has a row that
+    meets the keys.  A breadth-first spanning tree is walked depth first,
+    so the rows held are at most |gens| per level of the tree; the walk
+    stops at the first key whose row meets the keys, or once every key is
+    checked, and skips the rows of leaves that are not keys.
+    """
+    enum, kmul, size = oracle.enum_keys, oracle.kmul, len(oracle.enum_keys)
+    links = []  # step_g as an int32 array to gather with, and as a list
+    for g in generating_keys(oracle):
+        link = [pos[kmul(x, g)] for x in enum]
+        links.append((np.array(link, dtype=np.int32), link))
+    # the breadth-first spanning tree: children[h] holds (h g, step_g) for
+    # each h g first reached from h
+    root = pos[oracle.identity_key]
+    seen, children, queue = [False] * size, [[] for _ in range(size)], [root]
+    seen[root] = True
+    for h in queue:
+        for step, link in links:
+            c = link[h]
+            if not seen[c]:
+                seen[c] = True
+                children[h].append((c, step))
+                queue.append(c)
+    row = np.array([pos[k] for k in keys], dtype=np.int32)
+    member = np.zeros(size, dtype=bool)
+    member[row] = True
+    inside, left, stack = member.tolist(), len(keys), [(root, row)]
+    while stack:
+        h, row = stack.pop()
+        if inside[h]:
+            if member.take(row).any():
+                return False
+            left -= 1
+            if not left:
+                return True
+        for c, step in children[h]:
+            if inside[c] or children[c]:
+                stack.append((c, step.take(row)))
+    # never reached, as the generators reach every key; a key left
+    # unchecked must not pass
+    return False
+
+
 def _recheck_free(witness: MultSet) -> bool:
     """Product-freeness of a nonempty witness: on the bitset below its
-    VERIFY_BITS_PER_KEY gate, else straight from the oracle's kmul."""
+    VERIFY_BITS_PER_KEY gate, else by the generator walk in an enumerated
+    group where VERIFY_WALK_COST |G| <= n^2, else straight from the
+    oracle's kmul over all pairs."""
     o, keys = witness.oracle, witness.keys
     moduli = o.component_moduli
     if o.kind == "int" or moduli is not None:
         top = keys[-1] - keys[0] if moduli is None else _cell(keys[-1], moduli)
         if top < VERIFY_BITS_PER_KEY * len(keys):
             return _bitset_free(keys, moduli)
+    enum = o.enum_keys
+    if enum is not None and VERIFY_WALK_COST * len(enum) <= len(keys) ** 2:
+        pos = {k: i for i, k in enumerate(enum)}
+        if all(k in pos for k in keys):
+            return _walk_free(o, keys, pos)
     kmul, member = o.kmul, witness.key_set()
     return not any(kmul(a, b) in member for a in keys for b in keys)
 
@@ -314,8 +381,11 @@ def verify_certificate(
     Freeness is rechecked independently of the set calculus that built the
     witness: in ``int``, ``cyclic:N`` and ``abelian:*`` on a bitset of the
     witness keys (:func:`_bitset_free`) while its largest cell is below
-    VERIFY_BITS_PER_KEY bits per key, else, and in every other group,
-    subgroup view and quotient, by the oracle's raw ``kmul`` over all pairs.
+    VERIFY_BITS_PER_KEY bits per key; else, in an enumerated group,
+    subgroup view or quotient whose enumeration holds every witness key, by
+    a walk along its generators (:func:`_walk_free`, on ``kmul`` alone)
+    when VERIFY_WALK_COST |G| <= n^2; else by the oracle's raw ``kmul``
+    over all pairs.
     On every path the witness's n^2 pairs stay within ``budget`` (at the
     default 10^7, at most 3162 points), or BudgetExceededError is raised.
     """

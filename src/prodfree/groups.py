@@ -187,11 +187,9 @@ def _perm_decode_factory(n: int):
 
 
 def _matrix_encode_factory(d: int):
-    def enc(key: tuple) -> str:
-        rows = [key[i * d : (i + 1) * d] for i in range(d)]
-        return ";".join(",".join(str(v) for v in row) for row in rows)
-
-    return enc
+    # the row-major entries, ',' within a row and ';' between rows, written
+    # by one precomputed %-format, with no str() or join per entry
+    return ";".join([",".join(["%d"] * d)] * d).__mod__
 
 
 def _matrix_decode_factory(d: int, m: int, unitriangular: bool):
@@ -381,16 +379,23 @@ def _build_dihedral(n: int) -> GroupOracle:
             return tuple(range(k, -1, -1)) + tuple(range(n - 1, k, -1))
         return tuple(range(k, n)) + tuple(range(k))
 
-    # precomputed digit strings: encoding an element is one join, with no
-    # int arithmetic or str() per entry
+    # every text is a window of one of two precomputed words, "0,...,n-1"
+    # or "n-1,...,0" written twice over: rotation k starts at entry k of
+    # the first, reflection k at entry n - 1 - k of the second.  Encoding
+    # is one slice, with no str() or join per entry.
     up = [str(i) for i in range(n)]
-    down = up[::-1]
+    width = len(",".join(up))
+    words = (",".join(up * 2), ",".join(up[::-1] * 2))
+    starts = list(itertools.accumulate((len(t) + 1 for t in up), initial=0))
+    # the entries before n - 1 - k in the second word are n - 1, ..., k + 1
+    at = [
+        starts[n] - starts[(c >> 1) + 1] if sign[c] else starts[c >> 1]
+        for c in range(2 * n)
+    ]
 
     def enc(a) -> str:
-        k = a >> 1
-        if sign[a]:
-            return ",".join(down[n - 1 - k :] + down[: n - 1 - k])
-        return ",".join(up[k:] + up[:k])
+        i = at[a]
+        return words[sign[a]][i : i + width]
 
     rank = {t: i for i, t in enumerate(up)}
 

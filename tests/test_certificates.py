@@ -24,7 +24,7 @@ from prodfree import (
 )
 from prodfree import certificates, sets
 from prodfree.cli import main as cli_main
-from conftest import naive_is_product_free
+from conftest import kmul_oracles, naive_incident_pairs, naive_is_product_free
 
 
 def test_eval_inequality_basic():
@@ -433,6 +433,138 @@ def test_digit_vector_recheck_matches_raw_kmul(spec, block, monkeypatch):
         assert False in routes or spec not in ("int", "cyclic:100000000")
 
 
+# -- the generator walk -----------------------------------------------------
+
+
+def _grow_free(oracle, order):
+    """A product-free set grown greedily along *order*: a candidate joins
+    when it is no product of two kept keys and none of its products with
+    the kept keys and itself is kept or is the candidate."""
+    kmul, kept, products = oracle.kmul, set(), set()
+    for k in order:
+        new = {kmul(k, k)} | {kmul(k, w) for w in kept} | {kmul(w, k) for w in kept}
+        if k not in products and k not in new and not new & kept:
+            kept.add(k)
+            products |= new
+    return sorted(kept)
+
+
+def _one_product_inside(oracle, order, a, b):
+    """Keys a, b, a b and more, grown greedily along *order*, of which a b
+    is the only product of two keys that is again a key."""
+    kept = [a, b, oracle.kmul(a, b)]
+    if naive_incident_pairs(oracle, kept) != 1:
+        return None
+    for k in order:
+        if k not in kept and naive_incident_pairs(oracle, kept + [k]) == 1:
+            kept.append(k)
+    return kept
+
+
+def _walk_witnesses(g, rng):
+    """Free witnesses, each also with a product of two of its keys
+    appended, and witnesses with one product of two keys inside."""
+    keys = list(g.enum_keys)
+    free = [_grow_free(g, keys), _grow_free(g, keys[::-1])]
+    for _ in range(6):
+        rng.shuffle(keys)
+        grown = _grow_free(g, keys)
+        free += [grown, rng.sample(grown, rng.randint(1, len(grown)))]
+    out = []
+    for w in free:
+        a, b = rng.choice(w), rng.choice(w)
+        out += [w, w + [g.kmul(a, b)]]
+    for _ in range(4):
+        rng.shuffle(keys)
+        out.append(_one_product_inside(g, keys, *rng.sample(keys, 2)))
+    return list(filter(None, out))
+
+
+def _walk_group(spec):
+    return kmul_oracles()[spec] if spec in ("A4-view", "S4/V4") else build_group(spec)
+
+
+def _spy_walk(monkeypatch):
+    calls = []
+    walk_free = certificates._walk_free
+
+    def spy(oracle, keys, pos):
+        calls.append(keys)
+        return walk_free(oracle, keys, pos)
+
+    monkeypatch.setattr(certificates, "_walk_free", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cost", [0, 4, None])
+@pytest.mark.parametrize(
+    "spec",
+    ["sym:4", "dihedral:5", "dihedral:12", "dihedral:60", "heisenberg:3",
+     "heisenberg:5", "A4-view", "S4/V4"],
+)
+def test_generator_walk_matches_raw_kmul(spec, cost, monkeypatch):
+    if cost is not None:
+        # a gate of `cost` |G| <= n^2 moves witnesses from raw kmul to the walk
+        monkeypatch.setattr(certificates, "VERIFY_WALK_COST", cost)
+    calls = _spy_walk(monkeypatch)
+    g = _walk_group(spec)
+    verdicts, routes = set(), set()
+    for keys in _walk_witnesses(g, random.Random(f"{spec}/{cost}")):
+        x = MultSet(g, set(keys) | {g.identity_key})
+        free = naive_is_product_free(g, set(keys))
+        verdicts.add(free)
+        ok, problems = verify_certificate(_claimed_free_cert(x, keys), x)
+        assert ok == free, (keys, problems)
+        assert ("witness is not product-free on recomputation" in problems) != free
+        keys = tuple(sorted(set(keys)))
+        route = certificates.VERIFY_WALK_COST * g.order <= len(keys) ** 2
+        routes.add(route)
+        assert calls == ([keys] if route else [])
+        calls.clear()
+    assert verdicts == {True, False}
+    if cost == 0:
+        assert routes == {True}
+    elif cost is None:
+        # at the default gate only the 60 reflections of dihedral:60 and the
+        # 50-key witness of heisenberg:5 are large enough for the walk
+        assert (True in routes) == (spec in ("dihedral:60", "heisenberg:5"))
+
+
+def test_generator_walk_skips_small_witnesses_and_foreign_keys(monkeypatch):
+    calls = _spy_walk(monkeypatch)
+    g = build_group("heisenberg:11")
+    x = MultSet(g, [g.identity_key, (1, 1, 0, 0, 1, 0, 0, 0, 1)])
+    # one point: 16 |G| > 1, so the pair loop runs
+    assert verify_certificate(_claimed_free_cert(x, x.keys[1:]), x) == (True, [])
+    assert calls == []
+    # an odd permutation decodes in the A4 view but has no position there:
+    # the pair loop runs even with the walk's gate open, and raises nothing
+    monkeypatch.setattr(certificates, "VERIFY_WALK_COST", 0)
+    a4 = kmul_oracles()["A4-view"]
+    x = MultSet(a4, a4.enum_keys)
+    cert = _claimed_free_cert(x, [(1, 2, 0, 3)])
+    cert.witness.append("1,0,2,3")
+    cert.achieved_size += 1
+    ok, problems = verify_certificate(cert, x)
+    assert not ok
+    assert problems == ["witness element '1,0,2,3' not in the input set"]
+    assert calls == []
+    assert verify_certificate(_claimed_free_cert(x, [(1, 2, 0, 3)]), x) == (True, [])
+    assert calls == [((1, 2, 0, 3),)]
+
+
+def test_generator_walk_gate_is_16_group_orders_per_squared_witness_size(monkeypatch):
+    calls = _spy_walk(monkeypatch)
+    g = build_group("dihedral:200")
+    x = MultSet(g, g.enum_keys[1:])
+    free = _grow_free(g, g.enum_keys)  # the 200 reflections
+    assert len(free) == 200
+    for n, walks in ((79, False), (80, True)):  # 16 * 400 == 80^2
+        assert verify_certificate(_claimed_free_cert(x, free[:n]), x) == (True, [])
+        assert calls == ([tuple(free[:n])] if walks else [])
+        calls.clear()
+
+
 @pytest.fixture(scope="module")
 def real_certificates(tmp_path_factory):
     out = {}
@@ -599,6 +731,21 @@ def test_verify_budget_bounds_the_witness_recheck(
     assert _verify_cli(
         interval50_certificate, tmp_path, capsys, "--budget", "289"
     ) == (0, "PASS\n", "")
+
+
+def test_verify_budget_bounds_the_walk_recheck(tmp_path, capsys, monkeypatch):
+    calls = _spy_walk(monkeypatch)
+    source = "full-group-minus-identity:dihedral:200"
+    path = tmp_path / "d.json"
+    assert cli_main(["extract", "solvable", source, "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["achieved_size"] == 200
+    capsys.readouterr()
+    assert cli_main(["verify", str(path), source, "--budget", "39999"]) == 1
+    assert capsys.readouterr() == ("", "error: 200^2 pairs exceed budget 39999\n")
+    assert calls == []
+    assert cli_main(["verify", str(path), source, "--budget", "40000"]) == 0
+    assert capsys.readouterr() == ("PASS\n", "")
+    assert [len(keys) for keys in calls] == [200]  # 16 * 400 <= 200^2: the walk ran
 
 
 @pytest.mark.parametrize("scale", [1, 2**40], ids=["bitset", "raw-kmul"])

@@ -361,6 +361,39 @@ def test_dihedral_decoder_on_non_canonical_texts(text, expected):
         assert type(info.value) is expected
 
 
+def _joined_text(g, key):
+    """A key's text joined entry by entry: a dihedral image word rotated
+    out of "0,...,n-1" or "n-1,...,0", or a matrix written row by row."""
+    if g.domain.startswith("dihedral:"):
+        n = g.order // 2
+        up = [str(i) for i in range(n)]
+        down, k = up[::-1], key >> 1
+        if key & 1 ^ (0 < k < n - 1):  # a reflection (the builder's sign)
+            return ",".join(down[n - 1 - k :] + down[: n - 1 - k])
+        return ",".join(up[k:] + up[:k])
+    d = math.isqrt(len(key))
+    rows = [key[i * d : (i + 1) * d] for i in range(d)]
+    return ";".join(",".join(str(v) for v in row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["dihedral:3", "dihedral:4", "dihedral:5", "dihedral:12", "dihedral:200",
+     "heisenberg:3", "heisenberg:5", "matrix:2:5"],
+)
+def test_codecs_match_the_per_entry_joins(spec):
+    g = build_group(spec)
+    if g.enum_keys is None:  # matrix:2:5: every invertible 2 x 2 matrix mod 5
+        keys = [k for k in itertools.product(range(5), repeat=4)
+                if (k[0] * k[3] - k[1] * k[2]) % 5]
+        assert len(keys) == 480
+    else:
+        keys = g.enum_keys
+    assert [g.kencode(k) for k in keys] == [_joined_text(g, k) for k in keys]
+    if spec.startswith("dihedral:"):
+        assert [g.kdecode(g.kencode(k)) for k in keys] == list(keys)
+
+
 @pytest.mark.parametrize(
     "spec,digest",
     [
