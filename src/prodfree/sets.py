@@ -51,11 +51,14 @@ Triple localization (``pipeline._bucket_best``) counts its (g, h)
 buckets through :func:`_product_counts` in every abelian group, one
 difference class h g^-1 at a time.
 The covering translates t X and X t of ``approx_report`` are bitmasks over
-X^2's keys.  Where X X takes a kernel they are built from its outer
-products (:func:`_outer_sums`: the sums the exact path counts, or the
-law's outer product), each placed among X^2's keys by one gather from a position
-array over their range when that range is small, else by a binary search;
-elsewhere from |X|^2 ``kmul`` calls.
+X^2's keys.  In ``int``, when X + X fills the box of X's fold (intervals,
+progressions, full boxes of a GAP), each is one shift of a single bitset
+(:func:`_shift_masks`).  Elsewhere, where X X takes a kernel, they are
+built from its outer products (:func:`_outer_sums`: the sums the exact path
+counts, or the law's outer product), each placed among X^2's keys by one
+gather from a position array over their range when that range is small,
+else by a binary search; otherwise from |X|^2 ``kmul`` calls.  The report's
+X^3 is only counted, never built into keys (:func:`_distinct_products`).
 Budgets bound the |A||B| pairs of a product on the sums kernel and the
 |X|^2 pairs of the freeness and incident-pair counts; a product on the
 law or ``kmul`` path is bounded by its number of distinct products
@@ -431,26 +434,25 @@ def _product_operands(x: MultSet, y: MultSet) -> _Operands | None:
     return _Operands(_values(x.keys, law), _values(y.keys, law), table=law)
 
 
-def product_set(
-    x: MultSet, y: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET
-) -> MultSet:
-    """Pointwise product {a b : a in X, b in Y} in the shared ambient group."""
+def _distinct_products(x: MultSet, y: MultSet, budget: int):
+    """X Y's distinct products, after :func:`product_set`'s budget checks:
+    (sorted kernel values, their operands) where X Y takes a kernel, else
+    (the set of ``kmul`` keys, None).  A caller that needs only |X Y| takes
+    ``len`` and never builds the keys."""
     _require_same(x, y)
     if len(x) == 0 or len(y) == 0:
-        return MultSet(x.oracle, ())
+        return (), None
     operands = _product_operands(x, y)
     if operands is not None:
         if operands.table is None and len(x) * len(y) > budget:
             raise BudgetExceededError(
                 f"product pairs {len(x) * len(y)} exceed budget {budget}"
             )
-        table = operands.table
-        out = _keys(_pair_counts(*operands)[0], table)
+        values = _pair_counts(*operands)[0]
         # on the law path the budget bounds distinct products, as on kmul's
-        if len(out) > budget:
+        if len(values) > budget:
             raise BudgetExceededError(f"product set grew past budget {budget}")
-        # kernel values come sorted, and a law's keys ascend by position
-        return MultSet._from_sorted(x.oracle, out)
+        return values, operands
     kmul = x.oracle.kmul
     out: set = set()
     for a in x.keys:
@@ -460,7 +462,18 @@ def product_set(
             raise BudgetExceededError(
                 f"product set grew past budget {budget}"
             )
-    return MultSet(x.oracle, out)
+    return out, None
+
+
+def product_set(
+    x: MultSet, y: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET
+) -> MultSet:
+    """Pointwise product {a b : a in X, b in Y} in the shared ambient group."""
+    products, operands = _distinct_products(x, y, budget)
+    if operands is None:
+        return MultSet(x.oracle, products)
+    # kernel values come sorted, and a law's keys ascend by position
+    return MultSet._from_sorted(x.oracle, _keys(products, operands.table))
 
 
 def _product_counts(x: MultSet, y: MultSet) -> Counter:
@@ -672,22 +685,59 @@ def _index_masks(index, width: int) -> list[int]:
     return masks
 
 
+def _shift_masks(keys, size: int) -> list[int] | None:
+    """The translates t + X, t in X, of sorted int64 keys as bitmasks over
+    the ``size`` sorted keys of X + X, each one shift of a single bitset;
+    or None when X + X does not fill the box below.
+
+    With m the row stride of X (:func:`_fold_modulus`, m = 1 for a single
+    key), each key is c + q m + r (:func:`_fold_axes`), so each sum of two
+    keys is 2c + i m + j with (i, j) in the Q x R box, Q = 2 max q + 1 and
+    R = 2 max r + 1.  X + X has Q R sums only when every cell holds one and
+    (i, j) -> 2c + i m + j is injective on the box.  Then R <= m or Q = 1
+    (with two rows and R > m, cells (0, m) and (1, 0) meet), and either way
+    the map increases in row-major order, as j < m in the first case.  So
+    the position of a sum among X + X's sorted keys is its cell's
+    row-major index, and t + x sits at cell(t) + cell(x), with
+    cell(x) = q_x R + r_x.  The mask of t + X is then B << cell(t), with B
+    the bitset of the cells of X.  The one test |X + X| = Q R is exact, on
+    X + X rather than on X: a box missing a corner (its double is missing
+    from X + X), rows that carry (R > m) or a random set returns None and
+    takes the index matrix of :func:`_translates`.
+    """
+    m = _fold_modulus(keys) or 1
+    _, q, r = _fold_axes(keys, m)
+    width = 2 * int(r.max()) + 1
+    if (2 * int(q[-1]) + 1) * width != size:
+        return None
+    cells = q * width + r
+    (base,) = _index_masks(cells[None, :], size)
+    return [base << cell for cell in cells.tolist()]
+
+
 def _translates(x: MultSet, square: MultSet, side: str) -> list[int]:
     """Translates t X and/or X t, t in X, as bitmasks over X^2's keys: bit i
     is set iff the translate holds the i-th key of X^2.  Two-sided, the left
     and right translates of each t alternate.
 
-    Entry (r, j) of one |X| x |X| index matrix is the position in X^2's keys
-    of x_r x_j, so row r is x_r X and column r is X x_r.  Where
-    :func:`_product_operands` takes X X to a kernel, the matrix places the
-    kernel's outer products among X^2's values: by one gather from an array
-    indexed by value where their range is at most max(|X|^2, 4096) cells,
-    else by a binary search.
+    Where X X takes the sums kernel in ``int`` and fills its fold's box
+    (intervals, progressions, full boxes of a GAP), each mask is one shift
+    of one bitset (:func:`_shift_masks`).  Otherwise entry (r, j) of one
+    |X| x |X| index matrix is the position in X^2's keys of x_r x_j, so row
+    r is x_r X and column r is X x_r.  Where :func:`_product_operands`
+    takes X X to a kernel, the matrix places the kernel's outer products
+    among X^2's values: by one gather from an array indexed by value where
+    their range is at most max(|X|^2, 4096) cells, else by a binary search.
     On the sums kernel (``int``, full ``cyclic:N`` and ``abelian:*``) it is
     symmetric, so each right translate is the left one.  Elsewhere it takes
     |X|^2 ``kmul`` calls.
     """
     operands = _product_operands(x, x)
+    if operands is not None and operands.moduli is None and operands.table is None:
+        masks = _shift_masks(operands.a, len(square))
+        if masks is not None:
+            # t + X = X + t: two-sided, each mask stands for both
+            return masks if side != "two-sided" else [m for m in masks for _ in range(2)]
     if operands is None:
         kmul = x.oracle.kmul
         where = {k: i for i, k in enumerate(square.keys)}
@@ -746,7 +796,8 @@ def approx_report(
     if translate_side not in ("left", "right", "two-sided"):
         raise PreconditionError(f"bad translate side {translate_side!r}")
     square = product_set(x, x, budget=budget)
-    cube = product_set(square, x, budget=budget)
+    # only |X^3| is reported: count its products without building its keys
+    cube, _ = _distinct_products(square, x, budget)
     doubling = Fraction(len(square), len(x))
     tripling = Fraction(len(cube), len(x))
     symmetric = inverse_set(x).key_set() == x.key_set()

@@ -87,6 +87,20 @@ def test_analyze_bytes_are_frozen(spec, side, capsys):
     assert digests == [FROZEN_ANALYZE_SHA256[spec, side]] * 2
 
 
+@pytest.mark.parametrize(
+    "spec,budget,message",
+    [
+        # X^2 has 101^2 = 10201 pairs; the cube X^2 X has 201 x 101
+        ("interval:50", "15000", "product pairs 20301 exceed budget 15000"),
+        # on the law path: 883 products in X^2, 1331 in X^3
+        ("heisenberg-ball:11:2", "1000", "product set grew past budget 1000"),
+    ],
+)
+def test_analyze_budget_bounds_the_uncollected_cube(spec, budget, message, capsys):
+    code, out, err = run_cli(capsys, "analyze", spec, "--k", "2", "--budget", budget)
+    assert code == 1 and out == "" and message in err
+
+
 def test_extract_thm33_writes_verifiable_certificate(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     code, _, _ = run_cli(capsys, "extract", "thm33", "interval:50", "--out", str(out_path))

@@ -24,6 +24,7 @@ from prodfree import (
 )
 from prodfree.families import generate
 from prodfree.groups import LawTable, subgroup_view
+from prodfree import sets
 from prodfree.sets import (
     FOLD_GAIN,
     FOLD_MIN_LENGTH,
@@ -466,6 +467,90 @@ def test_translates_match_naive_kmul(case, side):
         [sum(1 << j for j, i in enumerate(order) if m >> i & 1) for m in masks],
         [want_hitters[i] for i in order],
     )
+
+
+def _shift_cases():
+    """(name, keys or family spec, path) over ``int``, seeded: ``shift``
+    where X + X fills the box of X's fold, ``index`` where it cannot, None
+    where the path is not asserted or X X is below the kernel."""
+    rng = random.Random(25)
+    cases = [
+        ("one-point", [rng.randint(-99, 99)], None),
+        ("interval", "interval:50", "shift"),
+        ("gap-2-10x10", "gap:2:10,10:1,100", "shift"),
+        ("gap-2-7x7", "gap:2:7,7:1,1000", "shift"),
+        # an interval of 25 in rows 100 apart: a rank-2 box of rank-3 keys
+        ("gap-3-2x2x2", "gap:3:2,2,2:1,5,100", "shift"),
+        # residues -5..5 mod 20: the sums' residues span 21 > 20
+        ("gap-2-5x5-carry", "gap:2:5,5:1,20", "index"),
+    ]
+    for i in range(12):
+        lo, step = rng.randint(-500, 500), rng.randint(1, 8)
+        cases.append((f"ap-{i}", [lo + step * j for j in range(rng.randint(2, 80))], "shift"))
+        # a box of rows r < width spaced m apart: no carry while 2 width - 1 <= m
+        width, rows = rng.randint(2, 9), rng.randint(2, 9)
+        m = rng.randint(2 * width - 1, 60)
+        box = [lo + r + m * q for q in range(rows) for r in range(width)]
+        cases.append((f"box-{i}", box, "shift"))
+        # missing its first corner, X + X misses that corner's double
+        cases.append((f"corner-{i}", box[1:], "index"))
+        # missing the point at row 1, column 1 (inner from 3 x 3 on): X + X may still fill the box
+        cases.append((f"inner-{i}", box[:width + 1] + box[width + 2 :], None))
+        # rows of 3 or more spaced below 2 wide - 1 carry into the next row
+        wide = width + 1
+        stride = rng.randint(wide + 1, 2 * wide - 2)
+        carry = [lo + r + stride * q for q in range(rows) for r in range(wide)]
+        cases.append((f"carry-{i}", carry, "index"))
+        cases.append((f"random-{i}", rng.sample(range(-3000, 3000), rng.randint(2, 90)), "index"))
+    return [
+        (name, keys, None if len(keys) ** 2 < NUMPY_MIN_PAIRS else path)
+        if isinstance(keys, list) else (name, keys, path)
+        for name, keys, path in cases
+    ]
+
+
+@pytest.mark.parametrize("name,keys,path", _shift_cases(), ids=lambda c: c if isinstance(c, str) else "")
+def test_shift_masks_match_naive_translates(name, keys, path, monkeypatch):
+    g = build_group("int")
+    x = generate(keys) if isinstance(keys, str) else MultSet(g, keys)
+    square = product_set(x, x)
+    ran = []
+
+    def spy(*args, _shift=sets._shift_masks):
+        masks = _shift(*args)
+        ran.append("index" if masks is None else "shift")
+        return masks
+
+    monkeypatch.setattr(sets, "_shift_masks", spy)
+    for side in ("left", "right", "two-sided"):
+        ran.clear()
+        assert _translates(x, square, side) == _naive_translates(g, x.keys, square.keys, side)[0]
+        if path is not None:
+            assert ran == [path]
+        elif len(x) ** 2 < NUMPY_MIN_PAIRS:
+            assert ran == []
+
+
+@pytest.mark.parametrize(
+    "spec,path",
+    [
+        ("interval:30", "sums"),
+        ("gap:2:5,5:1,20", "sums"),
+        ("random:cyclic:128:20", "sums"),
+        ("heisenberg-ball:11:1", "law"),
+        ("random:dihedral:30:16", "law"),
+        ("random:sym:5:20", "kmul"),
+    ],
+)
+def test_tripling_counts_the_cube_product_set(spec, path):
+    x = generate(spec, seed=7)
+    square = product_set(x, x)
+    operands = _product_operands(square, x)
+    taken = "kmul" if operands is None else "sums" if operands.table is None else "law"
+    assert taken == path
+    cube = product_set(square, x)
+    assert cube.key_set() == frozenset(naive_product_keys(x.oracle, square.keys, x.keys))
+    assert approx_report(x).tripling == Fraction(len(cube), len(x))
 
 
 def test_exact_cover_root_bound_settles_without_hitters(monkeypatch):
