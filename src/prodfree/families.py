@@ -153,8 +153,7 @@ def generate_with_info(spec, seed: int | None = None):
         small = [v for v in range(p) if min(v, p - v) <= r]
         _cap(len(small) ** 3, "heisenberg ball")
         keys = [
-            (1, a, c, 0, 1, b, 0, 0, 1)
-            for a, c, b in itertools.product(small, repeat=3)
+            (a * p + c) * p + b for a, c, b in itertools.product(small, repeat=3)
         ]
         x = MultSet(oracle, keys)
         info["nominal_size"] = len(small) ** 3

@@ -19,15 +19,19 @@ Payload conventions:
 * ``dihedral:n``   the 2n symmetries of an n-gon; the key is an int code,
                    the rank of the image word ``(p(0), ..., p(n-1))`` in
                    sorted order, and the image word is its text
-* ``heisenberg:p`` unitriangular 3x3 matrices mod p, flattened row-major
+* ``heisenberg:p`` unitriangular 3x3 matrices mod p; the matrix
+                   ``[[1, a, c], [0, 1, b], [0, 0, 1]]`` is the int
+                   ``a p^2 + c p + b`` (int order is (a, c, b) order), and
+                   its rows ``1,a,c;0,1,b;0,0,1`` are its text
 * ``matrix:d:m``   invertible d x d matrices mod m, flattened row-major
 
 ``dihedral:n`` and an enumerated ``heisenberg:p`` carry a product law,
 a :class:`LawTable` held on the oracle's ``law`` field: their ``kmul``
 formula, the dihedral composition rule or the unitriangular matrix
-product, read on enumeration positions and evaluated on numpy arrays, so
-one ``outer(a, b)`` gives the position of every product x_i x_j with no
-cells stored.  Every other group multiplies with ``kmul`` alone.
+product, read on their int keys (which are also their enumeration
+positions) and evaluated on numpy arrays, so one ``outer(a, b)`` gives the
+key of every product x_i x_j with no cells stored.  Every other group
+multiplies with ``kmul`` alone.
 :func:`verify_group_axioms` compares a law with its oracle's ``kmul``.
 """
 
@@ -139,8 +143,9 @@ class GroupOracle:
     :data:`ENUM_CAP` (and the builder can enumerate at all); ``order`` is
     ``None`` for groups handled purely as oracles.  ``law`` is the
     :class:`LawTable` that the builder attaches to ``dihedral:n`` and an
-    enumerated ``heisenberg:p``, and None on every other group, subgroup
-    views and quotients included.
+    enumerated ``heisenberg:p``, whose int keys are their own enumeration
+    positions, and None on every other group, subgroup views and quotients
+    included.
     """
 
     domain: str
@@ -435,58 +440,51 @@ def _build_dihedral(n: int) -> GroupOracle:
 def _build_heisenberg(p: int) -> GroupOracle:
     if not _is_prime(p):
         raise GroupSpecError(f"heisenberg:p needs a prime, got {p}")
+    pp = p * p
 
-    def kmul(x, y):
+    def kmul(x, y, p=p, pp=pp):
         # [[1, a, c], [0, 1, b], [0, 0, 1]] times its primed copy is
-        # [[1, a + a', c + c' + a b'], [0, 1, b + b'], [0, 0, 1]]
+        # [[1, a + a', c + c' + a b'], [0, 1, b + b'], [0, 0, 1]], on the
+        # keys a p^2 + c p + b, where x // p = a p + c and x = b mod p
         return (
-            1,
-            (x[1] + y[1]) % p,
-            (x[2] + y[2] + x[1] * y[5]) % p,
-            0,
-            1,
-            (x[5] + y[5]) % p,
-            0,
-            0,
-            1,
+            (x // pp + y // pp) % p * pp
+            + (x // p + y // p + x // pp * (y % p)) % p * p
+            + (x + y) % p
         )
 
-    def kinv(x):
-        a, c, b = x[1], x[2], x[5]
-        return (1, (-a) % p, (a * b - c) % p, 0, 1, (-b) % p, 0, 0, 1)
+    def kinv(x, p=p, pp=pp):
+        # (a, c, b)^-1 = (-a, a b - c, -b)
+        a, b = x // pp, x % p
+        return (-a) % p * pp + (a * b - x // p) % p * p + (-b) % p
 
-    enum = None
-    if p**3 <= ENUM_CAP:
-        # generated in sorted order: by a, then c, then b
-        enum = tuple(
-            (1, a, c, 0, 1, b, 0, 0, 1)
-            for a in range(p)
-            for c in range(p)
-            for b in range(p)
-        )
+    def enc(x) -> str:
+        return "1,%d,%d;0,1,%d;0,0,1" % (x // pp, x // p % p, x % p)
+
+    parse = _matrix_decode_factory(3, p, unitriangular=True)
+
+    def dec(text: str) -> int:
+        m = parse(text)
+        return m[1] * pp + m[2] * p + m[5]
+
+    enum = tuple(range(p**3)) if p**3 <= ENUM_CAP else None
     return GroupOracle(
         domain=f"heisenberg:{p}",
         kind="matrix",
         kmul=kmul,
         kinv=kinv,
-        identity_key=(1, 0, 0, 0, 1, 0, 0, 0, 1),
+        identity_key=0,
         abelian=False,
         order=p**3,
         enum_keys=enum,
-        kencode=_matrix_encode_factory(3),
-        kdecode=_matrix_decode_factory(3, p, unitriangular=True),
+        kencode=enc,
+        kdecode=dec,
+        # a, then c, then b
         ksample=lambda rng: (
-            1,
-            int(rng.integers(0, p)),
-            int(rng.integers(0, p)),
-            0,
-            1,
-            int(rng.integers(0, p)),
-            0,
-            0,
-            1,
+            int(rng.integers(0, p)) * pp
+            + int(rng.integers(0, p)) * p
+            + int(rng.integers(0, p))
         ),
-        law=None if enum is None else _heisenberg_law(p, enum),
+        law=None if enum is None else _heisenberg_law(p),
     )
 
 
@@ -651,27 +649,27 @@ def generated_subgroup(parent: GroupOracle, generators: Iterable) -> GroupOracle
 @dataclass(frozen=True)
 class LawTable:
     """Products of ``dihedral:n`` or ``heisenberg:p`` by a closed-form law on
-    enumeration positions, with no cells stored; increasing positions read
-    off increasing keys.
+    their int keys, which are their enumeration positions, with no cells
+    stored.
 
-    ``codes(a, b)`` evaluates the law on the operands' 1-D digit arrays.
+    ``codes(a, b)`` evaluates the law on the operands' 1-D key arrays.
     It puts each row i in a group g_i on which the law is one lookup of a
     sum, and returns (r, g, c, t): the int32 code r_i of each row, its
     group g_i, and the int32 column codes c[g] and column shifts t[g] (or
-    None) of each group.  The product of row i and column j sits at
-    position lookup[r_i + c[g_i, j]] (+ t[g_i, j]), so ``outer`` is one
+    None) of each group.  The product of row i and column j has key
+    lookup[r_i + c[g_i, j]] (+ t[g_i, j]), so ``outer`` is one
     outer add and one gather, made for every group at once.
     """
 
     order: int
-    positions: Callable[[Any], np.ndarray]  # keys -> int64 positions
-    keys_at: Callable[[Any], list]  # positions -> keys
     codes: Callable[[Any, Any], tuple]
     lookup: np.ndarray
 
     def outer(self, a, b) -> np.ndarray:
-        """The |a| x |b| int32 matrix of the positions of the products a_i b_j."""
-        r, g, c, shift = self.codes(np.asarray(a), np.asarray(b))
+        """The |a| x |b| int32 matrix of the keys of the products a_i b_j."""
+        r, g, c, shift = self.codes(
+            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        )
         cells = c[g]
         cells += r[:, None]
         out = self.lookup[cells]
@@ -683,8 +681,7 @@ class LawTable:
 
 
 def _dihedral_law(n: int, flip: list) -> LawTable:
-    """The composition rule of ``dihedral:n`` read on its keys, which are
-    their own positions.
+    """The composition rule of ``dihedral:n`` read on its keys.
 
     Key c is (k, s) = (c >> 1, (c & 1) xor flip[k]), and (j, s)(k, t) =
     (j + (-1)^s k mod n, s xor t) has key 2 K + (s xor t xor flip[K]) with
@@ -706,18 +703,16 @@ def _dihedral_law(n: int, flip: list) -> LawTable:
 
     return LawTable(
         order=2 * n,
-        positions=lambda keys: np.fromiter(keys, dtype=np.int64, count=len(keys)),
-        keys_at=lambda values: values.tolist(),
         codes=lambda a, b: (rows[a], ss[a], cols[:, b], None),
         lookup=lookup,
     )
 
 
-def _heisenberg_law(p: int, enum: tuple) -> LawTable:
-    """The unitriangular matrix product of ``heisenberg:p`` read on positions.
+def _heisenberg_law(p: int) -> LawTable:
+    """The unitriangular matrix product of ``heisenberg:p`` read on its keys.
 
-    The key (1, a, c, 0, 1, b, 0, 0, 1) sits at position a p^2 + c p + b,
-    its rank in the sorted enumeration *enum*.  As in ``kmul``, (a, c, b)
+    The key of the matrix with entries (a, c, b) is a p^2 + c p + b.  As in
+    ``kmul``, (a, c, b)
     times (a', c', b') is (a + a', c + c' + a b', b + b') mod p.  Rows are
     grouped by a: for a fixed a the block is the sum in Z_p^3 of the rows
     (a, c, b) and the columns (a', c' + a b' mod p, b'), a box sumset.
@@ -733,11 +728,6 @@ def _heisenberg_law(p: int, enum: tuple) -> LawTable:
         a, rest = np.divmod(values, pp)
         return (a, *np.divmod(rest, p))
 
-    def positions(keys):
-        return np.fromiter(
-            (k[1] * pp + k[2] * p + k[5] for k in keys), dtype=np.int64, count=len(keys)
-        )
-
     def codes(a, b):
         ar, cr, br = digits(a)
         if len(a) >= p:  # the column codes of all p groups cost no more than the rows
@@ -752,8 +742,6 @@ def _heisenberg_law(p: int, enum: tuple) -> LawTable:
 
     return LawTable(
         order=p**3,
-        positions=positions,
-        keys_at=lambda values: [enum[i] for i in values.tolist()],
         codes=codes,
         lookup=(code // w % p * p + code % w % p).astype(np.int32),
     )
@@ -1237,11 +1225,10 @@ def _check_law(oracle: GroupOracle, xs, ys, pairs: bool = False) -> None:
     """GroupAxiomError unless the oracle's law gives ``kmul``'s product x y
     for every x in *xs* and y in *ys*, or, with *pairs*, for each
     (xs[i], ys[i]): the diagonal of their outer product."""
-    law = oracle.law
-    cells = law.outer(law.positions(xs), law.positions(ys))
+    cells = oracle.law.outer(xs, ys)
     if pairs:
         got, want = [cells.diagonal()], [list(map(oracle.kmul, xs, ys))]
     else:
         got, want = cells, ([oracle.kmul(x, y) for y in ys] for x in xs)
-    if any(law.keys_at(row) != products for row, products in zip(got, want)):
+    if any(row.tolist() != products for row, products in zip(got, want)):
         raise GroupAxiomError(f"the law of {oracle.domain!r} disagrees with kmul")

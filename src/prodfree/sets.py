@@ -34,14 +34,14 @@ Products take one of three paths, chosen in one place,
   there too, or on fewer pairs when its FFT is dense (order <= |A||B|).
 * ``dihedral:n`` and an enumerated ``heisenberg:p`` read their products
   from the oracle's product law (:class:`groups.LawTable`, the ``law``
-  field), by enumeration position, through one ``law.outer(a, b)``: their
-  ``kmul`` formula read on positions, one outer add and one lookup per row
+  field), through one ``law.outer(a, b)`` on keys: their ``kmul``
+  formula read on int key arrays, one outer add and one lookup per row
   group at about 6-8 ns a pair, at any order, so even
   ``heisenberg-ball:11:1`` (27 points in an order-1331 group) and every
   product in ``heisenberg:17`` (order 4913) are free of ``kmul``.  The
   same kernel takes the outer product of A x B a row block of at most
   TABLE_BLOCK_BYTES at a time and counts it with ``np.bincount`` over the
-  n positions, or, when n > |A||B|, sorts the |A||B| products with
+  n keys, or, when n > |A||B|, sorts the |A||B| products with
   ``np.unique`` instead.
 * Everything else -- ``sym:n``, subgroup views, quotients, ``matrix:d:m``,
   ``heisenberg:p`` above p = 97, small products in ``int`` and box
@@ -185,7 +185,7 @@ def _require_same(x: MultSet, y: MultSet) -> None:
 
 class _Operands(NamedTuple):
     """Arguments of :func:`_pair_counts` and :func:`_outer_sums`: sorted
-    int64 keys (with a box's moduli), or positions under a product law."""
+    int64 keys, with a box's moduli or a product law."""
 
     a: Any
     b: Any
@@ -193,17 +193,9 @@ class _Operands(NamedTuple):
     table: LawTable | None = None
 
 
-def _values(keys, table: LawTable | None = None):
-    """The kernel values of group keys: the int64 keys themselves, or their
-    positions in ``table``'s enumeration."""
-    if table is None:
-        return np.fromiter(keys, dtype=np.int64, count=len(keys))
-    return table.positions(keys)
-
-
-def _keys(values, table: LawTable | None = None) -> list:
-    """The group keys of kernel values; inverse of :func:`_values`."""
-    return values.tolist() if table is None else table.keys_at(values)
+def _values(keys):
+    """The kernel values of group keys: the keys as an int64 array."""
+    return np.fromiter(keys, dtype=np.int64, count=len(keys))
 
 
 class _Grid(NamedTuple):
@@ -312,10 +304,10 @@ def _pair_counts(
     """Sorted distinct products a_i b_j and the exact number of pairs (i, j)
     giving each.  a and b are int64 keys: integers when ``moduli`` is None,
     else mixed-radix keys of the box Z_M1 x ... x Z_Mr, added digit-wise
-    mod M_j; or, with a law ``table``, enumeration positions, multiplied
+    mod M_j; or, with a law ``table``, keys of its group, multiplied
     by its ``outer`` a block of rows at a time, each block within
     TABLE_BLOCK_BYTES.  The blocks are counted with ``np.bincount`` over the
-    table's n positions, or, when n exceeds |A||B|, with ``np.unique``.
+    table's n keys, or, when n exceeds |A||B|, with ``np.unique``.
 
     Integers convolve on the grid of :func:`_int_grid`, the key range on
     one axis or, for a sparse progression-like pair, folded onto two; a
@@ -328,7 +320,7 @@ def _pair_counts(
             table.outer(a[lo : lo + step], b).ravel() for lo in range(0, len(a), step)
         )
         if n > len(a) * len(b):
-            # fewer pairs than positions: sort the products, not n counters
+            # fewer pairs than keys: sort the products, not n counters
             # (the empty head keeps the dtype when A is empty)
             cells = np.concatenate([np.zeros(0, np.int32), *blocks])
             return np.unique(cells, return_counts=True)
@@ -383,7 +375,7 @@ def _outer_sums(
 ):
     """The |A| x |B| matrix of products a_i b_j: sums of int64 keys, added
     digit-wise mod M_j when ``moduli`` names a box (see :func:`_pair_counts`),
-    or the positions a law ``table`` gives for positions a_i, b_j."""
+    or the products a law ``table`` gives for keys a_i, b_j."""
     if table is not None:
         return table.outer(a, b)
     sums = np.add.outer(a, b)
@@ -431,7 +423,7 @@ def _product_operands(x: MultSet, y: MultSet) -> _Operands | None:
     law = x.oracle.law
     if law is None:
         return None
-    return _Operands(_values(x.keys, law), _values(y.keys, law), table=law)
+    return _Operands(_values(x.keys), _values(y.keys), table=law)
 
 
 def _distinct_products(x: MultSet, y: MultSet, budget: int):
@@ -472,8 +464,8 @@ def product_set(
     products, operands = _distinct_products(x, y, budget)
     if operands is None:
         return MultSet(x.oracle, products)
-    # kernel values come sorted, and a law's keys ascend by position
-    return MultSet._from_sorted(x.oracle, _keys(products, operands.table))
+    # kernel values come sorted
+    return MultSet._from_sorted(x.oracle, products.tolist())
 
 
 def _product_counts(x: MultSet, y: MultSet) -> Counter:
@@ -485,7 +477,7 @@ def _product_counts(x: MultSet, y: MultSet) -> Counter:
     operands = _product_operands(x, y)
     if operands is not None:
         values, counts = _pair_counts(*operands)
-        return Counter(dict(zip(_keys(values, operands.table), counts.tolist())))
+        return Counter(dict(zip(values.tolist(), counts.tolist())))
     kmul = x.oracle.kmul
     return Counter(kmul(a, b) for a in x.keys for b in y.keys)
 
@@ -747,7 +739,7 @@ def _translates(x: MultSet, square: MultSet, side: str) -> list[int]:
         columns = index.T
     else:
         products = _outer_sums(*operands)
-        values = _values(square.keys, operands.table)
+        values = _values(square.keys)
         lo, hi = int(values.min()), int(values.max())
         # a position array no larger than the matrix, or than 16 KB of int32
         # cells, which costs less to fill than a binary search of the matrix

@@ -357,7 +357,7 @@ def test_criterion_07_triple_localization_identity():
 
     heis = build_group("heisenberg:5")
     hy = MultSet(heis, heis.enum_keys)
-    hu = MultSet(heis, [heis.identity_key, (1, 1, 0, 0, 1, 0, 0, 0, 1)])
+    hu = MultSet(heis, [heis.identity_key, heis.kdecode("1,1,0;0,1,0;0,0,1")])
     calls.append((hy, hu, hu, hu))
 
     for y, u, v, w in calls:

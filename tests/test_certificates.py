@@ -533,7 +533,7 @@ def test_generator_walk_matches_raw_kmul(spec, cost, monkeypatch):
 def test_generator_walk_skips_small_witnesses_and_foreign_keys(monkeypatch):
     calls = _spy_walk(monkeypatch)
     g = build_group("heisenberg:11")
-    x = MultSet(g, [g.identity_key, (1, 1, 0, 0, 1, 0, 0, 0, 1)])
+    x = MultSet(g, [g.identity_key, g.kdecode("1,1,0;0,1,0;0,0,1")])
     # one point: 16 |G| > 1, so the pair loop runs
     assert verify_certificate(_claimed_free_cert(x, x.keys[1:]), x) == (True, [])
     assert calls == []

@@ -87,6 +87,33 @@ def test_analyze_bytes_are_frozen(spec, side, capsys):
     assert digests == [FROZEN_ANALYZE_SHA256[spec, side]] * 2
 
 
+# argv -> sha256 of its stdout.  The thm33 certificate (with its trailing
+# newline) is the one FROZEN_CERT_SHA256 in test_pipeline.py freezes, and
+# the analyze output equals the frozen heisenberg-ball:11:2 one above.
+HASH_SEED_RUNS = {
+    ("extract", "solvable", "full-group-minus-identity:heisenberg:7"):
+        "229700df3b1eb0470e67beb1e68d0c6a15c3d0ff047b3b45a031b022dd5f6ba5",
+    ("extract", "thm33", "heisenberg-ball:11:1"):
+        "1681a5264357bd44874c668fc144b0ff4c8f4b194f5983dc9d3f6bb735bd0942",
+    ("analyze", "heisenberg-ball:11:2", "--k", "2", "--side", "two-sided"):
+        FROZEN_ANALYZE_SHA256["heisenberg-ball:11:2", "left"],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HASH_SEED_RUNS))
+def test_output_bytes_do_not_depend_on_the_hash_seed(argv):
+    digests = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "prodfree.cli", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            check=True,
+        )
+        digests.append(hashlib.sha256(proc.stdout).hexdigest())
+    assert digests == [HASH_SEED_RUNS[argv]] * 2
+
+
 @pytest.mark.parametrize(
     "spec,budget,message",
     [

@@ -108,7 +108,8 @@ def test_heisenberg_ball_family():
     small = {0, 1, 4}  # residues with representative magnitude <= 1
     assert len(x) == 27
     for key in x.keys:
-        a, c, b = key[1], key[2], key[5]
+        m = [int(t) for t in x.oracle.kencode(key).replace(";", ",").split(",")]
+        a, c, b = m[1], m[2], m[5]
         assert {a, b, c} <= small
     full, _ = generate_with_info("heisenberg-ball:3:1")
     assert len(full) == 27  # radius 1 mod 3 already covers every residue

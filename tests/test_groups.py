@@ -31,6 +31,7 @@ from prodfree.groups import (
     DIHEDRAL_MAX,
     GroupOracle,
     LawTable,
+    _mat_inv,
     _mat_mul,
     _perm_inv,
     _perm_mul,
@@ -106,7 +107,8 @@ def test_identity_key_shapes():
     assert g.identity_key == 0
     assert g.kencode(g.identity_key) == "0,0"
     h = build_group("heisenberg:3")
-    assert h.identity_key == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    assert h.identity_key == 0
+    assert h.kencode(h.identity_key) == "1,0,0;0,1,0;0,0,1"
 
 
 @pytest.mark.parametrize(
@@ -371,6 +373,8 @@ def _joined_text(g, key):
         if key & 1 ^ (0 < k < n - 1):  # a reflection (the builder's sign)
             return ",".join(down[n - 1 - k :] + down[: n - 1 - k])
         return ",".join(up[k:] + up[:k])
+    if g.domain.startswith("heisenberg:"):
+        key = _heis_matrix(g, key)
     d = math.isqrt(len(key))
     rows = [key[i * d : (i + 1) * d] for i in range(d)]
     return ";".join(",".join(str(v) for v in row) for row in rows)
@@ -580,11 +584,37 @@ def test_dihedral_keys_follow_image_word_order(n):
     assert words == sorted(set(words)) and len(words) == 2 * n
 
 
+def _heis_matrix(g, key):
+    """The row-major 3 x 3 matrix [[1, a, c], [0, 1, b], [0, 0, 1]] of the
+    heisenberg:p key a p^2 + c p + b."""
+    p = int(g.domain.split(":")[1])
+    a, rest = divmod(key, p * p)
+    c, b = divmod(rest, p)
+    return (1, a, c, 0, 1, b, 0, 0, 1)
+
+
+def _check_heisenberg_pairs(g, pairs):
+    p = int(g.domain.split(":")[1])
+    for x, y in pairs:
+        mx, my = _heis_matrix(g, x), _heis_matrix(g, y)
+        assert _heis_matrix(g, g.kmul(x, y)) == _mat_mul(mx, my, 3, p)
+        assert _heis_matrix(g, g.kinv(x)) == _mat_inv(mx, 3, p)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_heisenberg_product_matches_matrix_product(p):
     g = build_group(f"heisenberg:{p}")
-    for x, y in itertools.product(g.enum_keys, repeat=2):
-        assert g.kmul(x, y) == _mat_mul(x, y, 3, p)
+    _check_heisenberg_pairs(g, itertools.product(g.enum_keys, repeat=2))
+
+
+@pytest.mark.parametrize("p", [97, 211])
+def test_heisenberg_product_matches_matrix_product_on_seeded_keys(p):
+    # heisenberg:211 has no enumeration and no law, only kmul and kinv
+    g = build_group(f"heisenberg:{p}")
+    assert (g.enum_keys is None) == (g.law is None) == (p == 211)
+    rng = random.Random(p)
+    keys = [rng.randrange(p**3) for _ in range(4000)]
+    _check_heisenberg_pairs(g, zip(keys[::2], keys[1::2]))
 
 
 def test_heisenberg_product_matches_matrix_product_sampled():
@@ -592,9 +622,56 @@ def test_heisenberg_product_matches_matrix_product_sampled():
 
     g = build_group("heisenberg:31")
     rng = np.random.Generator(np.random.Philox(key=31))
-    for _ in range(2000):
-        x, y = g.ksample(rng), g.ksample(rng)
-        assert g.kmul(x, y) == _mat_mul(x, y, 3, 31)
+    pairs = [(g.ksample(rng), g.ksample(rng)) for _ in range(2000)]
+    assert all(0 <= k < 31**3 for pair in pairs for k in pair)
+    _check_heisenberg_pairs(g, pairs)
+
+
+def test_heisenberg_keys_sort_as_their_entries():
+    # sorted keys, digests and certificate bytes follow (a, c, b) order
+    for p, keys in (
+        (5, range(5**3)),
+        (97, sorted(random.Random(97).sample(range(97**3), 500))),
+    ):
+        g = build_group(f"heisenberg:{p}")
+        entries = [(m[1], m[2], m[5]) for m in (_heis_matrix(g, k) for k in keys)]
+        assert entries == sorted(set(entries))
+    assert build_group("heisenberg:5").enum_keys == tuple(range(125))
+
+
+@pytest.mark.parametrize("p", [5, 97, 211])
+def test_heisenberg_codec_round_trip(p):
+    g = build_group(f"heisenberg:{p}")
+    if p == 5:
+        keys = g.enum_keys
+    else:  # seeded keys, with no enumeration or law built for them
+        rng = random.Random(p)
+        keys = [rng.randrange(p**3) for _ in range(2000)] + [0, p**3 - 1]
+    for k in keys:
+        text = g.kencode(k)
+        assert text == _joined_text(g, k)
+        assert g.kdecode(text) == k
+
+
+def test_heisenberg_decoder_accepts_noncanonical_and_rejects_malformed_texts():
+    g = build_group("heisenberg:11")
+    key = lambda a, c, b: (a * 11 + c) * 11 + b
+    # entries are reduced mod p, and empty rows are skipped
+    assert g.kdecode("1,12,0;0,1,0;0,0,1") == key(1, 0, 0)
+    assert g.kdecode("1,-1,3;0,1,25;0,0,1") == key(10, 3, 3)
+    assert g.kdecode("1,2,3;0,1,4;0,0,1;") == key(2, 3, 4)
+    assert g.kdecode("12,0,0;11,1,0;0,0,1") == 0
+    for bad in (
+        "1,2;0,1,4;0,0,1",  # ragged
+        "1,2,3;0,1;0,0,1",
+        "2,2,3;0,1,4;0,0,1",  # not unitriangular
+        "1,2,3;1,1,4;0,0,1",
+        "1,2,3;0,1,4;0,0,2",
+        "1,2,3;0,1,4",  # wrong row count
+        "1,2,3;0,1,4;0,0,1;0,0,0",
+    ):
+        with pytest.raises(GroupSpecError):
+            g.kdecode(bad)
 
 
 def _check_abelian_pairs(g, moduli, pairs):
@@ -707,16 +784,13 @@ def test_law_matches_kmul_on_every_pair(spec):
     g = build_group(spec)
     table = g.law
     assert isinstance(table, LawTable) and table.order == g.order
-    # positions are ranks in the sorted enumeration, found without it
+    # keys are their own positions in the sorted enumeration
     keys = g.enum_keys
-    assert list(keys) == sorted(keys)
-    positions = table.positions(keys)
-    assert positions.tolist() == list(range(g.order))
-    assert table.keys_at(positions) == list(keys)
-    cells = table.outer(positions, positions)
+    assert list(keys) == list(range(g.order))
+    cells = table.outer(keys, keys)
     assert cells.shape == (g.order, g.order)
     for a, row in zip(keys, cells):
-        assert table.keys_at(row) == [g.kmul(a, b) for b in keys]
+        assert row.tolist() == [g.kmul(a, b) for b in keys]
 
 
 @pytest.mark.parametrize("spec", ["dihedral:6", "heisenberg:5"])
@@ -726,14 +800,13 @@ def test_cayley_table_matches_kmul_on_every_pair(spec):
     g = build_group(spec)
     table = g.law
     assert isinstance(table, LawTable) and table is g.law
-    positions = table.positions(g.enum_keys)
-    cells = table.outer(positions, positions)
+    cells = table.outer(g.enum_keys, g.enum_keys)
     every = list(range(g.order))
     assert all(sorted(row) == every for row in cells.tolist())
     assert all(sorted(col) == every for col in cells.T.tolist())
     e = g.enum_keys.index(g.identity_key)
     assert cells[e].tolist() == every == cells[:, e].tolist()
-    assert [table.keys_at(row) for row in cells] == [
+    assert cells.tolist() == [
         [g.kmul(a, b) for b in g.enum_keys] for a in g.enum_keys
     ]
 
@@ -749,13 +822,10 @@ def test_law_matches_kmul_on_random_blocks(spec):
         # unsorted operands, with fewer and with more rows than groups
         xs = rng.sample(g.enum_keys, rng.randint(1, 200))
         ys = rng.sample(g.enum_keys, rng.randint(1, 60))
-        cells = table.outer(table.positions(xs), table.positions(ys))
+        cells = table.outer(xs, ys)
         assert cells.shape == (len(xs), len(ys))
-        assert [table.keys_at(row) for row in cells] == [
-            [g.kmul(x, y) for y in ys] for x in xs
-        ]
-    empty = table.positions([])
-    assert table.outer(empty, table.positions(ys)).shape == (0, len(ys))
+        assert cells.tolist() == [[g.kmul(x, y) for y in ys] for x in xs]
+    assert table.outer([], ys).shape == (0, len(ys))
 
 
 @pytest.mark.parametrize("spec", ["dihedral:6", "heisenberg:11"])

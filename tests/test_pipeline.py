@@ -487,9 +487,9 @@ def test_localize_generic_path_heisenberg():
     g = build_group("heisenberg:3")
     y = MultSet(g, g.enum_keys)
     e = g.identity_key
-    u = MultSet(g, [e, (1, 1, 0, 0, 1, 0, 0, 0, 1)])
-    v = MultSet(g, [e, (1, 0, 0, 0, 1, 1, 0, 0, 1)])
-    w = MultSet(g, [e, (1, 0, 1, 0, 1, 0, 0, 0, 1)])
+    u = MultSet(g, [e, g.kdecode("1,1,0;0,1,0;0,0,1")])
+    v = MultSet(g, [e, g.kdecode("1,0,0;0,1,1;0,0,1")])
+    w = MultSet(g, [e, g.kdecode("1,0,1;0,1,0;0,0,1")])
     buckets = _naive_buckets(g, u.keys, v.keys, w.keys)
     res = localize_small_triple(y, u, v, w, _uvw(u, v, w))
     assert res.pair_total == sum(buckets.values()) == 8
