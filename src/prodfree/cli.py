@@ -43,7 +43,6 @@ from .sets import (
     DEFAULT_PRODUCT_BUDGET,
     MultSet,
     approx_report,
-    count_incident_pairs,
     frac_str,
     product_set,
 )
@@ -155,7 +154,6 @@ def cmd_analyze(args) -> int:
     x = _resolve_source(args.source, args.seed)
     rep = approx_report(x, k=args.k, budget=args.budget, translate_side=args.side)
     payload = rep.to_json_dict()
-    payload["incident_pairs"] = count_incident_pairs(x, budget=args.budget)
     if len(x) <= EXHAUSTIVE_MAX_SIZE:
         best = exhaustive_max_product_free(x)
         payload["max_product_free_size"] = len(best)

@@ -41,8 +41,8 @@ import hashlib
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,12 +140,14 @@ class GroupOracle:
     """Black-box group with canonical element codec.
 
     ``enum_keys`` is populated iff the group is finite with order within
-    :data:`ENUM_CAP` (and the builder can enumerate at all); ``order`` is
+    :data:`ENUM_CAP` (and the builder can enumerate at all), as
+    ``range(order)`` where keys are their own positions; ``order`` is
     ``None`` for groups handled purely as oracles.  ``law`` is the
     :class:`LawTable` that the builder attaches to ``dihedral:n`` and an
-    enumerated ``heisenberg:p``, whose int keys are their own enumeration
-    positions, and None on every other group, subgroup views and quotients
-    included.
+    enumerated ``heisenberg:p``, and None on every other group.
+    ``_gens`` (:func:`generating_keys`) and ``_coords``
+    (:func:`abelian_coords`) cache facts found on first use; as they are
+    not init fields, a copy made by ``dataclasses.replace`` starts without.
     """
 
     domain: str
@@ -155,13 +157,14 @@ class GroupOracle:
     identity_key: Any
     abelian: bool
     order: int | None = None
-    enum_keys: tuple | None = None
+    enum_keys: Sequence | None = None
     component_moduli: tuple[int, ...] | None = None
     kencode: Callable[[Any], str] = str
     kdecode: Callable[[str], Any] | None = None
     ksample: Callable[[Any], Any] | None = None
-    _coords: tuple | None = field(default=None, repr=False)
     law: LawTable | None = field(default=None, repr=False)
+    _gens: tuple | None = field(default=None, init=False, repr=False)
+    _coords: tuple | None = field(default=None, init=False, repr=False)
 
     # -- element-level conveniences -------------------------------------
     def wrap(self, key: Any) -> Element:
@@ -242,7 +245,7 @@ def _build_int() -> GroupOracle:
 def _build_cyclic(n: int) -> GroupOracle:
     if n < 1:
         raise GroupSpecError(f"cyclic order must be >= 1, got {n}")
-    enum = tuple(range(n)) if n <= ENUM_CAP else None
+    enum = range(n) if n <= ENUM_CAP else None
 
     def dec(text: str) -> int:
         v = int(text)
@@ -313,7 +316,7 @@ def _build_abelian(moduli: tuple[int, ...]) -> GroupOracle:
         identity_key=0,
         abelian=True,
         order=order,
-        enum_keys=tuple(range(order)) if order <= ENUM_CAP else None,
+        enum_keys=range(order) if order <= ENUM_CAP else None,
         component_moduli=moduli,
         kencode=enc,
         kdecode=dec,
@@ -430,7 +433,7 @@ def _build_dihedral(n: int) -> GroupOracle:
         identity_key=0,
         abelian=False,
         order=2 * n,
-        enum_keys=tuple(range(2 * n)),
+        enum_keys=range(2 * n),
         kencode=enc,
         kdecode=dec,
         law=_dihedral_law(n, flip),
@@ -466,7 +469,7 @@ def _build_heisenberg(p: int) -> GroupOracle:
         m = parse(text)
         return m[1] * pp + m[2] * p + m[5]
 
-    enum = tuple(range(p**3)) if p**3 <= ENUM_CAP else None
+    enum = range(p**3) if p**3 <= ENUM_CAP else None
     return GroupOracle(
         domain=f"heisenberg:{p}",
         kind="matrix",
@@ -570,31 +573,29 @@ def closure_keys(oracle: GroupOracle, seeds: Iterable[Any], cap: int = ENUM_CAP)
     return frozenset(done)
 
 
-def generating_keys(oracle: GroupOracle, keys: Iterable[Any] | None = None) -> list:
-    """A small generating set, found greedily in canonical order."""
-    pool = sorted(keys) if keys is not None else list(oracle.enum_keys or ())
-    if not pool:
-        raise NotEnumerableError("no keys to generate from")
-    gens: list = []
-    generated = {oracle.identity_key}
-    for k in pool:
-        if k not in generated:
-            gens.append(k)
-            generated = set(closure_keys(oracle, gens))
-            if len(generated) == len(pool):
-                break
-    return gens
+def _greedy_generators(oracle: GroupOracle) -> tuple[tuple, bool]:
+    """The greedy generators of a finite oracle, and whether their closure
+    is exactly its enumeration, searched once and cached: a key joins them
+    when the closure so far misses it, so every key lies in the last
+    closure, ``closure_keys(oracle, gens)``, the enumeration iff as large."""
+    if oracle._gens is None:
+        pool = oracle.enum_keys
+        if not pool:
+            raise NotEnumerableError("no keys to generate from")
+        gens: list = []
+        generated = {oracle.identity_key}
+        for k in pool:
+            if k not in generated:
+                gens.append(k)
+                generated = closure_keys(oracle, gens)
+        oracle._gens = (tuple(gens), len(generated) == len(pool))
+    return oracle._gens
 
 
-def _check_subgroup(oracle: GroupOracle, keys: frozenset) -> None:
-    if oracle.identity_key not in keys:
-        raise NotASubgroupError("identity missing")
-    for k in keys:
-        if oracle.kinv(k) not in keys:
-            raise NotASubgroupError(f"inverse of {k!r} missing")
-    gens = generating_keys(oracle, keys)
-    if closure_keys(oracle, gens) != keys:
-        raise NotASubgroupError("not closed under multiplication")
+def generating_keys(oracle: GroupOracle) -> tuple:
+    """A small generating set of a finite oracle, found greedily in the
+    order of its enumeration, once per oracle."""
+    return _greedy_generators(oracle)[0]
 
 
 def _generators_commute(oracle: GroupOracle) -> bool:
@@ -606,32 +607,28 @@ def _generators_commute(oracle: GroupOracle) -> bool:
     )
 
 
-def subgroup_view(
-    parent: GroupOracle, members: Iterable, *, verify: bool = True
-) -> GroupOracle:
-    """Oracle for a subgroup of *parent*, sharing domain and codec.
+def subgroup_view(parent: GroupOracle, members: Iterable) -> GroupOracle:
+    """Oracle for the subgroup *members* of *parent*, sharing domain and codec.
 
     The enumeration is restricted to *members*; multiplication is inherited,
     so `MultSet` values move freely between the view and the parent.
+    NotASubgroupError unless the members hold the identity and every
+    member's inverse, and are closed: the closure of the view's own greedy
+    generators, the last closure their search builds, is exactly them.
     """
-    keys = frozenset(
-        m.key if isinstance(m, Element) else m for m in members
+    keys = frozenset(m.key if isinstance(m, Element) else m for m in members)
+    # the parent's product and codec, no box, sampler or law; abelian below
+    view = replace(
+        parent, order=len(keys), enum_keys=tuple(sorted(keys)),
+        component_moduli=None, ksample=None, law=None,
     )
-    if verify:
-        _check_subgroup(parent, keys)
-    view = GroupOracle(
-        domain=parent.domain,
-        kind=parent.kind,
-        kmul=parent.kmul,
-        kinv=parent.kinv,
-        identity_key=parent.identity_key,
-        abelian=False,  # set below from the view's own generators
-        order=len(keys),
-        enum_keys=tuple(sorted(keys)),
-        component_moduli=None,
-        kencode=parent.kencode,
-        kdecode=parent.kdecode,
-    )
+    if parent.identity_key not in keys:
+        raise NotASubgroupError("identity missing")
+    for k in view.enum_keys:
+        if parent.kinv(k) not in keys:
+            raise NotASubgroupError(f"inverse of {k!r} missing")
+    if not _greedy_generators(view)[1]:
+        raise NotASubgroupError("not closed under multiplication")
     view.abelian = _generators_commute(view)
     return view
 
@@ -639,7 +636,7 @@ def subgroup_view(
 def generated_subgroup(parent: GroupOracle, generators: Iterable) -> GroupOracle:
     """Closure of *generators* inside *parent*, as a subgroup view."""
     seeds = [g.key if isinstance(g, Element) else g for g in generators]
-    return subgroup_view(parent, closure_keys(parent, seeds), verify=False)
+    return subgroup_view(parent, closure_keys(parent, seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -844,14 +841,12 @@ def quotient_projection(
     must hold exactly |H| elements: together they catch one entry moved
     into a wrong coset on every order.
     """
-    h_keys = frozenset(
-        m.key if isinstance(m, Element) else m for m in subgroup
-    )
+    h_keys = frozenset(m.key if isinstance(m, Element) else m for m in subgroup)
     if parent.enum_keys is None:
         raise NotEnumerableError("quotient needs a finite parent enumeration")
     if not h_keys <= set(parent.enum_keys):
         raise NotASubgroupError("subgroup not contained in parent enumeration")
-    _check_subgroup(parent, h_keys)
+    subgroup_view(parent, h_keys)  # NotASubgroupError unless H is a subgroup
     gens = generating_keys(parent)
     escaped = _escaping_conjugates(parent, gens, h_keys)
     if escaped:
@@ -1059,9 +1054,7 @@ class SubnormalSeries:
 
 def derived_subgroup_keys(oracle: GroupOracle) -> frozenset:
     """Commutator subgroup of a finite oracle (with enumeration)."""
-    if oracle.enum_keys is None:
-        raise NotEnumerableError("derived subgroup needs an enumeration")
-    gens = generating_keys(oracle)
+    gens = generating_keys(oracle)  # NotEnumerableError without one
     kmul, kinv = oracle.kmul, oracle.kinv
     seeds = set()
     for a in gens:
@@ -1086,7 +1079,7 @@ def derived_subnormal_series(oracle: GroupOracle) -> SubnormalSeries:
         raise PreconditionError(
             f"order {oracle.order} above series cap {SERIES_ORDER_CAP}"
         )
-    current = subgroup_view(oracle, oracle.enum_keys, verify=False)
+    current = subgroup_view(oracle, oracle.enum_keys)
     levels = [current]
     while current.order > 1:
         d_keys = derived_subgroup_keys(current)
@@ -1094,7 +1087,7 @@ def derived_subnormal_series(oracle: GroupOracle) -> SubnormalSeries:
             raise NotSolvableError(
                 f"derived series of {oracle.domain!r} stabilised at order {current.order}"
             )
-        current = subgroup_view(oracle, d_keys, verify=False)
+        current = subgroup_view(oracle, d_keys)
         levels.append(current)
     series = SubnormalSeries(tuple(levels))
     series.validate()
@@ -1111,9 +1104,7 @@ def subnormal_series_from_chain(
     ]
     if not key_chain or key_chain[0] != set(oracle.enum_keys or ()):
         raise PreconditionError("chain must start at the whole group")
-    series = SubnormalSeries(
-        tuple(subgroup_view(oracle, ks, verify=True) for ks in key_chain)
-    )
+    series = SubnormalSeries(tuple(subgroup_view(oracle, ks) for ks in key_chain))
     series.validate()
     return series
 
@@ -1155,8 +1146,10 @@ def verify_group_axioms(oracle: GroupOracle) -> int:
     closure of its generators, g S = S and (x g) y == x (g y) for each
     generator g and all x, y, so by induction on word length every g in S
     passes, and S is associative and closed; then commuting generators make
-    it abelian, so the flag is checked both ways.  Other groups are sampled
-    on 10^4 seeded triples.
+    it abelian, so the flag is checked both ways.  The generators and their
+    closure are the oracle's one greedy search (:func:`generating_keys`),
+    with no second closure walk.  Other groups are sampled on 10^4 seeded
+    triples.
 
     An oracle with a ``law`` (``dihedral:n`` and an enumerated
     ``heisenberg:p``) has it compared with ``kmul``: on every pair when
@@ -1178,7 +1171,7 @@ def verify_group_axioms(oracle: GroupOracle) -> int:
         keyset = frozenset(ks)
         for a in ks:
             check_element(a)
-        if closure_keys(oracle, gens) != keyset:
+        if not _greedy_generators(oracle)[1]:
             raise GroupAxiomError("generators do not generate the enumeration")
         for g in gens:
             g_row = [kmul(g, y) for y in ks]

@@ -428,23 +428,23 @@ def _product_operands(x: MultSet, y: MultSet) -> _Operands | None:
 
 def _distinct_products(x: MultSet, y: MultSet, budget: int):
     """X Y's distinct products, after :func:`product_set`'s budget checks:
-    (sorted kernel values, their operands) where X Y takes a kernel, else
-    (the set of ``kmul`` keys, None).  A caller that needs only |X Y| takes
-    ``len`` and never builds the keys."""
+    (sorted kernel values, their pair counts, their operands) where X Y
+    takes a kernel, else (the set of ``kmul`` keys, None, None).  A caller
+    that needs only |X Y| takes ``len`` and never builds the keys."""
     _require_same(x, y)
     if len(x) == 0 or len(y) == 0:
-        return (), None
+        return (), None, None
     operands = _product_operands(x, y)
     if operands is not None:
         if operands.table is None and len(x) * len(y) > budget:
             raise BudgetExceededError(
                 f"product pairs {len(x) * len(y)} exceed budget {budget}"
             )
-        values = _pair_counts(*operands)[0]
+        values, counts = _pair_counts(*operands)
         # on the law path the budget bounds distinct products, as on kmul's
         if len(values) > budget:
             raise BudgetExceededError(f"product set grew past budget {budget}")
-        return values, operands
+        return values, counts, operands
     kmul = x.oracle.kmul
     out: set = set()
     for a in x.keys:
@@ -454,18 +454,23 @@ def _distinct_products(x: MultSet, y: MultSet, budget: int):
             raise BudgetExceededError(
                 f"product set grew past budget {budget}"
             )
-    return out, None
+    return out, None, None
+
+
+def _products_as_set(oracle: GroupOracle, products, operands) -> MultSet:
+    """The MultSet of :func:`_distinct_products`' products."""
+    if operands is None:
+        return MultSet(oracle, products)
+    # kernel values come sorted
+    return MultSet._from_sorted(oracle, products.tolist())
 
 
 def product_set(
     x: MultSet, y: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET
 ) -> MultSet:
     """Pointwise product {a b : a in X, b in Y} in the shared ambient group."""
-    products, operands = _distinct_products(x, y, budget)
-    if operands is None:
-        return MultSet(x.oracle, products)
-    # kernel values come sorted
-    return MultSet._from_sorted(x.oracle, products.tolist())
+    products, _, operands = _distinct_products(x, y, budget)
+    return _products_as_set(x.oracle, products, operands)
 
 
 def _product_counts(x: MultSet, y: MultSet) -> Counter:
@@ -640,20 +645,15 @@ class ApproxGroupReport:
     has_identity: bool
     covering_upper: int
     covering_exact: int | None
-    k: Fraction | None = None
-    is_k_approx: bool | None = None
+    k: Fraction | None
+    is_k_approx: bool | None
+    incident_pairs: int
 
     def to_json_dict(self) -> dict:
+        """The fields in order, each Fraction as its p/q text."""
         return {
-            "size": self.size,
-            "doubling": frac_str(self.doubling),
-            "tripling": frac_str(self.tripling),
-            "symmetric": self.symmetric,
-            "has_identity": self.has_identity,
-            "covering_upper": self.covering_upper,
-            "covering_exact": self.covering_exact,
-            "k": frac_str(self.k) if self.k is not None else None,
-            "is_k_approx": self.is_k_approx,
+            name: frac_str(v) if isinstance(v, Fraction) else v
+            for name, v in vars(self).items()
         }
 
 
@@ -769,7 +769,9 @@ def approx_report(
     budget: int = DEFAULT_PRODUCT_BUDGET,
     translate_side: str = "left",
 ) -> ApproxGroupReport:
-    """Doubling, tripling, symmetry, identity, and covering diagnostics.
+    """Doubling, tripling, symmetry, identity, incident-pair and covering
+    diagnostics.  Incident pairs are read off X X's pair counts where it
+    takes a kernel, else counted by :func:`count_incident_pairs`.
 
     The covering search uses translates t X with t drawn from X itself;
     X^2 is always a union of such translates, so the search is feasible and
@@ -787,9 +789,14 @@ def approx_report(
         raise PreconditionError("approx_report needs a nonempty set")
     if translate_side not in ("left", "right", "two-sided"):
         raise PreconditionError(f"bad translate side {translate_side!r}")
-    square = product_set(x, x, budget=budget)
+    products, counts, operands = _distinct_products(x, x, budget)
+    square = _products_as_set(x.oracle, products, operands)
     # only |X^3| is reported: count its products without building its keys
-    cube, _ = _distinct_products(square, x, budget)
+    cube = _distinct_products(square, x, budget)[0]
+    if counts is None or len(x) ** 2 > budget:  # kmul, or the budget error
+        incident = count_incident_pairs(x, budget)
+    else:
+        incident = int(counts[np.isin(products, operands.a)].sum())
     doubling = Fraction(len(square), len(x))
     tripling = Fraction(len(cube), len(x))
     symmetric = inverse_set(x).key_set() == x.key_set()
@@ -810,7 +817,12 @@ def approx_report(
     if len(square) <= EXACT_COVER_UNIVERSE:
         exact = _exact_cover_size(full, masks, upper)
 
-    report = ApproxGroupReport(
+    is_k_approx = None
+    if k is not None:
+        k = Fraction(k)
+        covering = exact if exact is not None else upper
+        is_k_approx = bool(has_identity and symmetric and Fraction(covering) <= k)
+    return ApproxGroupReport(
         size=len(x),
         doubling=doubling,
         tripling=tripling,
@@ -818,12 +830,7 @@ def approx_report(
         has_identity=has_identity,
         covering_upper=upper,
         covering_exact=exact,
+        k=k,
+        is_k_approx=is_k_approx,
+        incident_pairs=incident,
     )
-    if k is not None:
-        k = Fraction(k)
-        report.k = k
-        covering = exact if exact is not None else upper
-        report.is_k_approx = bool(
-            has_identity and symmetric and Fraction(covering) <= k
-        )
-    return report

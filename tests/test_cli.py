@@ -1,5 +1,6 @@
 import csv
 import hashlib
+from collections import Counter
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from prodfree import ExtractionCertificate, MultSet, build_group, write_set
-from prodfree import cli, sumfree
+from prodfree import cli, groups, sets, sumfree
 from prodfree.cli import main
 from conftest import (
     naive_incident_pairs,
@@ -231,6 +232,51 @@ def test_extract_solvable(capsys):
     assert data["guarantee"] == "5/8"
     g = build_group("sym:3")
     assert naive_is_product_free(g, [g.kdecode(t) for t in data["witness"]])
+
+
+def test_solvable_extract_and_verify_search_each_oracles_generators_once(
+    tmp_path, monkeypatch, capsys
+):
+    # the group, the series' levels, the quotient, and the group again in
+    # verify each read their generators many times: the series, the views'
+    # checks and abelian flags, the quotient's checks and verify's walk
+    searched = []
+    real = groups._greedy_generators
+
+    def spy(oracle):
+        if oracle._gens is None:
+            searched.append(oracle)  # held, so no two share an id
+        return real(oracle)
+
+    monkeypatch.setattr(groups, "_greedy_generators", spy)
+    source = "full-group-minus-identity:heisenberg:7"
+    cert = str(tmp_path / "h.json")
+    assert run_cli(capsys, "extract", "solvable", source, "--out", cert)[0] == 0
+    assert run_cli(capsys, "verify", cert, source)[:2] == (0, "PASS\n")
+    assert max(Counter(map(id, searched)).values()) == 1
+    # the series' top view in extract, and the group in verify's walk
+    assert sum(o.order == 343 for o in searched) == 2
+
+
+@pytest.mark.parametrize(
+    "spec", ["interval:50", "gap:2:15,15:1,1000", "heisenberg-ball:11:2", "random:sym:5:40"]
+)
+def test_analyze_counts_the_pairs_of_x_x_once(spec, monkeypatch, capsys):
+    # X X's pair counts give both X^2 and the incident pairs, on the sums
+    # kernel and the law; sym:5 takes the kmul loop for both
+    calls = []
+    real = sets._pair_counts
+
+    def spy(a, b, *rest):
+        calls.append((len(a), len(b)))
+        return real(a, b, *rest)
+
+    monkeypatch.setattr(sets, "_pair_counts", spy)
+    code, out, _ = run_cli(capsys, "analyze", spec, "--k", "2")
+    x = cli._resolve_source(spec, None)
+    assert code == 0
+    assert json.loads(out)["incident_pairs"] == naive_incident_pairs(x.oracle, x.keys)
+    assert calls.count((len(x), len(x))) == (spec != "random:sym:5:40")
 
 
 def test_extract_alon_kleitman(capsys):

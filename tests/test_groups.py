@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -9,6 +10,7 @@ from prodfree import (
     Element,
     GroupAxiomError,
     GroupSpecError,
+    NotASubgroupError,
     NotEnumerableError,
     NotNormalError,
     NotSolvableError,
@@ -37,6 +39,7 @@ from prodfree.groups import (
     _perm_mul,
     derived_subgroup_keys,
     generating_keys,
+    subgroup_view,
 )
 from conftest import kmul_oracles, naive_closure, naive_derived_orders
 
@@ -418,6 +421,74 @@ def test_derived_series_rejects_non_solvable():
         derived_subnormal_series(build_group("sym:5"))
 
 
+def test_generators_are_searched_once_per_oracle(monkeypatch):
+    searched = []
+    real = groups._greedy_generators
+
+    def spy(oracle):
+        if oracle._gens is None:
+            searched.append(oracle)
+        return real(oracle)
+
+    monkeypatch.setattr(groups, "_greedy_generators", spy)
+    g = build_group("sym:4")
+    gens = generating_keys(g)
+    verify_group_axioms(g)
+    assert generating_keys(g) is gens and searched == [g]
+    # a copy searches its own, and finds the same generators
+    assert generating_keys(_with(g)) == gens and len(searched) == 2
+
+
+# {e, (0 1), (2 3)} in sym:4 holds the identity and its inverses, and
+# (0 1)(2 3) is outside it
+S4_NOT_CLOSED = ["0,1,2,3", "1,0,2,3", "0,1,3,2"]
+
+
+@pytest.mark.parametrize(
+    "spec,texts,message",
+    [
+        ("cyclic:12", ["4", "8"], "identity missing"),
+        ("cyclic:12", ["0", "3", "6"], "inverse of 3 missing"),
+        ("sym:4", S4_NOT_CLOSED, "not closed under multiplication"),
+        ("sym:4", [], "identity missing"),
+    ],
+)
+def test_subgroup_view_rejects_a_non_subgroup(spec, texts, message):
+    g = build_group(spec)
+    members = [g.kdecode(t) for t in texts]
+    with pytest.raises(NotASubgroupError, match=message):
+        subgroup_view(g, members)
+    with pytest.raises(NotASubgroupError, match=message):
+        quotient_projection(g, members)
+
+
+def test_a_non_subgroup_link_breaks_the_series():
+    g = build_group("sym:4")
+    e = g.identity_key
+    not_closed = [g.kdecode(t) for t in S4_NOT_CLOSED]
+    with pytest.raises(NotASubgroupError, match="not closed"):
+        subnormal_series_from_chain(g, [g.enum_keys, not_closed, [e]])
+    with pytest.raises(NotASubgroupError, match="identity missing"):
+        subnormal_series_from_chain(g, [g.enum_keys, not_closed[1:], [e]])
+
+
+def test_subgroup_views_check_every_subgroup_of_a_small_group():
+    # every subset of dihedral:4 (order 8) is a view iff it is a subgroup,
+    # judged here on all its pairs
+    g = build_group("dihedral:4")
+    ks, kmul = g.enum_keys, g.kmul
+    subgroups = 0
+    for mask in range(1, 1 << len(ks)):
+        keys = {k for i, k in enumerate(ks) if mask >> i & 1}
+        if all(kmul(a, b) in keys for a in keys for b in keys):
+            subgroups += 1
+            assert subgroup_view(g, keys).order == len(keys)
+        else:
+            with pytest.raises(NotASubgroupError):
+                subgroup_view(g, keys)
+    assert subgroups == 10
+
+
 def test_series_from_explicit_chain():
     g = build_group("cyclic:12")
     chain = [set(range(12)), {0, 4, 8}, {0}]
@@ -512,8 +583,18 @@ def test_derived_series_needs_enumeration():
         derived_subnormal_series(build_group("int"))
 
 
-def _with(spec, **changes):
-    return GroupOracle(**{**build_group(spec).__dict__, **changes})
+def _with(source, **changes):
+    """A copy of the oracle *source* (or of the group that spec names) with
+    *changes*, made as ``dataclasses.replace`` makes it: the copy starts
+    without the source's cached facts."""
+    g = build_group(source) if isinstance(source, str) else source
+    return dataclasses.replace(g, **changes)
+
+
+def _searched(g):
+    """*g* after its greedy generators were searched and cached."""
+    generating_keys(g)
+    return g
 
 
 # the smallest loop that is not a group: identity 0, every element its own
@@ -535,6 +616,16 @@ BROKEN_ORACLES = [
     ),
     # an enumeration that is not closed: 0..5 inside Z/12
     _with("cyclic:12", order=6, enum_keys=tuple(range(6))),
+    # the same cut of an oracle whose generators were searched first
+    _with(_searched(build_group("cyclic:12")), order=6, enum_keys=range(6)),
+    # {0, 4, 8} widened to {0, 1, 4, 5, 8, 9}, not closed (1 + 1 = 2): the
+    # view's cached generator 4 maps it onto itself, so only the copy's own
+    # search, whose closure is all of Z/12, catches it
+    _with(
+        generated_subgroup(build_group("cyclic:12"), [4]),
+        order=6,
+        enum_keys=(0, 1, 4, 5, 8, 9),
+    ),
     # a wrong abelian flag, both ways, also on a group of order 400
     _with("cyclic:6", abelian=False),
     _with("abelian:20,20", abelian=False),
@@ -636,7 +727,7 @@ def test_heisenberg_keys_sort_as_their_entries():
         g = build_group(f"heisenberg:{p}")
         entries = [(m[1], m[2], m[5]) for m in (_heis_matrix(g, k) for k in keys)]
         assert entries == sorted(set(entries))
-    assert build_group("heisenberg:5").enum_keys == tuple(range(125))
+    assert build_group("heisenberg:5").enum_keys == range(125)
 
 
 @pytest.mark.parametrize("p", [5, 97, 211])
