@@ -32,7 +32,7 @@ from .groups import (
     closure_keys,
     group_spec_token_count,
 )
-from .sets import MultSet
+from .sets import MultSet, _sorted_distinct
 
 MAX_FAMILY_SIZE = 10**5
 
@@ -140,8 +140,8 @@ def generate_with_info(spec, seed: int | None = None):
         sums = np.zeros(1, dtype=dtype)
         for r, a in zip(radii, steps):
             sums = (sums[:, None] + np.arange(-r, r + 1, dtype=dtype) * a).ravel()
-        keys = np.unique(sums).tolist()
-        x = MultSet(build_group("int"), keys)
+        keys = _sorted_distinct(sums).tolist()
+        x = MultSet._from_sorted(build_group("int"), keys)
         info["nominal_size"] = nominal
         info["collisions"] = nominal - len(keys)
 

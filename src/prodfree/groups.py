@@ -553,8 +553,14 @@ def group_spec_token_count(name: str) -> int:
 # subgroup machinery
 
 
-def closure_keys(oracle: GroupOracle, seeds: Iterable[Any], cap: int = ENUM_CAP) -> frozenset:
-    """Subgroup generated by *seeds* (finite ambient assumed)."""
+def closure_keys(
+    oracle: GroupOracle,
+    seeds: Iterable[Any],
+    cap: int = ENUM_CAP,
+    within: frozenset | None = None,
+) -> frozenset | None:
+    """Subgroup generated by *seeds* (finite ambient assumed), or None as
+    soon as a product falls outside *within* when that is given."""
     seeds = [s for s in seeds]
     done = {oracle.identity_key}
     frontier = [oracle.identity_key]
@@ -565,6 +571,8 @@ def closure_keys(oracle: GroupOracle, seeds: Iterable[Any], cap: int = ENUM_CAP)
             for s in seeds:
                 p = kmul(t, s)
                 if p not in done:
+                    if within is not None and p not in within:
+                        return None
                     done.add(p)
                     nxt.append(p)
         if len(done) > cap:
@@ -577,17 +585,26 @@ def _greedy_generators(oracle: GroupOracle) -> tuple[tuple, bool]:
     """The greedy generators of a finite oracle, and whether their closure
     is exactly its enumeration, searched once and cached: a key joins them
     when the closure so far misses it, so every key lies in the last
-    closure, ``closure_keys(oracle, gens)``, the enumeration iff as large."""
+    closure, ``closure_keys(oracle, gens)``, the enumeration iff as large.
+
+    The search stops at the first product outside an enumeration of keys
+    (a subgroup view's members): the enumeration is then not closed, and
+    the generators found so far are cached with False.  A ``range`` is a
+    builder's whole key space and is not checked."""
     if oracle._gens is None:
         pool = oracle.enum_keys
         if not pool:
             raise NotEnumerableError("no keys to generate from")
+        members = None if isinstance(pool, range) else frozenset(pool)
         gens: list = []
         generated = {oracle.identity_key}
         for k in pool:
             if k not in generated:
                 gens.append(k)
-                generated = closure_keys(oracle, gens)
+                generated = closure_keys(oracle, gens, within=members)
+                if generated is None:
+                    oracle._gens = (tuple(gens), False)
+                    return oracle._gens
         oracle._gens = (tuple(gens), len(generated) == len(pool))
     return oracle._gens
 
@@ -614,7 +631,9 @@ def subgroup_view(parent: GroupOracle, members: Iterable) -> GroupOracle:
     so `MultSet` values move freely between the view and the parent.
     NotASubgroupError unless the members hold the identity and every
     member's inverse, and are closed: the closure of the view's own greedy
-    generators, the last closure their search builds, is exactly them.
+    generators, the last closure their search builds, is exactly them.  The
+    search stops at its first product outside the members, so a set that
+    is not closed fails fast even inside an infinite or a large group.
     """
     keys = frozenset(m.key if isinstance(m, Element) else m for m in members)
     # the parent's product and codec, no box, sampler or law; abelian below

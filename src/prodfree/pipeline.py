@@ -58,6 +58,7 @@ from .sets import (
     is_product_free,
     power_set,
     product_set,
+    triple_product,
 )
 
 PETRIDIS_MOVE_BUDGET = 10**4
@@ -213,10 +214,12 @@ def find_homogeneous_tuple(
     of these sizes can have, so if any choice of parts puts one product
     wholly below the other, this one does.  In other groups key order
     carries no such meaning and the split is simply the one candidate
-    tried.  The exact disjointness check alone accepts it, so correctness
-    never rests on how it was chosen.  A miss raises SearchExhaustedError
-    saying why: the two triple products share elements (how many), or the
-    pair budget stopped a product.
+    tried.  Both triple products come from :func:`sets.triple_product`, one
+    FFT over the three parts where their first product takes a grid.  The
+    exact disjointness check alone accepts the split, so correctness never
+    rests on how it was chosen.  A miss raises SearchExhaustedError saying
+    why: the two triple products share elements (how many), or the pair
+    budget stopped a product.
     """
     inputs = (u, v, w)
     oracle = u.oracle
@@ -232,14 +235,11 @@ def find_homogeneous_tuple(
         max(2, _ceil_div(len(s) * delta.numerator, delta.denominator))
         for s in inputs
     ]
-    low = tuple(MultSet(oracle, s.keys[:m]) for s, m in zip(inputs, need))
-    high = tuple(MultSet(oracle, s.keys[-m:]) for s, m in zip(inputs, need))
+    low = tuple(MultSet._from_sorted(oracle, s.keys[:m]) for s, m in zip(inputs, need))
+    high = tuple(MultSet._from_sorted(oracle, s.keys[-m:]) for s, m in zip(inputs, need))
     miss = f"no homogeneous tuple of density {delta}: the low/high split"
     try:
-        up, vp = [
-            product_set(product_set(a, b, budget=pair_budget), c, budget=pair_budget)
-            for a, b, c in (low, high)
-        ]
+        up, vp = [triple_product(a, b, c, budget=pair_budget) for a, b, c in (low, high)]
     except BudgetExceededError as exc:
         raise SearchExhaustedError(f"{miss} stopped at the pair budget: {exc}") from exc
     shared = len(up.key_set() & vp.key_set())
@@ -464,7 +464,7 @@ def localize_small_triple(
         )
     )
     z_inv = inverse_set(z)
-    zzz = product_set(product_set(z_inv, z, budget=budget), z_inv, budget=budget)
+    zzz = triple_product(z_inv, z, z_inv, budget=budget)
     if len(zzz) > len(uvw):
         raise InvariantViolationError("|Z^-1 Z Z^-1| exceeded |UVW|")
     trace.append(require("localize-compress", {"zzz": len(zzz), "y": len(y)}, "2 * zzz <= y"))

@@ -32,6 +32,14 @@ Products take one of three paths, chosen in one place,
   with ``np.unique``.  ``int`` takes the kernel from :data:`NUMPY_MIN_PAIRS`
   pairs on, where it starts to beat the ``kmul`` loop; a box group from
   there too, or on fewer pairs when its FFT is dense (order <= |A||B|).
+  A triple product (A B) C (:func:`triple_product`) convolves the three
+  indicator arrays on one grid, the key range of A + B + C (folded when
+  R_A + R_B + R_C - 2 <= m) or the box, wherever A B itself takes a grid
+  and the chain cannot exceed its budget.  The same argument makes it
+  exact: each cell counts the triples of one product, at most |A||B| <=
+  budget of them, and the rounding error is about
+  u log2(n) sqrt(|A||B||C|), still far below 1/2; the same 1/4 guard
+  checks it, and a grid it rejects runs the two products.
 * ``dihedral:n`` and an enumerated ``heisenberg:p`` read their products
   from the oracle's product law (:class:`groups.LawTable`, the ``law``
   field), through one ``law.outer(a, b)`` on keys: their ``kmul``
@@ -199,17 +207,34 @@ def _values(keys):
 
 
 class _Grid(NamedTuple):
-    """Where the FFT branch of :func:`_pair_counts` convolves: an array of
-    ``shape``, the flat cells ``a`` and ``b`` of the two operands in it, and
-    the product each cell h of the result stands for, base + h where
-    ``width`` is 0, else base + (h // width) ``stride`` + h % width."""
+    """Where the FFT branch of :func:`_pair_counts` and
+    :func:`triple_product` convolves: an array of ``shape``, the flat cells
+    of each operand in it, and the product each cell h of the result stands
+    for, base + h where ``width`` is 0, else base + (h // width) ``stride``
+    + h % width.  ``a`` and ``b`` are the first two operands' cells."""
 
     shape: tuple[int, ...]
-    a: Any
-    b: Any
+    cells: tuple
     base: int = 0
     width: int = 0
     stride: int = 0
+
+    @property
+    def a(self):
+        return self.cells[0]
+
+    @property
+    def b(self):
+        return self.cells[1]
+
+
+def _sorted_distinct(values):
+    """The sorted distinct entries of a 1-D array: ``np.unique(values)``
+    by one sort and a neighbour mask, without the import of ``numpy.ma``
+    (several ms in a fresh process) that a plain ``np.unique`` makes on its
+    first call."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 def _fold_modulus(keys) -> int | None:
@@ -232,32 +257,36 @@ def _fold_axes(keys, m: int):
     [0, m): (c, q, r).  c is the residue mod m just after the largest
     cyclic gap between the keys' residues, so keys whose residues fill a
     narrow band get small r."""
-    residues = np.unique(keys % m)
+    residues = _sorted_distinct(keys % m)
     cyclic = np.diff(residues, append=residues[0] + m)
     c = int(residues[(np.argmax(cyclic) + 1) % len(residues)])
     q, r = np.divmod(keys - c, m)
     return c + int(q[0]) * m, q - q[0], r
 
 
-def _int_grid(a, b) -> _Grid | None:
-    """The FFT grid of an ``int`` product A B, or None for the exact path.
+def _int_grid(*keys) -> _Grid | None:
+    """The FFT grid of an ``int`` product A B (or (A B) C, one operand per
+    argument), or None for the exact path.
 
-    The plain grid is the key range of A + B, rounded up to a power of two
-    n, on one axis; it is taken when n <= |A||B|.  A sparse pair -- n at
-    least FOLD_MIN_LENGTH -- is folded onto two axes instead when that
-    shrinks the grid at least FOLD_GAIN times.  With m the row stride of
-    the larger operand (:func:`_fold_modulus`), each key of A is written
-    c_A + q m + r with 0 <= r < R_A (:func:`_fold_axes`), and B likewise
-    with its own c_B.  A pair then lands in cell
-    (q_a + q_b, r_a + r_b) of a Q x R array, R = R_A + R_B - 1, whose two
-    axes are zero-padded to powers of two so that the convolution does not
-    wrap.  The fold is taken only when R <= m: then (i, j) -> c_A + c_B +
-    i m + j is injective on the cells and increasing in row-major order, so
-    each cell counts exactly the pairs of one sum and the nonzero cells,
-    read in order, are the sorted distinct sums.  The choice of m decides
-    only the grid's size, never the counts.  The larger operand is folded
-    first: its own spans bound the grid below, so a fold they already
-    reject never folds the other operand.
+    The plain grid is the key range of A + B (+ C), rounded up to a power
+    of two n, on one axis.  It is taken when n is at most the pairs of the
+    last outer sum it replaces: |A||B| for a pair, and for a triple
+    min(|A||B|, the key range of A + B) |C|, which bounds |A B||C|.  A
+    sparse operand tuple -- n at least FOLD_MIN_LENGTH -- is folded onto
+    two axes instead when that shrinks the grid at least FOLD_GAIN times.
+    With m the row stride of the largest operand (:func:`_fold_modulus`),
+    each key of A is written c_A + q m + r with 0 <= r < R_A
+    (:func:`_fold_axes`), and B (and C) likewise with its own c.  A pair
+    then lands in cell (q_a + q_b, r_a + r_b) of a Q x R array, R = R_A +
+    R_B - 1 (a triple in (q_a + q_b + q_c, r_a + r_b + r_c), R = R_A + R_B +
+    R_C - 2), whose two axes are zero-padded to powers of two so that the
+    convolution does not wrap.  The fold is taken only when R <= m: then
+    (i, j) -> c_A + c_B (+ c_C) + i m + j is injective on the cells and
+    increasing in row-major order, so each cell counts exactly the tuples
+    of one sum and the nonzero cells, read in order, are the sorted
+    distinct sums.  The choice of m decides only the grid's size, never
+    the counts.  The largest operand is folded first: its own spans bound
+    the grid below, so a fold they already reject never folds the others.
 
     Both FFT paths cost about the same per cell, but the two-axis one has a
     fixed cost of about 0.2 ms (the stride, the two folds, three rfftn
@@ -266,33 +295,86 @@ def _int_grid(a, b) -> _Grid | None:
     faster and one of n/2 1.0-1.3x slower; at n = 4096 and n/8 the fold
     was still 1.2x slower).
     """
-    a0, b0 = int(a[0]), int(b[0])
-    length = int(a[-1] + b[-1]) - a0 - b0 + 1
-    n = 1 << (length - 1).bit_length()
-    if n > len(a) * len(b):
+    firsts = [int(k[0]) for k in keys]
+    spans = [int(k[-1]) - f for k, f in zip(keys, firsts)]
+    pairs, reach = len(keys[0]), spans[0] + 1
+    for k, span in zip(keys[1:], spans[1:]):
+        pairs = min(pairs, reach) * len(k)
+        reach += span
+    n = 1 << (reach - 1).bit_length()
+    if n > pairs:
         return None
-    # a fold puts each of the at least |A| + |B| - 1 distinct sums in a
-    # cell of its own, so no grid of n / FOLD_GAIN cells fits them below this
-    if n >= FOLD_MIN_LENGTH and n >= FOLD_GAIN * (len(a) + len(b) - 1):
-        larger = a if len(a) >= len(b) else b
-        m = _fold_modulus(larger)
+    # a fold puts each of the at least |A| + |B| (+ |C|) - k + 1 distinct
+    # sums of k operands in a cell of its own, so no grid of n / FOLD_GAIN
+    # cells fits them below this
+    if n >= FOLD_MIN_LENGTH and n >= FOLD_GAIN * (sum(map(len, keys)) - len(keys) + 1):
+        largest = max(range(len(keys)), key=lambda i: len(keys[i]))
+        m = _fold_modulus(keys[largest])
         if m is not None:
-            fold = _fold_axes(larger, m)
-            # the other operand's q and r are >= 0, so it only widens the
-            # grid: the larger operand's spans alone can reject the fold
+            fold = _fold_axes(keys[largest], m)
+            # the other operands' q and r are >= 0, so they only widen the
+            # grid: the largest operand's spans alone can reject the fold
             q_span, r_span = int(fold[1][-1]) + 1, int(fold[2].max()) + 1
             least = (1 << (q_span - 1).bit_length()) * (1 << (r_span - 1).bit_length())
             if r_span <= m and FOLD_GAIN * least <= n:
-                (ca, qa, ra), (cb, qb, rb) = (
-                    (fold, _fold_axes(b, m)) if larger is a else (_fold_axes(a, m), fold)
-                )
-                rows = int(qa[-1] + qb[-1]) + 1
-                cols = int(ra.max() + rb.max()) + 1
+                folds = [fold if i == largest else _fold_axes(k, m) for i, k in enumerate(keys)]
+                rows = sum(int(q[-1]) for _, q, _ in folds) + 1
+                cols = sum(int(r.max()) for _, _, r in folds) + 1
                 width = 1 << (cols - 1).bit_length()
                 shape = (1 << (rows - 1).bit_length(), width)
                 if cols <= m and FOLD_GAIN * math.prod(shape) <= n:
-                    return _Grid(shape, qa * width + ra, qb * width + rb, ca + cb, width, m)
-    return _Grid((n,), a - a0, b - b0, a0 + b0)
+                    cells = tuple(q * width + r for _, q, r in folds)
+                    return _Grid(shape, cells, sum(c for c, _, _ in folds), width, m)
+    return _Grid((n,), tuple(k - f for k, f in zip(keys, firsts)), sum(firsts))
+
+
+def _grid_counts(grid: _Grid):
+    """The FFT branch of :func:`_pair_counts` and :func:`triple_product`:
+    the sorted distinct products of the grid's operands and the number of
+    operand tuples giving each, or None when the rounding guard rejects
+    the transform.
+
+    The counts are the convolution of the operands' indicator arrays,
+    cyclic along each axis (zero-padded past the operands in ``int``, so
+    there nothing wraps): one real FFT per operand, their product, one
+    inverse.  Its absolute error is about u log2(n) sqrt(|A||B|), or
+    u log2(n) sqrt(|A||B||C|) for three operands, with u = 2^-53: the norm
+    of each indicator array is the square root of its size.  That is below
+    1e-6 for any grid that fits in memory, so rounding gives the exact
+    count; the guard checks that every entry lies within 1/4 of an
+    integer."""
+    shape = grid.shape
+    n = math.prod(shape)
+    axes = tuple(range(len(shape)))
+    product = None
+    for cells in grid.cells:
+        indicator = np.zeros(n)
+        indicator[cells] = 1.0
+        if len(shape) == 1:
+            # the same transform without rfftn's per-call set-up, which
+            # shows on passes of many small int sumsets
+            spectrum = np.fft.rfft(indicator)
+        else:
+            spectrum = np.fft.rfftn(indicator.reshape(shape), axes=axes)
+        if product is None:
+            product = spectrum
+        else:
+            product *= spectrum
+    if len(shape) == 1:
+        f = np.fft.irfft(product, n)
+    else:
+        f = np.fft.irfftn(product, shape, axes=axes).ravel()
+    counts = np.rint(f)
+    f -= counts  # the rounding error, in place: no second array of n cells
+    if not np.abs(f, out=f).max() < 0.25:
+        return None
+    hit = np.flatnonzero(counts)
+    if grid.width:
+        row, col = np.divmod(hit, grid.width)
+        values = row * grid.stride + col + grid.base
+    else:
+        values = hit + grid.base
+    return values, counts[hit].astype(np.int64)
 
 
 def _pair_counts(
@@ -311,8 +393,9 @@ def _pair_counts(
 
     Integers convolve on the grid of :func:`_int_grid`, the key range on
     one axis or, for a sparse progression-like pair, folded onto two; a
-    box on the box itself, when it has at most |A||B| cells.  Everything
-    else takes the exact outer-sum path."""
+    box on the box itself, when it has at most |A||B| cells
+    (:func:`_grid_counts`).  Everything else, and a grid the rounding guard
+    rejects, takes the exact outer-sum path."""
     if table is not None:
         n = table.order
         step = max(1, TABLE_BLOCK_BYTES // (8 * max(1, len(b))))
@@ -330,40 +413,12 @@ def _pair_counts(
         hit = np.flatnonzero(counts)
         return hit, counts[hit]
     if moduli:
-        grid = _Grid(moduli, a, b) if math.prod(moduli) <= len(a) * len(b) else None
+        grid = _Grid(moduli, (a, b)) if math.prod(moduli) <= len(a) * len(b) else None
     else:
         grid = _int_grid(a, b)
-    if grid is not None:
-        # dense: convolve indicator arrays of the grid, cyclically along each
-        # axis (zero-padded past the operands in ``int``, so there nothing
-        # wraps).  The FFT's absolute error is about u log2(n) ||1_A||_2
-        # ||1_B||_2 = u log2(n) sqrt(|A||B|), with u = 2^-53; below 1e-8 for
-        # any array that fits in memory, so rounding gives the exact count.
-        # The guard below checks that.
-        shape = grid.shape
-        n = math.prod(shape)
-        fa = np.zeros(n)
-        fb = np.zeros(n)
-        fa[grid.a] = 1.0
-        fb[grid.b] = 1.0
-        if len(shape) == 1:
-            # the same transform without rfftn's per-call set-up, which
-            # shows on passes of many small int sumsets
-            f = np.fft.irfft(np.fft.rfft(fa) * np.fft.rfft(fb), n)
-        else:
-            axes = tuple(range(len(shape)))
-            fa = np.fft.rfftn(fa.reshape(shape), axes=axes)
-            fb = np.fft.rfftn(fb.reshape(shape), axes=axes)
-            f = np.fft.irfftn(fa * fb, shape, axes=axes).ravel()
-        counts = np.rint(f)
-        if np.abs(f - counts).max() < 0.25:
-            hit = np.flatnonzero(counts)
-            if grid.width:
-                row, col = np.divmod(hit, grid.width)
-                values = row * grid.stride + col + grid.base
-            else:
-                values = hit + grid.base
-            return values, counts[hit].astype(np.int64)
+    counted = None if grid is None else _grid_counts(grid)
+    if counted is not None:
+        return counted
     return np.unique(_outer_sums(a, b, moduli).ravel(), return_counts=True)
 
 
@@ -473,6 +528,59 @@ def product_set(
     return _products_as_set(x.oracle, products, operands)
 
 
+def _triple_grid(x: MultSet, y: MultSet, z: MultSet, budget: int) -> _Grid | None:
+    """The grid on which :func:`triple_product` convolves X, Y and Z at
+    once, or None for the two ``product_set`` calls.
+
+    Two rules must hold.  (i) X Y itself takes an FFT grid on the sums
+    kernel: the key range of X + Y rounded up to a power of two, or a box
+    of at most |X||Y| cells.  So no product moves from the exact path onto
+    a larger FFT.  (ii) Neither product of the chain can raise
+    BudgetExceededError: |X||Y| <= budget, and |X Y||Z| <= budget because
+    |X Y| is at most min(|X||Y|, the key range of X + Y or the box's
+    order), which (i) makes the range or the order.  In ``int`` the grid of
+    the three operands must also pass :func:`_int_grid`'s own size gate,
+    and every key of Z must stay below 2^60 in absolute value, as X's and
+    Y's do on the kernel."""
+    if not (x.oracle.domain == y.oracle.domain == z.oracle.domain) or not len(z):
+        return None
+    operands = _kernel_operands(x, y)
+    if operands is None:
+        return None
+    a, b, moduli = operands.a, operands.b, operands.moduli
+    pairs = len(x) * len(y)
+    if moduli:
+        reach = cells = x.oracle.order
+    else:
+        if max(abs(z.keys[0]), abs(z.keys[-1])) >= 2**60:
+            return None
+        reach = int(a[-1] + b[-1]) - int(a[0] + b[0]) + 1
+        cells = 1 << (reach - 1).bit_length()
+    if cells > pairs or pairs > budget or reach * len(z) > budget:
+        return None
+    c = _values(z.keys)
+    return _Grid(moduli, (a, b, c)) if moduli else _int_grid(a, b, c)
+
+
+def triple_product(
+    x: MultSet, y: MultSet, z: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET
+) -> MultSet:
+    """The triple product (X Y) Z, equal key for key to
+    ``product_set(product_set(x, y), z)``, with the same errors.
+
+    Where :func:`_triple_grid` admits the triple, the three operands are
+    convolved in one FFT (:func:`_grid_counts`), so X Y is never built.
+    Everything else -- law and ``kmul`` groups, keys past 2^60, a budget
+    the chain may exceed, and a grid the rounding guard rejects -- runs
+    the two ``product_set`` calls.
+    """
+    grid = _triple_grid(x, y, z, budget)
+    counted = None if grid is None else _grid_counts(grid)
+    if counted is None:
+        return product_set(product_set(x, y, budget=budget), z, budget=budget)
+    return MultSet._from_sorted(x.oracle, counted[0].tolist())
+
+
 def _product_counts(x: MultSet, y: MultSet) -> Counter:
     """How many pairs (a, b) in X x Y give each product a b.
 
@@ -507,6 +615,14 @@ def is_product_free(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> bool:
     return count_incident_pairs(x, budget) == 0
 
 
+def _incident_count(values, counts, keys) -> int:
+    """The pair counts of the products ``values`` that lie in the sorted
+    ``keys``, summed: the incident pairs of X X, with ``keys`` X's.  A
+    binary search, like ``np.isin`` without its ``np.unique``."""
+    at = np.searchsorted(keys, values)
+    return int(counts[keys[np.minimum(at, len(keys) - 1)] == values].sum())
+
+
 def count_incident_pairs(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> int:
     """Number of ordered pairs (a, b) in X^2 with a b again in X."""
     n = len(x)
@@ -516,7 +632,7 @@ def count_incident_pairs(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> in
     if operands is not None:
         # read the counting kernel's pair counts at the values of X
         values, counts = _pair_counts(*operands)
-        return int(counts[np.isin(values, operands.a)].sum())
+        return _incident_count(values, counts, operands.a)
     kmul = x.oracle.kmul
     member = x._keyset
     return sum(
@@ -796,7 +912,7 @@ def approx_report(
     if counts is None or len(x) ** 2 > budget:  # kmul, or the budget error
         incident = count_incident_pairs(x, budget)
     else:
-        incident = int(counts[np.isin(products, operands.a)].sum())
+        incident = _incident_count(products, counts, operands.a)
     doubling = Fraction(len(square), len(x))
     tripling = Fraction(len(cube), len(x))
     symmetric = inverse_set(x).key_set() == x.key_set()

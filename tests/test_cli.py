@@ -493,3 +493,28 @@ def test_console_script_wiring():
     assert proc.returncode == 0
     for word in ("analyze", "extract", "verify", "bench"):
         assert word in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "interval:50", "--k", "2"],
+        ["analyze", "gap:2:15,15:1,1000", "--k", "2"],
+        ["extract", "thm33", "gap:2:15,15:1,1000"],
+    ],
+)
+def test_runs_leave_numpy_ma_unimported(argv):
+    # a plain np.unique, also inside np.isin, imports numpy.ma on its first
+    # call (about 7 ms in a fresh process); the gap builder, the fold and
+    # the incident-pair count do without it
+    script = (
+        "import contextlib, io, sys\n"
+        "from prodfree.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["0", "False"]

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -460,6 +461,19 @@ def test_subgroup_view_rejects_a_non_subgroup(spec, texts, message):
         subgroup_view(g, members)
     with pytest.raises(NotASubgroupError, match=message):
         quotient_projection(g, members)
+
+
+@pytest.mark.parametrize(
+    "spec,members", [("int", [-1, 0, 1]), ("cyclic:1000000", [0, 1, 999999])]
+)
+def test_a_non_closed_view_fails_at_its_first_outside_product(spec, members):
+    # -1 + -1 and 1 + 1 leave the members at once; the closure of 1 inside
+    # the whole group is infinite, or a million keys
+    g = build_group(spec)
+    start = time.perf_counter()
+    with pytest.raises(NotASubgroupError, match="not closed under multiplication"):
+        subgroup_view(g, members)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_a_non_subgroup_link_breaks_the_series():

@@ -697,17 +697,29 @@ def test_extract_partial_certificate_bytes_are_frozen(spec, capsys):
 
 @pytest.mark.parametrize(
     "spec,calls",
-    [("interval:50", 12), ("gap:2:10,10:1,100", 16), ("gap:3:5,5,5:1,11,121", 12)],
+    [("interval:50", 7), ("gap:2:10,10:1,100", 9), ("gap:3:5,5,5:1,11,121", 7)],
 )
 def test_extract_computes_each_product_once(spec, calls, monkeypatch):
-    """X^2, Y^3 = X^2 X, two products per halving step and Z^-1 Z Z^-1: every
-    product is computed once and the stage that needs it again is handed it."""
-    real_product = sets.product_set
+    """X^2, Y^3 = X^2 X, two triple products per halving step and
+    Z^-1 Z Z^-1: every product is computed once and the stage that needs it
+    again is handed it.  A triple product counts as one product, also when
+    it runs as two pair products inside ``triple_product``."""
+    real_product, real_triple = sets.product_set, sets.triple_product
     operands = []
+    inside_triple = []
 
     def spy(x, y, budget=DEFAULT_PRODUCT_BUDGET):
-        operands.append((x.keys, y.keys))
+        if not inside_triple:
+            operands.append((x.keys, y.keys))
         return real_product(x, y, budget=budget)
+
+    def triple_spy(x, y, z, budget=DEFAULT_PRODUCT_BUDGET):
+        operands.append((x.keys, y.keys, z.keys))
+        inside_triple.append(True)
+        try:
+            return real_triple(x, y, z, budget=budget)
+        finally:
+            inside_triple.pop()
 
     tuples, cubes, halvings = [], [], []
 
@@ -721,6 +733,8 @@ def test_extract_computes_each_product_once(spec, calls, monkeypatch):
 
     monkeypatch.setattr(sets, "product_set", spy)
     monkeypatch.setattr(pipeline, "product_set", spy)
+    monkeypatch.setattr(sets, "triple_product", triple_spy)
+    monkeypatch.setattr(pipeline, "triple_product", triple_spy)
     for name, out in (
         ("find_homogeneous_tuple", tuples),
         ("petridis_subset", cubes),
