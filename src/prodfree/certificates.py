@@ -268,33 +268,62 @@ def _cell(key: int, moduli: tuple[int, ...]) -> int:
     return cell
 
 
+def _arc(keys: tuple, n: int) -> tuple[int, int]:
+    """(lo, span): the shortest arc lo, lo + 1, ..., lo + span of Z_n, read
+    mod n, that holds the sorted ``keys``.  It starts at the key just past
+    the largest cyclic gap between consecutive keys, the first on ties."""
+    gaps = [keys[0] + n - keys[-1]] + [b - a for a, b in zip(keys, keys[1:])]
+    at = gaps.index(max(gaps))
+    return keys[at], n - gaps[at]
+
+
+def _bits(cells) -> int:
+    """The int whose set bits are ``cells``."""
+    buf = bytearray(max(cells, default=0) // 8 + 1)
+    for c in cells:
+        buf[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(buf, "little")
+
+
 def _bitset_free(keys: tuple, moduli: tuple[int, ...] | None) -> bool:
     """Whether no product of two of the sorted ``keys`` is again a key.
 
     Each key sets one bit, its cell, so the bitset shifted by a's cell holds
-    every product a b.  In ``int`` (``moduli`` None) k's cell is k - lo, and
-    a + b sits where the bitset shifted down by lo holds the keys.  In a box
-    Z_M1 x ... x Z_Mr digit j gets 2 M_j cells, so digit vectors add without
-    a carry; the key bitset OR'd, axis by axis, with itself shifted by M_j
-    cells of that axis holds the keys at every wrapped digit sum.
+    every product a b, at the sum of the two cells.  In ``int`` (``moduli``
+    None) k's cell is k - lo, and a + b sits where the bitset shifted down
+    by lo holds the keys.  On one axis Z_N (``cyclic:N``) k's cell is
+    (k - lo) mod N, with lo the start of the keys' shortest arc
+    (:func:`_arc`), so cells and sums of two cells stay within the arc's
+    span and twice it; a + b is a key k iff the sum of their cells is
+    k - 2 lo mod N, and the target holds the at most two such sums per key
+    up to twice the span, never an N-bit int.  In a box Z_M1 x ... x Z_Mr
+    digit j gets 2 M_j cells, so digit vectors add without a carry; the key
+    bitset OR'd, axis by axis, with itself shifted by M_j cells of that
+    axis holds the keys at every wrapped digit sum.
     """
     if moduli is None:
         lo, span = keys[0], keys[-1] - keys[0]
         if not -2 * span <= lo <= span:
             return True  # the sums [2 lo, 2 hi] miss [lo, hi]
         cells = [k - lo for k in keys]
+        bits = _bits(cells)
+        target = bits >> lo if lo >= 0 else bits << -lo
+    elif len(moduli) == 1:
+        n = moduli[0]
+        lo, span = _arc(keys, n)
+        cells = [(k - lo) % n for k in keys]
+        bits = _bits(cells)
+        # the sums of two cells lie in [0, 2 span], below 2 N
+        wanted = ((k - 2 * lo) % n for k in keys)
+        target = _bits([t for s in wanted for t in (s, s + n) if t <= 2 * span])
     else:
-        lo, cells = 0, [_cell(k, moduli) for k in keys]
-    buf = bytearray(cells[-1] // 8 + 1)
-    for c in cells:
-        buf[c >> 3] |= 1 << (c & 7)
-    bits = int.from_bytes(buf, "little")
-    target = bits >> lo if lo >= 0 else bits << -lo
-    width = 1
-    for m in reversed(moduli or ()):
-        if m * width <= 2 * cells[-1]:  # else past every sum
-            target |= target << m * width
-        width *= 2 * m
+        cells = [_cell(k, moduli) for k in keys]
+        bits = target = _bits(cells)
+        width = 1
+        for m in reversed(moduli):
+            if m * width <= 2 * cells[-1]:  # else past every sum
+                target |= target << m * width
+            width *= 2 * m
     return not any(bits << c & target for c in cells)
 
 
@@ -353,11 +382,18 @@ def _recheck_free(witness: MultSet) -> bool:
     """Product-freeness of a nonempty witness: on the bitset below its
     VERIFY_BITS_PER_KEY gate, else by the generator walk in an enumerated
     group where VERIFY_WALK_COST |G| <= n^2, else straight from the
-    oracle's kmul over all pairs."""
+    oracle's kmul over all pairs.  The gate is on the largest cell of
+    :func:`_bitset_free`: the key range in ``int``, the span of the keys'
+    shortest arc on one axis, the last key's cell in a box."""
     o, keys = witness.oracle, witness.keys
     moduli = o.component_moduli
     if o.kind == "int" or moduli is not None:
-        top = keys[-1] - keys[0] if moduli is None else _cell(keys[-1], moduli)
+        if moduli is None:
+            top = keys[-1] - keys[0]
+        elif len(moduli) == 1:
+            top = _arc(keys, moduli[0])[1]
+        else:
+            top = _cell(keys[-1], moduli)
         if top < VERIFY_BITS_PER_KEY * len(keys):
             return _bitset_free(keys, moduli)
     enum = o.enum_keys

@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -464,8 +465,17 @@ def _build_heisenberg(p: int) -> GroupOracle:
         return "1,%d,%d;0,1,%d;0,0,1" % (x // pp, x // p % p, x % p)
 
     parse = _matrix_decode_factory(3, p, unitriangular=True)
+    entry = "(0|[1-9][0-9]*)"
+    canonical = re.compile(f"1,{entry},{entry};0,1,{entry};0,0,1")
 
     def dec(text: str) -> int:
+        # a canonical text, entries below p, is read by one match; any
+        # other text takes the full parse, with the same key or error
+        m = canonical.fullmatch(text)
+        if m is not None:
+            a, c, b = map(int, m.groups())
+            if a < p and c < p and b < p:
+                return a * pp + c * p + b
         m = parse(text)
         return m[1] * pp + m[2] * p + m[5]
 

@@ -16,9 +16,14 @@ Products take one of three paths, chosen in one place,
   a real FFT (``np.fft.rfftn``, or ``rfft`` on one axis) of n cells: the key
   range of A + B rounded up to a power of two in ``int``, the box itself
   (n = its order) in a box group.  That path runs when n <= |A||B|, so none
-  of its arrays is larger than the |A||B| outer-sum array it replaces.  A
-  sparse ``int`` pair, such as two blocks of a generalized arithmetic
-  progression, is folded first (:func:`_int_grid`): with m the row stride
+  of its arrays is larger than the |A||B| outer-sum array it replaces.  On
+  a one-axis box Z_N (``cyclic:N``) whose shorter operand has at most
+  max(8, min(N // 128, 255)) keys, the same counts come instead from one
+  shifted add of the longer operand's ``uint8`` indicator per key of the
+  shorter (:func:`_shift_counts`), exact in ``uint8`` as no cell counts
+  more than 255 pairs, with no float array of N cells.  A sparse ``int``
+  pair, such as two blocks of a generalized arithmetic progression, is
+  folded first (:func:`_int_grid`): with m the row stride
   of the larger operand, each key is written c + q m + r with r < R, and
   the sums are convolved on a q-by-r grid of two zero-padded axes.  The
   fold is exact when R_A + R_B - 1 <= m, as then distinct cells stand for
@@ -35,9 +40,9 @@ Products take one of three paths, chosen in one place,
   A triple product (A B) C (:func:`triple_product`) convolves the three
   indicator arrays on one grid, the key range of A + B + C (folded when
   R_A + R_B + R_C - 2 <= m) or the box, wherever A B itself takes a grid
-  and the chain cannot exceed its budget.  The same argument makes it
-  exact: each cell counts the triples of one product, at most |A||B| <=
-  budget of them, and the rounding error is about
+  (not the shifted adds) and the chain cannot exceed its budget.  The same
+  argument makes it exact: each cell counts the triples of one product, at
+  most |A||B| <= budget of them, and the rounding error is about
   u log2(n) sqrt(|A||B||C|), still far below 1/2; the same 1/4 guard
   checks it, and a grid it rejects runs the two products.
 * ``dihedral:n`` and an enumerated ``heisenberg:p`` read their products
@@ -377,6 +382,32 @@ def _grid_counts(grid: _Grid):
     return values, counts[hit].astype(np.int64)
 
 
+def _shifts(moduli: tuple[int, ...], na: int, nb: int) -> bool:
+    """Whether a box product of na and nb keys that would take the FFT
+    takes :func:`_shift_counts` instead, by the rule :func:`_pair_counts`
+    states."""
+    return len(moduli) == 1 and min(na, nb) <= max(8, min(moduli[0] // 128, 255))
+
+
+def _shift_counts(a, b, n: int):
+    """The sorted distinct sums a + b mod n of int64 keys in [0, n), and
+    the number of pairs giving each, by shifted adds: for each key s of the
+    shorter operand, the longer one's indicator shifted by s cells, mod n,
+    is added into ``uint8`` counts.  The indicator is written twice over,
+    so each wrapped shift is one slice.  Exact while the shorter operand
+    has at most 255 keys, the most any cell can count."""
+    if len(a) < len(b):
+        a, b = b, a
+    twice = np.zeros(2 * n, dtype=np.uint8)
+    twice[a] = twice[a + n] = 1
+    counts = np.zeros(n, dtype=np.uint8)
+    for s in b.tolist():
+        # cell c gains 1 where c - s mod n is in A: entry n - s + c of twice
+        counts += twice[n - s : 2 * n - s]
+    hit = np.flatnonzero(counts)
+    return hit, counts[hit].astype(np.int64)
+
+
 def _pair_counts(
     a,
     b,
@@ -395,7 +426,25 @@ def _pair_counts(
     one axis or, for a sparse progression-like pair, folded onto two; a
     box on the box itself, when it has at most |A||B| cells
     (:func:`_grid_counts`).  Everything else, and a grid the rounding guard
-    rejects, takes the exact outer-sum path."""
+    rejects, takes the exact outer-sum path.
+
+    A one-axis box Z_N (``cyclic:N``) that would take the FFT, N <= |A||B|,
+    takes the shifted adds of :func:`_shift_counts` instead when its shorter
+    operand has at most max(8, min(N // 128, 255)) keys (:func:`_shifts`).
+    Their cost is one add of N bytes per key of the shorter operand, against
+    three float transforms of N cells, so the gate grows with N; it stops at
+    255 keys, as each cell then counts at most 255 pairs and ``uint8`` holds
+    every count exactly, with no rounding and no guard.  Best of 21 runs
+    (5 at N = 10^6) in us, FFT / shifted adds, |long| = N / 4, on one core
+    of a 2-CPU VM:
+
+    * N = 10^3: 46 / 13 at 8 keys, 46 / 27 at 32;
+    * N = 10^4: 284 / 87 at 64, 284 / 138 at 128;
+    * N = 10^5: 3375 / 841 at 128, 3373 / 1358 at 256;
+    * N = 10^6: 47561 / 7551 at 128, 49526 / 11730 at 256.
+
+    So the gate is conservative below N = 10^5 (past it the uint8 bound
+    binds first): the adds would still win at 32 keys of N = 10^3."""
     if table is not None:
         n = table.order
         step = max(1, TABLE_BLOCK_BYTES // (8 * max(1, len(b))))
@@ -413,7 +462,13 @@ def _pair_counts(
         hit = np.flatnonzero(counts)
         return hit, counts[hit]
     if moduli:
-        grid = _Grid(moduli, (a, b)) if math.prod(moduli) <= len(a) * len(b) else None
+        n = math.prod(moduli)
+        if n > len(a) * len(b):
+            grid = None
+        elif _shifts(moduli, len(a), len(b)):
+            return _shift_counts(a, b, n)
+        else:
+            grid = _Grid(moduli, (a, b))
     else:
         grid = _int_grid(a, b)
     counted = None if grid is None else _grid_counts(grid)
@@ -534,8 +589,9 @@ def _triple_grid(x: MultSet, y: MultSet, z: MultSet, budget: int) -> _Grid | Non
 
     Two rules must hold.  (i) X Y itself takes an FFT grid on the sums
     kernel: the key range of X + Y rounded up to a power of two, or a box
-    of at most |X||Y| cells.  So no product moves from the exact path onto
-    a larger FFT.  (ii) Neither product of the chain can raise
+    of at most |X||Y| cells where :func:`_shifts` does not send X Y to the
+    shifted adds.  So no product moves from the exact path or the shifted
+    adds onto a larger FFT.  (ii) Neither product of the chain can raise
     BudgetExceededError: |X||Y| <= budget, and |X Y||Z| <= budget because
     |X Y| is at most min(|X||Y|, the key range of X + Y or the box's
     order), which (i) makes the range or the order.  In ``int`` the grid of
@@ -550,6 +606,8 @@ def _triple_grid(x: MultSet, y: MultSet, z: MultSet, budget: int) -> _Grid | Non
     a, b, moduli = operands.a, operands.b, operands.moduli
     pairs = len(x) * len(y)
     if moduli:
+        if _shifts(moduli, len(x), len(y)):
+            return None
         reach = cells = x.oracle.order
     else:
         if max(abs(z.keys[0]), abs(z.keys[-1])) >= 2**60:
@@ -570,9 +628,9 @@ def triple_product(
 
     Where :func:`_triple_grid` admits the triple, the three operands are
     convolved in one FFT (:func:`_grid_counts`), so X Y is never built.
-    Everything else -- law and ``kmul`` groups, keys past 2^60, a budget
-    the chain may exceed, and a grid the rounding guard rejects -- runs
-    the two ``product_set`` calls.
+    Everything else -- law and ``kmul`` groups, keys past 2^60, an X Y on
+    the shifted adds, a budget the chain may exceed, and a grid the
+    rounding guard rejects -- runs the two ``product_set`` calls.
     """
     grid = _triple_grid(x, y, z, budget)
     counted = None if grid is None else _grid_counts(grid)

@@ -386,10 +386,33 @@ def _fuzz_witnesses(spec, rng):
     return g, out
 
 
+def _spy_bitset(monkeypatch):
+    calls = []
+    bitset_free = certificates._bitset_free
+
+    def spy(keys, moduli):
+        calls.append(keys)
+        return bitset_free(keys, moduli)
+
+    monkeypatch.setattr(certificates, "_bitset_free", spy)
+    return calls
+
+
+def _circular_span(keys, n):
+    # the fewest steps up from some key that reach every key, mod n
+    return min(max((k - lo) % n for k in keys) for lo in keys)
+
+
 def _bitset_route(g, keys):
-    # the bitset runs while its largest cell is below VERIFY_BITS_PER_KEY per key
+    # the bitset runs while its largest cell is below VERIFY_BITS_PER_KEY per
+    # key: in cyclic:N the span of the keys' shortest arc
     moduli = g.component_moduli
-    top = keys[-1] - keys[0] if moduli is None else certificates._cell(keys[-1], moduli)
+    if moduli is None:
+        top = keys[-1] - keys[0]
+    elif len(moduli) == 1:
+        top = _circular_span(keys, moduli[0])
+    else:
+        top = certificates._cell(keys[-1], moduli)
     return top < certificates.VERIFY_BITS_PER_KEY * len(keys)
 
 
@@ -403,14 +426,7 @@ def test_digit_vector_recheck_matches_raw_kmul(spec, block, monkeypatch):
     if block is not None:
         # a gate of `block` bits per key moves witnesses from the bitset to raw kmul
         monkeypatch.setattr(certificates, "VERIFY_BITS_PER_KEY", block)
-    calls = []
-    bitset_free = certificates._bitset_free
-
-    def spy(keys, moduli):
-        calls.append(keys)
-        return bitset_free(keys, moduli)
-
-    monkeypatch.setattr(certificates, "_bitset_free", spy)
+    calls = _spy_bitset(monkeypatch)
     g, witnesses = _fuzz_witnesses(spec, random.Random(f"{spec}/{block}"))
     verdicts, routes = set(), set()
     for keys in filter(None, witnesses):
@@ -431,6 +447,47 @@ def test_digit_vector_recheck_matches_raw_kmul(spec, block, monkeypatch):
         # at the default gate every group runs the bitset; the sparse picks run raw kmul
         assert True in routes
         assert False in routes or spec not in ("int", "cyclic:100000000")
+
+
+@pytest.mark.parametrize("n", [7, 1000, 10**7])
+def test_cyclic_recheck_reads_cells_from_the_shortest_arc(n, monkeypatch):
+    # witnesses inside a short arc that wraps past 0, one that ends at N - 1,
+    # and one anywhere: each drawn set and a product-free subset of it.  All
+    # take the bitset, however large their keys, and agree with raw kmul
+    calls = _spy_bitset(monkeypatch)
+    g = build_group(f"cyclic:{n}")
+    rng = random.Random(f"arc/{n}")
+    width = min(n, 60)
+    verdicts, wraps = set(), 0  # wraps: arcs through both N - 1 and 0
+    for start in (n - width // 2, n - width, rng.randrange(n)):
+        for _ in range(4):
+            drawn = [(start + t) % n for t in rng.sample(range(width), rng.randint(1, 30 if n > 7 else 5))]
+            for keys in (drawn, _greedy_free(g, drawn)):
+                keys = sorted(set(keys))
+                x = MultSet(g, set(keys) | {g.identity_key})
+                free = naive_is_product_free(g, keys)
+                verdicts.add(free)
+                ok, problems = verify_certificate(_claimed_free_cert(x, keys), x)
+                assert ok == free, (keys, problems)
+                assert calls == [tuple(keys)]
+                calls.clear()
+                wraps += _circular_span(keys, n) < keys[-1] - keys[0]
+    assert verdicts == {True, False} and wraps
+
+
+def test_an_arc_at_the_top_of_a_large_cyclic_group_takes_the_bitset(monkeypatch):
+    # 2000 keys just below N = 10^7: the last key's cell, about 1024 * 4883
+    # bits, is past the gate, but the arc spans 1999 cells
+    calls = _spy_bitset(monkeypatch)
+    n = 10**7
+    g = build_group(f"cyclic:{n}")
+    arc = list(range(n - 5000, n - 3000))  # its sums fill [n - 10000, n - 6002]
+    for keys, free in ((arc, True), ([n - 10000, *arc], False), ([*arc, 0], False)):
+        x = MultSet(g, keys)
+        ok, problems = verify_certificate(_claimed_free_cert(x, keys), x)
+        assert ok == free, problems
+        assert len(calls) == 1
+        calls.clear()
 
 
 # -- the generator walk -----------------------------------------------------

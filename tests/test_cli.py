@@ -1,6 +1,7 @@
 import csv
 import hashlib
 from collections import Counter
+from fractions import Fraction
 import io
 import json
 import os
@@ -86,6 +87,24 @@ def test_analyze_bytes_are_frozen(spec, side, capsys):
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert digests == [FROZEN_ANALYZE_SHA256[spec, side]] * 2
+
+
+def test_analyze_of_a_sparse_cyclic_set_takes_the_shifted_adds(capsys, monkeypatch, fft_calls):
+    # X^2 X, 4915 x 100 keys in Z_100000, is counted by shifted adds of
+    # X^2's indicator, and no product transforms the whole box
+    calls = []
+    shift_counts = sets._shift_counts
+    monkeypatch.setattr(
+        sets, "_shift_counts", lambda a, b, n: calls.append((len(a), len(b), n)) or shift_counts(a, b, n)
+    )
+    spec = "random:cyclic:100000:100"
+    code, out, _ = run_cli(capsys, "analyze", spec, "--k", "2", "--side", "left", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_ANALYZE_SHA256[spec, "left"]
+    data = json.loads(out)
+    square = Fraction(data["doubling"]) * data["size"]
+    assert calls == [(square, 100, 100000)]
+    assert not fft_calls
 
 
 # argv -> sha256 of its stdout.  The thm33 certificate (with its trailing

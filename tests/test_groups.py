@@ -779,6 +779,37 @@ def test_heisenberg_decoder_accepts_noncanonical_and_rejects_malformed_texts():
             g.kdecode(bad)
 
 
+def _parsed_heisenberg_key(p, text):
+    """The key of a heisenberg:p text by the general matrix parser alone,
+    or the type and message of the error it raises."""
+    try:
+        m = groups._matrix_decode_factory(3, p, unitriangular=True)(text)
+    except (GroupSpecError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (m[1] * p + m[2]) * p + m[5]
+
+
+@pytest.mark.parametrize("p", [2, 11, 17])
+def test_heisenberg_decoder_matches_the_general_parser(p):
+    # canonical texts take one match; entries at or past p, leading zeros,
+    # signs, spaces and malformed rows take the full parse
+    g = build_group(f"heisenberg:{p}")
+    rng = random.Random(p)
+    entries = ["0", "1", str(p - 1), str(p), str(p + 1), "00", "01", f"0{p - 1}", "-1", " 1", "1 ", "", "x"]
+    texts = [g.kencode(k) for k in g.enum_keys]
+    for _ in range(3000):
+        a, c, b = (rng.choice(entries) for _ in range(3))
+        texts.append(f"1,{a},{c};0,1,{b};0,0,1")
+        texts.append(rng.choice([f"1,{a},{c};0,1,{b};0,0,{c}", f"1,{a},{c};0,1,{b};0,0,1;", f"{a},{c};0,1,{b};0,0,1"]))
+    for text in texts:
+        try:
+            got = g.kdecode(text)
+        except (GroupSpecError, ValueError) as exc:
+            got = type(exc), str(exc)
+        assert got == _parsed_heisenberg_key(p, text), text
+    assert [g.kdecode(t) for t in texts[: g.order]] == list(g.enum_keys)
+
+
 def _check_abelian_pairs(g, moduli, pairs):
     for a, b in pairs:
         want = tuple((x + y) % m for x, y, m in zip(_word(g, a), _word(g, b), moduli))

@@ -225,8 +225,9 @@ def test_box_kernel_matches_naive_counter(spec):
 
 
 # (spec, |X|, |Y|, path): "fft" when order <= |X||Y|, also below
-# NUMPY_MIN_PAIRS; "exact" from NUMPY_MIN_PAIRS pairs on in a larger box;
-# "kmul" for fewer pairs than both
+# NUMPY_MIN_PAIRS; "direct" instead of "fft" on one axis Z_N when the
+# shorter operand has at most max(8, min(N // 128, 255)) keys; "exact" from
+# NUMPY_MIN_PAIRS pairs on in a larger box; "kmul" for fewer pairs than both
 BOX_GATE_CASES = [
     ("abelian:40,40", 50, 40, "fft"),
     ("abelian:40,40", 30, 30, "exact"),
@@ -237,13 +238,24 @@ BOX_GATE_CASES = [
     ("cyclic:101", 12, 10, "fft"),
     ("cyclic:101", 10, 10, "kmul"),
     ("abelian:6,10", 8, 8, "fft"),
+    ("cyclic:101", 20, 8, "direct"),
+    ("cyclic:1000", 7, 200, "direct"),
+    ("cyclic:1000", 200, 9, "fft"),
+    ("abelian:1000", 200, 8, "direct"),
+    ("cyclic:100000", 400, 255, "direct"),
+    ("cyclic:100000", 400, 256, "fft"),
 ]
 
 
 @pytest.mark.parametrize(
     "spec,nx,ny,path", BOX_GATE_CASES, ids=[f"{c[0]}-{c[1]}x{c[2]}" for c in BOX_GATE_CASES]
 )
-def test_box_products_take_the_gated_path(spec, nx, ny, path, fft_calls):
+def test_box_products_take_the_gated_path(spec, nx, ny, path, fft_calls, monkeypatch):
+    shift_calls = []
+    shift_counts = sets._shift_counts
+    monkeypatch.setattr(
+        sets, "_shift_counts", lambda *args: shift_calls.append(1) or shift_counts(*args)
+    )
     g = build_group(spec)
     rng = random.Random(f"{spec} {nx} {ny}")
     x = MultSet(g, rng.sample(range(g.order), nx))
@@ -252,11 +264,16 @@ def test_box_products_take_the_gated_path(spec, nx, ny, path, fft_calls):
     assert _product_counts(x, y) == want
     assert product_set(x, y).key_set() == frozenset(want)
     assert len(fft_calls) == (2 if path == "fft" else 0)
+    assert len(shift_calls) == (2 if path == "direct" else 0)
     pairs = len(x) * len(y)
     if pairs < min(NUMPY_MIN_PAIRS, g.order):
         assert path == "kmul"
+    elif g.order > pairs:
+        assert path == "exact"
+    elif len(g.component_moduli) == 1 and min(nx, ny) <= max(8, min(g.order // 128, 255)):
+        assert path == "direct"
     else:
-        assert path == ("fft" if g.order <= pairs else "exact")
+        assert path == "fft"
 
 
 def test_box_kernel_guard_failure_falls_back_exactly(monkeypatch):
