@@ -285,8 +285,10 @@ def _bits(cells) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _bitset_free(keys: tuple, moduli: tuple[int, ...] | None) -> bool:
-    """Whether no product of two of the sorted ``keys`` is again a key.
+def _bitset_free(keys: tuple, moduli: tuple[int, ...] | None) -> bool | None:
+    """Whether no product of two of the sorted ``keys`` is again a key, or
+    None (no verdict) when the largest cell is VERIFY_BITS_PER_KEY bits per
+    key or more.
 
     Each key sets one bit, its cell, so the bitset shifted by a's cell holds
     every product a b, at the sum of the two cells.  In ``int`` (``moduli``
@@ -301,8 +303,11 @@ def _bitset_free(keys: tuple, moduli: tuple[int, ...] | None) -> bool:
     bitset OR'd, axis by axis, with itself shifted by M_j cells of that
     axis holds the keys at every wrapped digit sum.
     """
+    most = VERIFY_BITS_PER_KEY * len(keys)
     if moduli is None:
         lo, span = keys[0], keys[-1] - keys[0]
+        if span >= most:
+            return None
         if not -2 * span <= lo <= span:
             return True  # the sums [2 lo, 2 hi] miss [lo, hi]
         cells = [k - lo for k in keys]
@@ -311,6 +316,8 @@ def _bitset_free(keys: tuple, moduli: tuple[int, ...] | None) -> bool:
     elif len(moduli) == 1:
         n = moduli[0]
         lo, span = _arc(keys, n)
+        if span >= most:
+            return None
         cells = [(k - lo) % n for k in keys]
         bits = _bits(cells)
         # the sums of two cells lie in [0, 2 span], below 2 N
@@ -318,6 +325,8 @@ def _bitset_free(keys: tuple, moduli: tuple[int, ...] | None) -> bool:
         target = _bits([t for s in wanted for t in (s, s + n) if t <= 2 * span])
     else:
         cells = [_cell(k, moduli) for k in keys]
+        if cells[-1] >= most:
+            return None
         bits = target = _bits(cells)
         width = 1
         for m in reversed(moduli):
@@ -379,23 +388,15 @@ def _walk_free(oracle, keys: tuple, pos: dict) -> bool:
 
 
 def _recheck_free(witness: MultSet) -> bool:
-    """Product-freeness of a nonempty witness: on the bitset below its
-    VERIFY_BITS_PER_KEY gate, else by the generator walk in an enumerated
-    group where VERIFY_WALK_COST |G| <= n^2, else straight from the
-    oracle's kmul over all pairs.  The gate is on the largest cell of
-    :func:`_bitset_free`: the key range in ``int``, the span of the keys'
-    shortest arc on one axis, the last key's cell in a box."""
+    """Product-freeness of a nonempty witness: on the bitset where it gives
+    a verdict, else by the generator walk in an enumerated group where
+    VERIFY_WALK_COST |G| <= n^2, else straight from the oracle's kmul over
+    all pairs."""
     o, keys = witness.oracle, witness.keys
-    moduli = o.component_moduli
-    if o.kind == "int" or moduli is not None:
-        if moduli is None:
-            top = keys[-1] - keys[0]
-        elif len(moduli) == 1:
-            top = _arc(keys, moduli[0])[1]
-        else:
-            top = _cell(keys[-1], moduli)
-        if top < VERIFY_BITS_PER_KEY * len(keys):
-            return _bitset_free(keys, moduli)
+    if o.kind == "int" or o.component_moduli is not None:
+        free = _bitset_free(keys, o.component_moduli)
+        if free is not None:
+            return free
     enum = o.enum_keys
     if enum is not None and VERIFY_WALK_COST * len(enum) <= len(keys) ** 2:
         pos = {k: i for i, k in enumerate(enum)}

@@ -566,7 +566,6 @@ def group_spec_token_count(name: str) -> int:
 def closure_keys(
     oracle: GroupOracle,
     seeds: Iterable[Any],
-    cap: int = ENUM_CAP,
     within: frozenset | None = None,
 ) -> frozenset | None:
     """Subgroup generated by *seeds* (finite ambient assumed), or None as
@@ -585,8 +584,8 @@ def closure_keys(
                         return None
                     done.add(p)
                     nxt.append(p)
-        if len(done) > cap:
-            raise PreconditionError(f"closure exceeded cap {cap}")
+        if len(done) > ENUM_CAP:
+            raise PreconditionError(f"closure exceeded cap {ENUM_CAP}")
         frontier = nxt
     return frozenset(done)
 

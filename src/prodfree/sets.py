@@ -4,47 +4,24 @@ A :class:`MultSet` is an immutable finite subset of one ambient oracle.
 Internally it stores sorted raw payload keys; elements materialise on
 demand.
 
-Products take one of three paths, chosen in one place,
-:func:`_product_operands`:
+Products take one of three paths, chosen in one place, :func:`_operands`,
+by the group alone:
 
 * ``int`` and the finite box groups -- full ``cyclic:N`` and
   ``abelian:M1,...,Mr`` oracles, whose keys are mixed-radix ints of the box
   Z_M1 x ... x Z_Mr -- go through one exact counting kernel,
   :func:`_pair_counts`: for sorted keys A and B it returns every product
   a + b (digit-wise mod M_j in a box) with the number of pairs giving it.
-  The counts are the convolution of the two indicator arrays, computed with
-  a real FFT (``np.fft.rfftn``, or ``rfft`` on one axis) of n cells: the key
-  range of A + B rounded up to a power of two in ``int``, the box itself
-  (n = its order) in a box group.  That path runs when n <= |A||B|, so none
-  of its arrays is larger than the |A||B| outer-sum array it replaces.  On
-  a one-axis box Z_N (``cyclic:N``) whose shorter operand has at most
-  max(8, min(N // 128, 255)) keys, the same counts come instead from one
-  shifted add of the longer operand's ``uint8`` indicator per key of the
-  shorter (:func:`_shift_counts`), exact in ``uint8`` as no cell counts
-  more than 255 pairs, with no float array of N cells.  A sparse ``int``
-  pair, such as two blocks of a generalized arithmetic progression, is
-  folded first (:func:`_int_grid`): with m the row stride
-  of the larger operand, each key is written c + q m + r with r < R, and
-  the sums are convolved on a q-by-r grid of two zero-padded axes.  The
-  fold is exact when R_A + R_B - 1 <= m, as then distinct cells stand for
-  distinct sums, in row-major order; it is taken only then, and only when
-  the grid has at most n / FOLD_GAIN cells with n >= FOLD_MIN_LENGTH.
-  Every FFT path is exact: the convolution's rounding error is about
-  u log2(n) sqrt(|A||B|) with u = 2^-53, far below 1/2, and a runtime
-  guard checks that every entry lies within 1/4 of an integer.
-  Sparser inputs, and any input the guard rejects, take the exact outer-sum
-  path: the sums a + b, less M_j stride_j wherever digit j wrapped, counted
-  with ``np.unique``.  ``int`` takes the kernel from :data:`NUMPY_MIN_PAIRS`
-  pairs on, where it starts to beat the ``kmul`` loop; a box group from
-  there too, or on fewer pairs when its FFT is dense (order <= |A||B|).
-  A triple product (A B) C (:func:`triple_product`) convolves the three
-  indicator arrays on one grid, the key range of A + B + C (folded when
-  R_A + R_B + R_C - 2 <= m) or the box, wherever A B itself takes a grid
-  (not the shifted adds) and the chain cannot exceed its budget.  The same
-  argument makes it exact: each cell counts the triples of one product, at
-  most |A||B| <= budget of them, and the rounding error is about
-  u log2(n) sqrt(|A||B||C|), still far below 1/2; the same 1/4 guard
-  checks it, and a grid it rejects runs the two products.
+  Where the key range of A + B, rounded up to a power of two, or the box
+  has at most |A||B| cells, the counts are the FFT convolution of the
+  indicator arrays (:func:`_grid_counts`, exact under a rounding guard),
+  on the key range or the box, or on two axes for a sparse ``int`` pair
+  that folds (:func:`_int_grid`); a short operand of a ``cyclic:N``
+  product takes shifted adds instead (:func:`_shift_counts`).  Sparser
+  inputs, and any grid the guard rejects, take the exact outer-sum path
+  (:func:`_outer_sums`, counted with ``np.unique``).  A triple product
+  (A B) C convolves the three operands on one grid where
+  :func:`_triple_grid` admits it.
 * ``dihedral:n`` and an enumerated ``heisenberg:p`` read their products
   from the oracle's product law (:class:`groups.LawTable`, the ``law``
   field), through one ``law.outer(a, b)`` on keys: their ``kmul``
@@ -57,8 +34,8 @@ Products take one of three paths, chosen in one place,
   n keys, or, when n > |A||B|, sorts the |A||B| products with
   ``np.unique`` instead.
 * Everything else -- ``sym:n``, subgroup views, quotients, ``matrix:d:m``,
-  ``heisenberg:p`` above p = 97, small products in ``int`` and box
-  groups -- runs through the oracle's ``kmul``.
+  ``heisenberg:p`` above p = 97, ``int`` keys from 2^60 on -- runs
+  through the oracle's ``kmul``.
 
 Triple localization (``pipeline._bucket_best``) counts its (g, h)
 buckets through :func:`_product_counts` in every abelian group, one
@@ -72,10 +49,10 @@ counts, or the law's outer product), each placed among X^2's keys by one
 gather from a position array over their range when that range is small,
 else by a binary search; otherwise from |X|^2 ``kmul`` calls.  The report's
 X^3 is only counted, never built into keys (:func:`_distinct_products`).
-Budgets bound the |A||B| pairs of a product on the sums kernel and the
-|X|^2 pairs of the freeness and incident-pair counts; a product on the
-law or ``kmul`` path is bounded by its number of distinct products
-instead.
+Budgets bound the |A||B| pairs of a product on the sums kernel, at every
+size, and the |X|^2 pairs of the freeness and incident-pair counts; a
+product on the law or ``kmul`` path is bounded by its number of distinct
+products instead.
 """
 
 from __future__ import annotations
@@ -96,7 +73,6 @@ from .errors import (
 from .groups import Element, GroupOracle, LawTable
 
 DEFAULT_PRODUCT_BUDGET = 10**7
-NUMPY_MIN_PAIRS = 512
 FOLD_MIN_LENGTH = 8192  # fold int operands onto two axes from this FFT length
 FOLD_GAIN = 4  # ... when that shrinks the grid at least this many times
 EXACT_COVER_UNIVERSE = 4096
@@ -216,21 +192,13 @@ class _Grid(NamedTuple):
     :func:`triple_product` convolves: an array of ``shape``, the flat cells
     of each operand in it, and the product each cell h of the result stands
     for, base + h where ``width`` is 0, else base + (h // width) ``stride``
-    + h % width.  ``a`` and ``b`` are the first two operands' cells."""
+    + h % width."""
 
     shape: tuple[int, ...]
     cells: tuple
     base: int = 0
     width: int = 0
     stride: int = 0
-
-    @property
-    def a(self):
-        return self.cells[0]
-
-    @property
-    def b(self):
-        return self.cells[1]
 
 
 def _sorted_distinct(values):
@@ -453,9 +421,7 @@ def _pair_counts(
         )
         if n > len(a) * len(b):
             # fewer pairs than keys: sort the products, not n counters
-            # (the empty head keeps the dtype when A is empty)
-            cells = np.concatenate([np.zeros(0, np.int32), *blocks])
-            return np.unique(cells, return_counts=True)
+            return np.unique(np.concatenate(list(blocks)), return_counts=True)
         counts = np.zeros(n, dtype=np.int64)
         for block in blocks:
             counts += np.bincount(block, minlength=n)
@@ -498,42 +464,29 @@ def _outer_sums(
     return sums
 
 
-def _kernel_operands(x: MultSet, y: MultSet) -> _Operands | None:
-    """Sums-kernel operands for X Y, or None.
+def _operands(x: MultSet, y: MultSet) -> _Operands | None:
+    """Kernel operands for X Y, or None for the ``kmul`` path: the one place
+    that decides which products take a kernel, whatever their size.
 
-    ``int`` takes the kernel from NUMPY_MIN_PAIRS pairs on, while every key
-    stays below 2^60 in absolute value, so that sums of a few keys fit in
-    int64.  A full ``cyclic:N`` or ``abelian:*`` oracle (a box) takes it
-    from there too, or on fewer pairs when its FFT is dense (order <=
-    |X||Y|).  Subgroup views and quotients have no ``component_moduli``.
+    ``int`` takes the sums kernel while every key stays below 2^60 in
+    absolute value, so that sums of a few keys fit in int64; a full
+    ``cyclic:N`` or ``abelian:*`` oracle (a box) of order below 2^60 takes
+    it with its moduli; an oracle with a product law takes the law.
+    Subgroup views and quotients have neither ``component_moduli`` nor a
+    law.  An empty operand takes ``kmul``, whose loops give the empty
+    answers.
     """
     o = x.oracle
-    pairs = len(x) * len(y)
-    box = o.component_moduli
+    if not (len(x) and len(y)):
+        return None
     if o.kind == "int":
-        ends = x.keys[:1] + x.keys[-1:] + y.keys[:1] + y.keys[-1:]
-        if pairs < NUMPY_MIN_PAIRS or max(map(abs, ends)) >= 2**60:
-            return None
-    elif box is None or o.order >= 2**60 or pairs < min(NUMPY_MIN_PAIRS, o.order):
+        ends = (x.keys[0], x.keys[-1], y.keys[0], y.keys[-1])
+        kernel = max(map(abs, ends)) < 2**60
+    else:
+        kernel = o.law is not None or o.component_moduli is not None and o.order < 2**60
+    if not kernel:
         return None
-    return _Operands(_values(x.keys), _values(y.keys), box)
-
-
-def _product_operands(x: MultSet, y: MultSet) -> _Operands | None:
-    """Kernel operands for X Y, or None for the kmul path.
-
-    The one place that decides which products take a kernel, and so which
-    covering translates are built from its outer products: the sums kernel
-    where :func:`_kernel_operands` takes X Y, else the oracle's product law
-    where it has one.
-    """
-    operands = _kernel_operands(x, y)
-    if operands is not None:
-        return operands
-    law = x.oracle.law
-    if law is None:
-        return None
-    return _Operands(_values(x.keys), _values(y.keys), table=law)
+    return _Operands(_values(x.keys), _values(y.keys), o.component_moduli, o.law)
 
 
 def _distinct_products(x: MultSet, y: MultSet, budget: int):
@@ -542,9 +495,7 @@ def _distinct_products(x: MultSet, y: MultSet, budget: int):
     takes a kernel, else (the set of ``kmul`` keys, None, None).  A caller
     that needs only |X Y| takes ``len`` and never builds the keys."""
     _require_same(x, y)
-    if len(x) == 0 or len(y) == 0:
-        return (), None, None
-    operands = _product_operands(x, y)
+    operands = _operands(x, y)
     if operands is not None:
         if operands.table is None and len(x) * len(y) > budget:
             raise BudgetExceededError(
@@ -588,7 +539,7 @@ def _triple_grid(x: MultSet, y: MultSet, z: MultSet, budget: int) -> _Grid | Non
     once, or None for the two ``product_set`` calls.
 
     Two rules must hold.  (i) X Y itself takes an FFT grid on the sums
-    kernel: the key range of X + Y rounded up to a power of two, or a box
+    kernel (:func:`_operands`, not a law): the key range of X + Y rounded up to a power of two, or a box
     of at most |X||Y| cells where :func:`_shifts` does not send X Y to the
     shifted adds.  So no product moves from the exact path or the shifted
     adds onto a larger FFT.  (ii) Neither product of the chain can raise
@@ -600,10 +551,10 @@ def _triple_grid(x: MultSet, y: MultSet, z: MultSet, budget: int) -> _Grid | Non
     Y's do on the kernel."""
     if not (x.oracle.domain == y.oracle.domain == z.oracle.domain) or not len(z):
         return None
-    operands = _kernel_operands(x, y)
-    if operands is None:
+    operands = _operands(x, y)
+    if operands is None or operands.table is not None:
         return None
-    a, b, moduli = operands.a, operands.b, operands.moduli
+    a, b, moduli, _ = operands
     pairs = len(x) * len(y)
     if moduli:
         if _shifts(moduli, len(x), len(y)):
@@ -645,7 +596,7 @@ def _product_counts(x: MultSet, y: MultSet) -> Counter:
     Takes no budget: callers bound |X||Y| before calling.
     """
     _require_same(x, y)
-    operands = _product_operands(x, y)
+    operands = _operands(x, y)
     if operands is not None:
         values, counts = _pair_counts(*operands)
         return Counter(dict(zip(values.tolist(), counts.tolist())))
@@ -686,7 +637,7 @@ def count_incident_pairs(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> in
     n = len(x)
     if n * n > budget:
         raise BudgetExceededError(f"{n}^2 pairs exceed budget {budget}")
-    operands = _product_operands(x, x)
+    operands = _operands(x, x)
     if operands is not None:
         # read the counting kernel's pair counts at the values of X
         values, counts = _pair_counts(*operands)
@@ -890,16 +841,16 @@ def _translates(x: MultSet, square: MultSet, side: str) -> list[int]:
     (intervals, progressions, full boxes of a GAP), each mask is one shift
     of one bitset (:func:`_shift_masks`).  Otherwise entry (r, j) of one
     |X| x |X| index matrix is the position in X^2's keys of x_r x_j, so row
-    r is x_r X and column r is X x_r.  Where :func:`_product_operands`
-    takes X X to a kernel, the matrix places the kernel's outer products
+    r is x_r X and column r is X x_r.  Where :func:`_operands` takes X X
+    to a kernel, the matrix places the kernel's outer products
     among X^2's values: by one gather from an array indexed by value where
     their range is at most max(|X|^2, 4096) cells, else by a binary search.
     On the sums kernel (``int``, full ``cyclic:N`` and ``abelian:*``) it is
     symmetric, so each right translate is the left one.  Elsewhere it takes
     |X|^2 ``kmul`` calls.
     """
-    operands = _product_operands(x, x)
-    if operands is not None and operands.moduli is None and operands.table is None:
+    operands = _operands(x, x)
+    if operands is not None and x.oracle.kind == "int":
         masks = _shift_masks(operands.a, len(square))
         if masks is not None:
             # t + X = X + t: two-sided, each mask stands for both

@@ -21,6 +21,7 @@ from prodfree import (
     is_product_free,
     power_set,
     product_set,
+    triple_product,
 )
 from prodfree.families import generate
 from prodfree.groups import LawTable, subgroup_view
@@ -28,16 +29,14 @@ from prodfree import sets
 from prodfree.sets import (
     FOLD_GAIN,
     FOLD_MIN_LENGTH,
-    NUMPY_MIN_PAIRS,
     _exact_cover_size,
     _fold_axes,
     _fold_modulus,
     _greedy_cover,
     _int_grid,
-    _kernel_operands,
+    _operands,
     _pair_counts,
     _product_counts,
-    _product_operands,
     _rank_points,
     _translates,
 )
@@ -122,13 +121,13 @@ def test_numpy_path_agrees_with_naive(int_group):
 
 # Inputs of the counting kernel and the path each takes: "fft" when the FFT
 # length (key range rounded up to a power of two, or N in cyclic:N) is at
-# most |A||B|, "exact" for sparser keys, "kmul" below NUMPY_MIN_PAIRS.
+# most |A||B|, "exact" for sparser keys, at every size.
 KERNEL_CASES = [
     ("int", "dense", lambda r: r.sample(range(-100, 300), 80), "fft"),
     ("int", "negative", lambda r: r.sample(range(-5000, -4400), 70), "fft"),
     ("int", "sparse", lambda r: r.sample(range(-10**9, 10**9), 70), "exact"),
     ("int", "odd", lambda r: range(-201, 200, 2), "fft"),
-    ("int", "below-threshold", lambda r: r.sample(range(-100, 100), 22), "kmul"),
+    ("int", "below-threshold", lambda r: r.sample(range(-100, 100), 22), "exact"),
     ("int", "above-threshold", lambda r: r.sample(range(-100, 100), 23), "fft"),
     ("cyclic:997", "prime", lambda r: r.sample(range(997), 70), "fft"),
     ("cyclic:1000", "composite", lambda r: r.sample(range(1000), 70), "fft"),
@@ -143,7 +142,7 @@ KERNEL_CASES = [
 def test_counting_kernel_matches_naive(spec, shape, keys, path, fft_calls):
     g = build_group(spec)
     x = MultSet(g, keys(random.Random(shape)))
-    assert (len(x) ** 2 >= NUMPY_MIN_PAIRS) == (path != "kmul")
+    assert (_operands(x, x) is None) == (path == "kmul")
     half = MultSet(g, x.keys[::2])
     assert product_set(x, x).key_set() == frozenset(naive_product_keys(g, x.keys, x.keys))
     assert product_set(x, half).key_set() == frozenset(
@@ -224,19 +223,18 @@ def test_box_kernel_matches_naive_counter(spec):
     assert paths["fft"] and (paths["exact"] or n == 1)
 
 
-# (spec, |X|, |Y|, path): "fft" when order <= |X||Y|, also below
-# NUMPY_MIN_PAIRS; "direct" instead of "fft" on one axis Z_N when the
-# shorter operand has at most max(8, min(N // 128, 255)) keys; "exact" from
-# NUMPY_MIN_PAIRS pairs on in a larger box; "kmul" for fewer pairs than both
+# (spec, |X|, |Y|, path): "fft" when order <= |X||Y|; "direct" instead of
+# "fft" on one axis Z_N when the shorter operand has at most
+# max(8, min(N // 128, 255)) keys; "exact" in a larger box, at every size
 BOX_GATE_CASES = [
     ("abelian:40,40", 50, 40, "fft"),
     ("abelian:40,40", 30, 30, "exact"),
-    ("abelian:40,40", 20, 20, "kmul"),
+    ("abelian:40,40", 20, 20, "exact"),
     ("abelian:7,11,13", 40, 30, "fft"),
-    ("abelian:7,11,13", 20, 20, "kmul"),
+    ("abelian:7,11,13", 20, 20, "exact"),
     ("abelian:100,100", 70, 70, "exact"),
     ("cyclic:101", 12, 10, "fft"),
-    ("cyclic:101", 10, 10, "kmul"),
+    ("cyclic:101", 10, 10, "exact"),
     ("abelian:6,10", 8, 8, "fft"),
     ("cyclic:101", 20, 8, "direct"),
     ("cyclic:1000", 7, 200, "direct"),
@@ -266,9 +264,7 @@ def test_box_products_take_the_gated_path(spec, nx, ny, path, fft_calls, monkeyp
     assert len(fft_calls) == (2 if path == "fft" else 0)
     assert len(shift_calls) == (2 if path == "direct" else 0)
     pairs = len(x) * len(y)
-    if pairs < min(NUMPY_MIN_PAIRS, g.order):
-        assert path == "kmul"
-    elif g.order > pairs:
+    if g.order > pairs:
         assert path == "exact"
     elif len(g.component_moduli) == 1 and min(nx, ny) <= max(8, min(g.order // 128, 255)):
         assert path == "direct"
@@ -314,7 +310,17 @@ def test_product_budget_enforced(int_group):
         product_set(big, big, budget=10**5)
     small = MultSet(int_group, range(40))
     with pytest.raises(BudgetExceededError):
-        product_set(small, small, budget=10)  # python path, growth check
+        product_set(small, small, budget=10)  # 1600 pairs on the sums kernel
+
+
+@pytest.mark.parametrize("spec", ["int", "cyclic:1000", "abelian:40,40"])
+def test_product_budget_bounds_pairs_at_every_size(spec):
+    # 20 keys: 400 pairs, 39 distinct products, on the sums kernel all the same
+    g = build_group(spec)
+    x = MultSet(g, range(20))
+    assert len(product_set(x, x, budget=400)) == 39
+    with pytest.raises(BudgetExceededError, match="^product pairs 400 exceed budget 100$"):
+        product_set(x, x, budget=100)
 
 
 def test_power_set(int_group):
@@ -446,14 +452,15 @@ def _naive_translates(g, x_keys, square_keys, side):
 
 
 def _translate_cases():
-    """(name, group, keys, kernel): kernel says whether X X takes the kernel."""
+    """(name, group, keys, kernel): kernel says whether X X takes the sums
+    kernel."""
     rng = random.Random(9)
     cyc = build_group("cyclic:1000")
     return [
         ("int-dense", build_group("int"), range(-40, 40), True),
         ("int-sparse", build_group("int"), rng.sample(range(-10**6, 10**6), 70), True),
         ("int-huge", build_group("int"), [2**60 + k for k in rng.sample(range(500), 70)], False),
-        ("int-small", build_group("int"), [0, 1, 3, 7, 12], False),
+        ("int-small", build_group("int"), [0, 1, 3, 7, 12], True),
         ("cyclic:101", build_group("cyclic:101"), rng.sample(range(101), 30), True),
         ("cyclic:5003", build_group("cyclic:5003"), rng.sample(range(5003), 80), True),
         ("abelian:6,10", build_group("abelian:6,10"), rng.sample(range(60), 17), True),
@@ -470,7 +477,8 @@ def test_translates_match_naive_kmul(case, side):
     if keys is None:
         keys = random.Random(g.domain).sample(list(g.enum_keys), 9)
     x = MultSet(g, keys)
-    assert (_kernel_operands(x, x) is not None) == kernel
+    operands = _operands(x, x)
+    assert (operands is not None and operands.table is None) == kernel
     square = product_set(x, x)
     assert square.key_set() == frozenset(naive_product_keys(g, x.keys, x.keys))
     want_masks, want_hitters = _naive_translates(g, x.keys, square.keys, side)
@@ -489,10 +497,10 @@ def test_translates_match_naive_kmul(case, side):
 def _shift_cases():
     """(name, keys or family spec, path) over ``int``, seeded: ``shift``
     where X + X fills the box of X's fold, ``index`` where it cannot, None
-    where the path is not asserted or X X is below the kernel."""
+    where the path is not asserted."""
     rng = random.Random(25)
     cases = [
-        ("one-point", [rng.randint(-99, 99)], None),
+        ("one-point", [rng.randint(-99, 99)], "shift"),
         ("interval", "interval:50", "shift"),
         ("gap-2-10x10", "gap:2:10,10:1,100", "shift"),
         ("gap-2-7x7", "gap:2:7,7:1,1000", "shift"),
@@ -519,14 +527,22 @@ def _shift_cases():
         carry = [lo + r + stride * q for q in range(rows) for r in range(wide)]
         cases.append((f"carry-{i}", carry, "index"))
         cases.append((f"random-{i}", rng.sample(range(-3000, 3000), rng.randint(2, 90)), "index"))
-    return [
-        (name, keys, None if len(keys) ** 2 < NUMPY_MIN_PAIRS else path)
-        if isinstance(keys, list) else (name, keys, path)
-        for name, keys, path in cases
-    ]
+    return cases
 
 
-@pytest.mark.parametrize("name,keys,path", _shift_cases(), ids=lambda c: c if isinstance(c, str) else "")
+def _shift_id(case):
+    # inputs of at most 22 keys keep the ids they had while their path went
+    # unasserted: name-spec- rather than name-spec-path
+    name, keys, path = case
+    spec = keys if isinstance(keys, str) else ""
+    shown = path if path and (spec or len(keys) > 22) else ""
+    return f"{name}-{spec}-{shown}"
+
+
+SHIFT_CASES = _shift_cases()
+
+
+@pytest.mark.parametrize("name,keys,path", SHIFT_CASES, ids=[_shift_id(c) for c in SHIFT_CASES])
 def test_shift_masks_match_naive_translates(name, keys, path, monkeypatch):
     g = build_group("int")
     x = generate(keys) if isinstance(keys, str) else MultSet(g, keys)
@@ -544,8 +560,8 @@ def test_shift_masks_match_naive_translates(name, keys, path, monkeypatch):
         assert _translates(x, square, side) == _naive_translates(g, x.keys, square.keys, side)[0]
         if path is not None:
             assert ran == [path]
-        elif len(x) ** 2 < NUMPY_MIN_PAIRS:
-            assert ran == []
+        else:
+            assert len(ran) == 1
 
 
 @pytest.mark.parametrize(
@@ -562,7 +578,7 @@ def test_shift_masks_match_naive_translates(name, keys, path, monkeypatch):
 def test_tripling_counts_the_cube_product_set(spec, path):
     x = generate(spec, seed=7)
     square = product_set(x, x)
-    operands = _product_operands(square, x)
+    operands = _operands(square, x)
     taken = "kmul" if operands is None else "sums" if operands.table is None else "law"
     assert taken == path
     cube = product_set(square, x)
@@ -635,7 +651,7 @@ def test_table_path_matches_raw_kmul(name):
     for _ in range(25):
         x = MultSet(g, rng.sample(keys, rng.randint(1, top)))
         y = MultSet(g, rng.sample(keys, rng.randint(1, top)))
-        operands = _product_operands(x, y)
+        operands = _operands(x, y)
         assert operands.table is g.law if name in laws else operands is None
         want = Counter(g.kmul(a, b) for a in x.keys for b in y.keys)
         assert _product_counts(x, y) == want
@@ -650,14 +666,19 @@ def test_table_path_matches_raw_kmul(name):
 def test_table_path_budget_and_empty_sets():
     g = build_group("dihedral:6")
     x = MultSet(g, range(12))
-    assert _product_operands(x, x).table is g.law
+    assert _operands(x, x).table is g.law
     # 144 pairs, 12 distinct products: the budget bounds the products
     assert len(product_set(x, x, budget=12)) == 12
     with pytest.raises(BudgetExceededError, match="^product set grew past budget 11$"):
         product_set(x, x, budget=11)
-    empty = MultSet(g, [])
-    assert _product_counts(x, empty) == Counter() == _product_counts(empty, x)
-    assert count_incident_pairs(empty) == 0 and len(product_set(x, empty)) == 0
+    # an empty operand gives empty answers on every kernel
+    for g in (g, build_group("int"), build_group("cyclic:1000"), build_group("abelian:40,40")):
+        x, empty = MultSet(g, range(12)), MultSet(g, [])
+        assert _product_counts(x, empty) == Counter() == _product_counts(empty, x)
+        assert count_incident_pairs(empty) == 0 and is_product_free(empty)
+        assert len(product_set(x, empty)) == 0 == len(product_set(empty, x))
+        for triple in ((empty, x, x), (x, empty, x), (x, x, empty)):
+            assert len(triple_product(*triple)) == 0
 
 
 def test_table_gate_follows_the_pair_count():
@@ -668,17 +689,17 @@ def test_table_gate_follows_the_pair_count():
     keys = random.Random(6).sample(s6.enum_keys, 100)
     small = MultSet(s6, keys[:20])
     big = MultSet(s6, keys[20:])
-    assert _product_operands(small, small) is None
-    assert _product_operands(big, big) is None
+    assert _operands(small, small) is None
+    assert _operands(big, big) is None
     square = product_set(big, big)
     assert square.key_set() == frozenset(naive_product_keys(s6, big.keys, big.keys))
-    assert _product_operands(square, big) is None
+    assert _operands(square, big) is None
     assert product_set(square, big).key_set() == frozenset(
         naive_product_keys(s6, square.keys, big.keys)
     )
     # a law is there from the start, so even the 27-point ball reads it
     ball = generate("heisenberg-ball:11:1")
-    assert _product_operands(ball, ball).table is ball.oracle.law is not None
+    assert _operands(ball, ball).table is ball.oracle.law is not None
 
 
 def test_table_path_falls_back_to_kmul_off_the_enumeration():
@@ -686,7 +707,7 @@ def test_table_path_falls_back_to_kmul_off_the_enumeration():
     s4 = build_group("sym:4")
     view = subgroup_view(s4, [(0, 1, 2, 3), (1, 0, 2, 3)])
     x = MultSet(view, [(1, 0, 2, 3), (0, 2, 1, 3)])
-    assert _product_operands(x, x) is None
+    assert _operands(x, x) is None
     assert product_set(x, x).key_set() == frozenset(naive_product_keys(s4, x.keys, x.keys))
 
 
@@ -895,7 +916,7 @@ def test_int_grid_rejects_a_fold_from_the_larger_operand(monkeypatch):
             assert got is None
             continue
         assert (got.shape, got.base, got.width, got.stride) == (want[0], *want[3:])
-        assert np.array_equal(got.a, want[1]) and np.array_equal(got.b, want[2])
+        assert np.array_equal(got.cells[0], want[1]) and np.array_equal(got.cells[1], want[2])
         if folds:
             assert folds[0] == max(len(a), len(b))
         seen[len(folds), len(got.shape)] += 1

@@ -119,7 +119,7 @@ def test_budget_errors_match_the_chain(case):
     xy = product_set(x, y, budget=10**9)
     edges = {len(x) * len(y), len(xy) * len(z), len(triple_product(x, y, z))}
     if sets._triple_grid(x, y, z, 10**9) is not None:
-        operands = sets._kernel_operands(x, y)
+        operands = sets._operands(x, y)
         a, b = operands.a, operands.b
         reach = x.oracle.order if operands.moduli else int(a[-1] + b[-1] - a[0] - b[0]) + 1
         edges.add(reach * len(z))
