@@ -181,11 +181,8 @@ def cmd_verify(args) -> int:
     cert = ExtractionCertificate.load(args.certificate)
     x = _resolve_source(args.source, args.seed)
     ok, problems = verify_certificate(cert, x, budget=args.budget)
-    if ok:
-        _emit("PASS", None)
-        return EXIT_OK
-    _emit("\n".join(["FAIL"] + [f"  - {p}" for p in problems]), None)
-    return EXIT_ERROR
+    _emit("\n".join(["PASS" if ok else "FAIL"] + [f"  - {p}" for p in problems]), args.out)
+    return EXIT_OK if ok else EXIT_ERROR
 
 
 def cmd_bench(args) -> int:

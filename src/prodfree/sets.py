@@ -11,17 +11,10 @@ by the group alone:
   ``abelian:M1,...,Mr`` oracles, whose keys are mixed-radix ints of the box
   Z_M1 x ... x Z_Mr -- go through one exact counting kernel,
   :func:`_pair_counts`: for sorted keys A and B it returns every product
-  a + b (digit-wise mod M_j in a box) with the number of pairs giving it.
-  Where the key range of A + B, rounded up to a power of two, or the box
-  has at most |A||B| cells, the counts are the FFT convolution of the
-  indicator arrays (:func:`_grid_counts`, exact under a rounding guard),
-  on the key range or the box, or on two axes for a sparse ``int`` pair
-  that folds (:func:`_int_grid`); a short operand of a ``cyclic:N``
-  product takes shifted adds instead (:func:`_shift_counts`).  Sparser
-  inputs, and any grid the guard rejects, take the exact outer-sum path
-  (:func:`_outer_sums`, counted with ``np.unique``).  A triple product
-  (A B) C convolves the three operands on one grid where
-  :func:`_triple_grid` admits it.
+  a + b (digit-wise mod M_j in a box) with the number of pairs giving it,
+  counted densely over the group's cells or by sorting the pairs, as
+  :func:`_plan` rules.  A triple product (A B) C convolves the three
+  operands on one grid where :func:`_triple_grid` admits it.
 * ``dihedral:n`` and an enumerated ``heisenberg:p`` read their products
   from the oracle's product law (:class:`groups.LawTable`, the ``law``
   field), through one ``law.outer(a, b)`` on keys: their ``kmul``
@@ -29,10 +22,7 @@ by the group alone:
   group at about 6-8 ns a pair, at any order, so even
   ``heisenberg-ball:11:1`` (27 points in an order-1331 group) and every
   product in ``heisenberg:17`` (order 4913) are free of ``kmul``.  The
-  same kernel takes the outer product of A x B a row block of at most
-  TABLE_BLOCK_BYTES at a time and counts it with ``np.bincount`` over the
-  n keys, or, when n > |A||B|, sorts the |A||B| products with
-  ``np.unique`` instead.
+  same kernel counts them, by the same rule.
 * Everything else -- ``sym:n``, subgroup views, quotients, ``matrix:d:m``,
   ``heisenberg:p`` above p = 97, ``int`` keys from 2^60 on -- runs
   through the oracle's ``kmul``.
@@ -237,23 +227,20 @@ def _fold_axes(keys, m: int):
     return c + int(q[0]) * m, q - q[0], r
 
 
-def _int_grid(*keys) -> _Grid | None:
+def _int_grid(keys, n: int) -> _Grid:
     """The FFT grid of an ``int`` product A B (or (A B) C, one operand per
-    argument), or None for the exact path.
+    key array) that :func:`_plan` counts on n cells.
 
     The plain grid is the key range of A + B (+ C), rounded up to a power
-    of two n, on one axis.  It is taken when n is at most the pairs of the
-    last outer sum it replaces: |A||B| for a pair, and for a triple
-    min(|A||B|, the key range of A + B) |C|, which bounds |A B||C|.  A
-    sparse operand tuple -- n at least FOLD_MIN_LENGTH -- is folded onto
-    two axes instead when that shrinks the grid at least FOLD_GAIN times.
-    With m the row stride of the largest operand (:func:`_fold_modulus`),
-    each key of A is written c_A + q m + r with 0 <= r < R_A
-    (:func:`_fold_axes`), and B (and C) likewise with its own c.  A pair
-    then lands in cell (q_a + q_b, r_a + r_b) of a Q x R array, R = R_A +
-    R_B - 1 (a triple in (q_a + q_b + q_c, r_a + r_b + r_c), R = R_A + R_B +
-    R_C - 2), whose two axes are zero-padded to powers of two so that the
-    convolution does not wrap.  The fold is taken only when R <= m: then
+    of two n, on one axis.  A sparse operand tuple -- n at least
+    FOLD_MIN_LENGTH -- is folded onto two axes instead when that shrinks
+    the grid at least FOLD_GAIN times.  With m the row stride of the
+    largest operand (:func:`_fold_modulus`), each key of A is written
+    c_A + q m + r with 0 <= r < R_A (:func:`_fold_axes`), and B (and C)
+    likewise with its own c.  A pair then lands in cell (q_a + q_b, r_a +
+    r_b) of a Q x R array, R = R_A + R_B - 1 (a triple in (q_a + q_b + q_c,
+    r_a + r_b + r_c), R = R_A + R_B + R_C - 2), whose two axes are
+    zero-padded to powers of two so that the convolution does not wrap.  The fold is taken only when R <= m: then
     (i, j) -> c_A + c_B (+ c_C) + i m + j is injective on the cells and
     increasing in row-major order, so each cell counts exactly the tuples
     of one sum and the nonzero cells, read in order, are the sorted
@@ -268,15 +255,6 @@ def _int_grid(*keys) -> _Grid | None:
     faster and one of n/2 1.0-1.3x slower; at n = 4096 and n/8 the fold
     was still 1.2x slower).
     """
-    firsts = [int(k[0]) for k in keys]
-    spans = [int(k[-1]) - f for k, f in zip(keys, firsts)]
-    pairs, reach = len(keys[0]), spans[0] + 1
-    for k, span in zip(keys[1:], spans[1:]):
-        pairs = min(pairs, reach) * len(k)
-        reach += span
-    n = 1 << (reach - 1).bit_length()
-    if n > pairs:
-        return None
     # a fold puts each of the at least |A| + |B| (+ |C|) - k + 1 distinct
     # sums of k operands in a cell of its own, so no grid of n / FOLD_GAIN
     # cells fits them below this
@@ -298,6 +276,7 @@ def _int_grid(*keys) -> _Grid | None:
                 if cols <= m and FOLD_GAIN * math.prod(shape) <= n:
                     cells = tuple(q * width + r for _, q, r in folds)
                     return _Grid(shape, cells, sum(c for c, _, _ in folds), width, m)
+    firsts = [int(k[0]) for k in keys]
     return _Grid((n,), tuple(k - f for k, f in zip(keys, firsts)), sum(firsts))
 
 
@@ -350,13 +329,6 @@ def _grid_counts(grid: _Grid):
     return values, counts[hit].astype(np.int64)
 
 
-def _shifts(moduli: tuple[int, ...], na: int, nb: int) -> bool:
-    """Whether a box product of na and nb keys that would take the FFT
-    takes :func:`_shift_counts` instead, by the rule :func:`_pair_counts`
-    states."""
-    return len(moduli) == 1 and min(na, nb) <= max(8, min(moduli[0] // 128, 255))
-
-
 def _shift_counts(a, b, n: int):
     """The sorted distinct sums a + b mod n of int64 keys in [0, n), and
     the number of pairs giving each, by shifted adds: for each key s of the
@@ -376,35 +348,35 @@ def _shift_counts(a, b, n: int):
     return hit, counts[hit].astype(np.int64)
 
 
-def _pair_counts(
-    a,
-    b,
-    moduli: tuple[int, ...] | None = None,
-    table: LawTable | None = None,
-):
-    """Sorted distinct products a_i b_j and the exact number of pairs (i, j)
-    giving each.  a and b are int64 keys: integers when ``moduli`` is None,
-    else mixed-radix keys of the box Z_M1 x ... x Z_Mr, added digit-wise
-    mod M_j; or, with a law ``table``, keys of its group, multiplied
-    by its ``outer`` a block of rows at a time, each block within
-    TABLE_BLOCK_BYTES.  The blocks are counted with ``np.bincount`` over the
-    table's n keys, or, when n exceeds |A||B|, with ``np.unique``.
+def _plan(keys, moduli: tuple[int, ...] | None = None, table: LawTable | None = None):
+    """How the kernel counts the product of the sorted int64 ``keys`` -- A B,
+    or the fused triple (A B) C -- in ``int``, in the box of ``moduli`` or
+    with the law ``table``: a :class:`_Grid` to convolve on
+    (:func:`_grid_counts`), "shift" for :func:`_shift_counts`, "bincount"
+    for the law's counters, or None to sort the pairs (the exact path,
+    ``np.unique`` of :func:`_outer_sums`).
 
-    Integers convolve on the grid of :func:`_int_grid`, the key range on
-    one axis or, for a sparse progression-like pair, folded onto two; a
-    box on the box itself, when it has at most |A||B| cells
-    (:func:`_grid_counts`).  Everything else, and a grid the rounding guard
-    rejects, takes the exact outer-sum path.
+    The one rule: a product whose group has more cells than the product
+    has pairs sorts its pairs; otherwise it counts densely over the cells.
+    The cells are the law's order n, the box's N = prod M_j, or in ``int``
+    the key range of the sum rounded up to a power of two.  In a chain
+    every product must pass: (A B) C takes a grid only where A B itself
+    would, and its own pairs are min(|A||B|, the key range of A + B or the
+    box's order) |C|, which bounds |A B||C|.  Dense counting is
+    ``np.bincount`` over the law's n keys, one TABLE_BLOCK_BYTES block of
+    rows of ``law.outer`` at a time; an FFT over the box; or in ``int`` an
+    FFT over the key range, or over the two-axis fold :func:`_int_grid`
+    picks for a sparse progression-like tuple.
 
-    A one-axis box Z_N (``cyclic:N``) that would take the FFT, N <= |A||B|,
-    takes the shifted adds of :func:`_shift_counts` instead when its shorter
-    operand has at most max(8, min(N // 128, 255)) keys (:func:`_shifts`).
-    Their cost is one add of N bytes per key of the shorter operand, against
-    three float transforms of N cells, so the gate grows with N; it stops at
-    255 keys, as each cell then counts at most 255 pairs and ``uint8`` holds
-    every count exactly, with no rounding and no guard.  Best of 21 runs
-    (5 at N = 10^6) in us, FFT / shifted adds, |long| = N / 4, on one core
-    of a 2-CPU VM:
+    One exception: a one-axis box Z_N (``cyclic:N``) pair takes the shifted
+    adds of :func:`_shift_counts` instead of the FFT when its shorter
+    operand has at most max(8, min(N // 128, 255)) keys.  Their cost is one
+    add of N bytes per key of the shorter operand, against three float
+    transforms of N cells, so the gate grows with N; it stops at 255 keys,
+    as each cell then counts at most 255 pairs and ``uint8`` holds every
+    count exactly, with no rounding and no guard.  Best of 21 runs (5 at
+    N = 10^6) in us, FFT / shifted adds, |long| = N / 4, on one core of a
+    2-CPU VM:
 
     * N = 10^3: 46 / 13 at 8 keys, 46 / 27 at 32;
     * N = 10^4: 284 / 87 at 64, 284 / 138 at 128;
@@ -413,34 +385,50 @@ def _pair_counts(
 
     So the gate is conservative below N = 10^5 (past it the uint8 bound
     binds first): the adds would still win at 32 keys of N = 10^3."""
+    order = table.order if table is not None else math.prod(moduli) if moduli else 0
+    pairs, reach = len(keys[0]), order or int(keys[0][-1] - keys[0][0]) + 1
+    for k in keys[1:]:
+        pairs = min(pairs, reach) * len(k)
+        reach = order or reach + int(k[-1] - k[0])
+        cells = order or 1 << (reach - 1).bit_length()
+        if cells > pairs:
+            return None
     if table is not None:
+        return "bincount"
+    if not moduli:
+        return _int_grid(keys, cells)
+    if len(moduli) == 1 and min(len(keys[0]), len(keys[1])) <= max(8, min(order // 128, 255)):
+        return "shift"
+    return _Grid(moduli, keys)
+
+
+def _pair_counts(
+    a,
+    b,
+    moduli: tuple[int, ...] | None = None,
+    table: LawTable | None = None,
+):
+    """Sorted distinct products a_i b_j and the exact number of pairs (i, j)
+    giving each, on the path :func:`_plan` names.  a and b are int64 keys:
+    integers when ``moduli`` is None, else mixed-radix keys of the box
+    Z_M1 x ... x Z_Mr, added digit-wise mod M_j; or, with a law ``table``,
+    keys of its group.  A grid the rounding guard rejects takes the exact
+    path."""
+    plan = _plan((a, b), moduli, table)
+    if plan == "shift":
+        return _shift_counts(a, b, moduli[0])
+    if plan == "bincount":
         n = table.order
         step = max(1, TABLE_BLOCK_BYTES // (8 * max(1, len(b))))
-        blocks = (
-            table.outer(a[lo : lo + step], b).ravel() for lo in range(0, len(a), step)
-        )
-        if n > len(a) * len(b):
-            # fewer pairs than keys: sort the products, not n counters
-            return np.unique(np.concatenate(list(blocks)), return_counts=True)
         counts = np.zeros(n, dtype=np.int64)
-        for block in blocks:
-            counts += np.bincount(block, minlength=n)
+        for lo in range(0, len(a), step):
+            counts += np.bincount(table.outer(a[lo : lo + step], b).ravel(), minlength=n)
         hit = np.flatnonzero(counts)
         return hit, counts[hit]
-    if moduli:
-        n = math.prod(moduli)
-        if n > len(a) * len(b):
-            grid = None
-        elif _shifts(moduli, len(a), len(b)):
-            return _shift_counts(a, b, n)
-        else:
-            grid = _Grid(moduli, (a, b))
-    else:
-        grid = _int_grid(a, b)
-    counted = None if grid is None else _grid_counts(grid)
+    counted = None if plan is None else _grid_counts(plan)
     if counted is not None:
         return counted
-    return np.unique(_outer_sums(a, b, moduli).ravel(), return_counts=True)
+    return np.unique(_outer_sums(a, b, moduli, table).ravel(), return_counts=True)
 
 
 def _outer_sums(
@@ -536,39 +524,27 @@ def product_set(
 
 def _triple_grid(x: MultSet, y: MultSet, z: MultSet, budget: int) -> _Grid | None:
     """The grid on which :func:`triple_product` convolves X, Y and Z at
-    once, or None for the two ``product_set`` calls.
-
-    Two rules must hold.  (i) X Y itself takes an FFT grid on the sums
-    kernel (:func:`_operands`, not a law): the key range of X + Y rounded up to a power of two, or a box
-    of at most |X||Y| cells where :func:`_shifts` does not send X Y to the
-    shifted adds.  So no product moves from the exact path or the shifted
-    adds onto a larger FFT.  (ii) Neither product of the chain can raise
-    BudgetExceededError: |X||Y| <= budget, and |X Y||Z| <= budget because
-    |X Y| is at most min(|X||Y|, the key range of X + Y or the box's
-    order), which (i) makes the range or the order.  In ``int`` the grid of
-    the three operands must also pass :func:`_int_grid`'s own size gate,
-    and every key of Z must stay below 2^60 in absolute value, as X's and
-    Y's do on the kernel."""
+    once, or None for the two ``product_set`` calls: where :func:`_plan`
+    puts the triple on a grid of the sums kernel (not a law), which it does
+    only where X Y itself would take one, so no product moves from the
+    exact path or the shifted adds onto a larger FFT.  Neither product of
+    the chain may raise BudgetExceededError: |X||Y| <= budget, and
+    |X Y||Z| <= budget, as |X Y| is at most the key range of X + Y or the
+    box's order.  Every key of Z must stay below 2^60 in absolute value, as
+    X's and Y's do on the kernel."""
     if not (x.oracle.domain == y.oracle.domain == z.oracle.domain) or not len(z):
         return None
     operands = _operands(x, y)
     if operands is None or operands.table is not None:
         return None
     a, b, moduli, _ = operands
-    pairs = len(x) * len(y)
-    if moduli:
-        if _shifts(moduli, len(x), len(y)):
-            return None
-        reach = cells = x.oracle.order
-    else:
-        if max(abs(z.keys[0]), abs(z.keys[-1])) >= 2**60:
-            return None
-        reach = int(a[-1] + b[-1]) - int(a[0] + b[0]) + 1
-        cells = 1 << (reach - 1).bit_length()
-    if cells > pairs or pairs > budget or reach * len(z) > budget:
+    if max(abs(z.keys[0]), abs(z.keys[-1])) >= 2**60:
         return None
-    c = _values(z.keys)
-    return _Grid(moduli, (a, b, c)) if moduli else _int_grid(a, b, c)
+    reach = x.oracle.order if moduli else int(a[-1] + b[-1]) - int(a[0] + b[0]) + 1
+    if len(a) * len(b) > budget or reach * len(z) > budget:
+        return None
+    plan = _plan((a, b, _values(z.keys)), moduli)
+    return plan if isinstance(plan, _Grid) else None
 
 
 def triple_product(

@@ -395,6 +395,18 @@ def test_verify_fails_on_wrong_input(tmp_path, capsys):
     assert "digest" in out
 
 
+def test_verify_writes_its_report_to_out(tmp_path, capsys):
+    cert, report = tmp_path / "cert.json", tmp_path / "report.txt"
+    run_cli(capsys, "extract", "thm33", "interval:20", "--out", str(cert))
+    assert run_cli(capsys, "verify", str(cert), "interval:20", "--out", str(report)) == (
+        0, "", ""
+    )
+    assert report.read_text() == "PASS\n"
+    code, out, _ = run_cli(capsys, "verify", str(cert), "interval:21", "--out", str(report))
+    assert (code, out) == (1, "")
+    assert report.read_text() == "FAIL\n  - input digest mismatch\n"
+
+
 def test_closed_stdout_is_not_an_error(tmp_path, monkeypatch, capsys):
     def run_into_closed_pipe(*argv):
         # a pipe whose reader is gone, as under `prodfree ... | head -1`;

@@ -33,9 +33,9 @@ from prodfree.sets import (
     _fold_axes,
     _fold_modulus,
     _greedy_cover,
-    _int_grid,
     _operands,
     _pair_counts,
+    _plan,
     _product_counts,
     _rank_points,
     _translates,
@@ -143,6 +143,9 @@ def test_counting_kernel_matches_naive(spec, shape, keys, path, fft_calls):
     g = build_group(spec)
     x = MultSet(g, keys(random.Random(shape)))
     assert (_operands(x, x) is None) == (path == "kmul")
+    a = _int_keys(x.keys)
+    plan = _plan((a, a), g.component_moduli)
+    assert isinstance(plan, sets._Grid) == (path == "fft") and (plan is None) == (path == "exact")
     half = MultSet(g, x.keys[::2])
     assert product_set(x, x).key_set() == frozenset(naive_product_keys(g, x.keys, x.keys))
     assert product_set(x, half).key_set() == frozenset(
@@ -259,6 +262,9 @@ def test_box_products_take_the_gated_path(spec, nx, ny, path, fft_calls, monkeyp
     x = MultSet(g, rng.sample(range(g.order), nx))
     y = MultSet(g, rng.sample(range(g.order), ny))
     want = _naive_box_counts(g, x.keys, y.keys)
+    plan = _plan((_int_keys(x.keys), _int_keys(y.keys)), g.component_moduli)
+    routes = {"fft": isinstance(plan, sets._Grid), "exact": plan is None, "direct": plan == "shift"}
+    assert routes[path]
     assert _product_counts(x, y) == want
     assert product_set(x, y).key_set() == frozenset(want)
     assert len(fft_calls) == (2 if path == "fft" else 0)
@@ -653,6 +659,9 @@ def test_table_path_matches_raw_kmul(name):
         y = MultSet(g, rng.sample(keys, rng.randint(1, top)))
         operands = _operands(x, y)
         assert operands.table is g.law if name in laws else operands is None
+        if name in laws:
+            plan = _plan(operands[:2], table=g.law)
+            assert plan == ("bincount" if g.order <= len(x) * len(y) else None)
         want = Counter(g.kmul(a, b) for a in x.keys for b in y.keys)
         assert _product_counts(x, y) == want
         assert product_set(x, y).key_set() == frozenset(want)
@@ -743,7 +752,7 @@ FOLD_CASES = _fold_cases()
 @pytest.mark.parametrize("name,ka,kb", FOLD_CASES, ids=[c[0] for c in FOLD_CASES])
 def test_fold_matches_naive_counter(name, ka, kb):
     a, b = _int_keys(ka), _int_keys(kb)
-    grid = _int_grid(a, b)
+    grid = _plan((a, b))
     assert len(grid.shape) == 2 and grid.stride > 0
     values, counts = _pair_counts(a, b)
     want = Counter(x + y for x in ka for y in kb)
@@ -764,7 +773,7 @@ def test_fold_needs_residues_within_the_stride(monkeypatch):
     # with the cost gate open the fold's grid would be small enough, so only
     # the exactness guard keeps the pair on one axis
     monkeypatch.setattr("prodfree.sets.FOLD_GAIN", 1)
-    assert _int_grid(a, a).shape == (65536,)
+    assert _plan((a, a)).shape == (65536,)
     values, counts = _pair_counts(a, a)
     want = Counter(x + y for x in a.tolist() for y in a.tolist())
     assert dict(zip(values.tolist(), counts.tolist())) == want
@@ -776,7 +785,7 @@ def test_fold_guard_failure_falls_back_exactly(monkeypatch):
     cut = len(x) * 2 // 5
     blocks = [(x, x), (MultSet(x.oracle, x.keys[:cut]), MultSet(x.oracle, x.keys[-cut:]))]
     for u, v in blocks:
-        assert len(_int_grid(_int_keys(u.keys), _int_keys(v.keys)).shape) == 2
+        assert len(_plan((_int_keys(u.keys), _int_keys(v.keys))).shape) == 2
     want = [(_product_counts(u, v), product_set(u, v)) for u, v in blocks]
     free, incident = is_product_free(x), count_incident_pairs(x)
     calls = patch_irfft(monkeypatch, 0.6)
@@ -842,8 +851,18 @@ def test_sparse_table_path_sorts_instead_of_counting(monkeypatch):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert g.order not in lengths and len(x) ** 2 in sorts
+    a = _int_keys(x.keys)
+    assert _plan((a, a), table=g.law) is None
+    values, pairs = _pair_counts(a, a, table=g.law)
+    assert values.dtype == np.int32 and pairs.dtype == np.int64
+    naive = Counter(g.kmul(u, v) for u in x.keys for v in x.keys)
+    assert dict(zip(values.tolist(), pairs.tolist())) == naive
+    assert values.tolist() == sorted(naive)
     # the edge, in dihedral:6 (order 12): 12 pairs count, 9 pairs sort
     d6 = build_group("dihedral:6")
+    edge = [_int_keys(k) for k in ([1, 4, 7], [0, 2, 5, 11], [0, 2, 5])]
+    assert _plan(edge[:2], table=d6.law) == "bincount"
+    assert _plan((edge[0], edge[2]), table=d6.law) is None
     lengths.clear(), sorts.clear()
     assert _product_counts(MultSet(d6, [1, 4, 7]), MultSet(d6, [0, 2, 5, 11])) == Counter(
         d6.kmul(a, b) for a in (1, 4, 7) for b in (0, 2, 5, 11)
@@ -911,7 +930,7 @@ def test_int_grid_rejects_a_fold_from_the_larger_operand(monkeypatch):
     seen = Counter()
     for a, b in _grid_operands():
         folds.clear()
-        got, want = _int_grid(a, b), _int_grid_folding_both(a, b)
+        got, want = _plan((a, b)), _int_grid_folding_both(a, b)
         if want is None:
             assert got is None
             continue

@@ -8,6 +8,7 @@ import pytest
 
 from prodfree import (
     BudgetExceededError,
+    InvariantViolationError,
     MultSet,
     PreconditionError,
     SUMFREE_ALPHA,
@@ -57,6 +58,17 @@ def test_cyclic_interval_sum_free_and_subgroup_dense(n):
 def test_cyclic_interval_rejects_tiny_n():
     with pytest.raises(PreconditionError):
         cyclic_interval(1)
+
+
+def test_cyclic_interval_still_checks_every_subgroup(monkeypatch):
+    # one point, 5, is sum-free in Z/12 but misses {0, 6}, the smallest
+    # nonzero subgroup, and every larger one but Z/12 itself; in Z/13 the
+    # whole group is the only one, and one point in 13 is too few
+    monkeypatch.setattr(sumfree, "interval_bounds", lambda n: (5, 5))
+    for n, order, hits in ((12, 2, 0), (13, 13, 1)):
+        message = f"^subgroup of order {order} meets the interval only {hits} times in Z/{n}$"
+        with pytest.raises(InvariantViolationError, match=message):
+            cyclic_interval(n)
 
 
 def test_sumfree_alpha_constant():

@@ -154,3 +154,15 @@ def test_a_wide_third_operand_keeps_the_chain():
     z = MultSet(g, range(0, 10**6, 5000))
     assert sets._triple_grid(x, y, z, sets.DEFAULT_PRODUCT_BUDGET) is None
     assert triple_product(x, y, z) == _chain(x, y, z, sets.DEFAULT_PRODUCT_BUDGET)
+
+
+def test_a_triple_whose_first_product_sorts_keeps_the_chain():
+    # A + B spans 2001 keys for 4 pairs, so A B sorts its pairs; the whole
+    # triple's grid of 8192 cells would still be below its 4 * 3000 pairs
+    g = build_group("int")
+    x = y = MultSet(g, [0, 1000])
+    z = MultSet(g, range(3000))
+    a, c = np.array(x.keys), np.arange(3000)
+    assert sets._plan((a, a)) is None and sets._plan((a, a, c)) is None
+    assert sets._triple_grid(x, y, z, sets.DEFAULT_PRODUCT_BUDGET) is None
+    assert triple_product(x, y, z).keys == _chain(x, y, z, sets.DEFAULT_PRODUCT_BUDGET).keys
