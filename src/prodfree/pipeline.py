@@ -23,11 +23,18 @@ triple and whose result carries the final UVW; UVW goes to
 Every bound the certificate reports is checked once, where it is proven:
 each stage returns the trace records it checked, and a record made by
 ``certificates.require`` raises InvariantViolationError when its
-inequality fails, for such a bound is a theorem.  Bounds that depend on
-honest search (the non-abelian tripling subset, the halving split) raise
-SearchExhaustedError saying why, and the pigeonhole's size bound, the one
-bound recorded with a plain ``record``, ends the run in StageFailedError
-when it fails.
+inequality fails, for such a bound is a theorem.  The two Petridis records
+are made by ``_petridis_bounds``, which ``petridis_subset`` evaluates with
+``record`` to judge each candidate and ``product_free_extract`` appends
+with ``require``.  Bounds that depend on honest search (the non-abelian
+tripling subset, the halving split) raise SearchExhaustedError saying why,
+and the pigeonhole's size bound, the one bound left in the trace by a
+plain ``record``, ends the run in StageFailedError when it fails.
+
+The trace is the only copy of each checked size: the stage results carry
+the sets, and each inequality is written once, in its record.  A branch
+taken on a bound (the singleton branch, the halving loop's stop, the
+pigeonhole) reads its record's ``holds``; it never restates the inequality.
 """
 
 from __future__ import annotations
@@ -106,6 +113,26 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _petridis_bounds(
+    check, x: MultSet, y: MultSet, y3: MultSet, k: Fraction
+) -> list[TraceRecord]:
+    """The two Petridis bounds |Y| >= |X|/k and |Y^3| <= k^3 |Y|, as the
+    records ``petridis-size`` and ``petridis-tripling`` made by *check*:
+    ``record`` judges a candidate Y, ``require`` certifies the chosen one."""
+    return [
+        check(
+            "petridis-size",
+            {"x": len(x), "y": len(y)},
+            f"y * {k.numerator} >= x * {k.denominator}",
+        ),
+        check(
+            "petridis-tripling",
+            {"y": len(y), "y3": len(y3)},
+            f"y3 * {k.denominator ** 3} <= {k.numerator ** 3} * y",
+        ),
+    ]
+
+
 def petridis_subset(
     x: MultSet, x2: MultSet, k, *, budget: int = DEFAULT_PRODUCT_BUDGET
 ) -> tuple[MultSet, MultSet]:
@@ -132,15 +159,10 @@ def petridis_subset(
         raise PreconditionError(
             f"|X^2| = {len(x2)} exceeds k |X| = {k} * {len(x)}"
         )
-    kn3 = k.numerator**3
-    kd3 = k.denominator**3
     min_size = _ceil_div(len(x) * k.denominator, k.numerator)
 
     def qualifies(y: MultSet, y3: MultSet) -> bool:
-        return (
-            len(y) * k.numerator >= len(x) * k.denominator
-            and len(y3) * kd3 <= kn3 * len(y)
-        )
+        return all(r.holds for r in _petridis_bounds(record, x, y, y3, k))
 
     x3 = product_set(x2, x, budget=budget)
     if qualifies(x, x3):
@@ -170,7 +192,7 @@ def petridis_subset(
         ratio = Fraction(len(y3), len(y))
         if ratio <= cur_ratio:
             current, cur_ratio = cand, ratio
-            if cur_ratio * kd3 <= Fraction(kn3) and qualifies(y, y3):
+            if qualifies(y, y3):
                 return y, y3
     raise SearchExhaustedError(
         f"local search exhausted {PETRIDIS_MOVE_BUDGET} moves without a "
@@ -253,7 +275,6 @@ class SehStage:
     u: MultSet
     v: MultSet
     w: MultSet
-    product_size: int
 
 
 @dataclass(frozen=True)
@@ -262,10 +283,7 @@ class SehHalvingResult:
     v: MultSet
     w: MultSet
     uvw: MultSet  # (U V) W, the product the last stage was judged on
-    profile: BoundsProfile
     stages: tuple[SehStage, ...]
-    used_fallback: bool
-    planned_steps: int
     trace: tuple[TraceRecord, ...]  # the halving records, each checked
 
 
@@ -292,7 +310,7 @@ def seh_halving(
     """
     alpha = Fraction(alpha)
     delta = Fraction(finder_delta)
-    profile = compute_bounds_profile(delta, alpha)
+    compute_bounds_profile(delta, alpha)  # rejects delta, alpha outside (0, 1)
     if len(y) * alpha.numerator < 8 * alpha.denominator:
         raise PreconditionError(
             f"need |Y| >= 8/alpha = {Fraction(8 * alpha.denominator, alpha.numerator)}, "
@@ -303,32 +321,29 @@ def seh_halving(
     t = 0
     while (ratio_den << t) < ratio_num:
         t += 1
-    n = t + 1
-    stages = [SehStage(y, y, y, len(y3))]
+    stages = [SehStage(y, y, y)]
 
-    def final(uvw: MultSet) -> TraceRecord:
-        return require(
+    def final(uvw: MultSet, check=record) -> TraceRecord:
+        return check(
             "halving-final",
             {"uvw": len(uvw), "y": len(y)},
             f"uvw * {alpha.denominator} <= {alpha.numerator} * y",
         )
 
-    if n >= 2 and 2 * delta.denominator ** (n - 2) > delta.numerator ** (n - 2) * len(y):
+    if t >= 1 and 2 * delta.denominator ** (t - 1) > delta.numerator ** (t - 1) * len(y):
         small = MultSet(y.oracle, y.keys[:2])
         prod = power_set(small, 3, budget=budget)
         trace = (
             require("halving-fallback", {"uvw": len(prod), "y": len(y)}, "uvw <= 8"),
-            final(prod),
+            final(prod, require),
         )
-        stages.append(SehStage(small, small, small, len(prod)))
-        return SehHalvingResult(
-            small, small, small, prod, profile, tuple(stages), True, n, trace
-        )
+        stages.append(SehStage(small, small, small))
+        return SehHalvingResult(small, small, small, prod, tuple(stages), trace)
 
     u = v = w = y
     cur = y3
     trace = []
-    while len(cur) * alpha.denominator > alpha.numerator * len(y):
+    while not (done := final(cur)).holds:
         if len(stages) > t:
             raise InvariantViolationError("halving exceeded its planned step count")
         tup = find_homogeneous_tuple(u, v, w, delta, pair_budget=budget)
@@ -347,11 +362,9 @@ def seh_halving(
             )
         )
         u, v, w, cur = nu, nv, nw, nxt
-        stages.append(SehStage(u, v, w, len(cur)))
-    trace.append(final(cur))
-    return SehHalvingResult(
-        u, v, w, cur, profile, tuple(stages), False, n, tuple(trace)
-    )
+        stages.append(SehStage(u, v, w))
+    trace.append(done)
+    return SehHalvingResult(u, v, w, cur, tuple(stages), tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -360,8 +373,6 @@ class LocalizeResult:
     g: Element
     h: Element
     zzz: MultSet  # Z^-1 Z Z^-1
-    uvw_size: int
-    pair_total: int
     trace: tuple[TraceRecord, ...]  # the localize records, each checked
 
 
@@ -469,7 +480,7 @@ def localize_small_triple(
         raise InvariantViolationError("|Z^-1 Z Z^-1| exceeded |UVW|")
     trace.append(require("localize-compress", {"zzz": len(zzz), "y": len(y)}, "2 * zzz <= y"))
     g_el, h_el = Element(oracle.domain, g), Element(oracle.domain, h)
-    return LocalizeResult(z, g_el, h_el, zzz, len(uvw), total, tuple(trace))
+    return LocalizeResult(z, g_el, h_el, zzz, tuple(trace))
 
 
 def _theorem_guarantee(profile: BoundsProfile, x_size: int, k: Fraction) -> Fraction:
@@ -512,8 +523,9 @@ def product_free_extract(
     }
     guarantee = _theorem_guarantee(profile, len(x), k)
 
-    if len(x) ** 2 < 16 * len(x2):
-        trace = [require("singleton-branch", {"x": len(x), "x2": len(x2)}, "x * x < 16 * x2")]
+    singleton = record("singleton-branch", {"x": len(x), "x2": len(x2)}, "x * x < 16 * x2")
+    if singleton.holds:
+        trace = [singleton]
         zk = next(kk for kk in x.keys if kk != oracle.identity_key)
         witness = MultSet(oracle, (zk,))
         claimed = guarantee if 1 >= math.ceil(guarantee) else None
@@ -533,18 +545,7 @@ def product_free_extract(
     stage = "petridis"
     try:
         y, y3 = petridis_subset(x, x2, k, budget=budget)
-        trace += [
-            require(
-                "petridis-size",
-                {"x": len(x), "y": len(y)},
-                f"y * {k.numerator} >= x * {k.denominator}",
-            ),
-            require(
-                "petridis-tripling",
-                {"y": len(y), "y3": len(y3)},
-                f"y3 * {k.denominator ** 3} <= {k.numerator ** 3} * y",
-            ),
-        ]
+        trace += _petridis_bounds(require, x, y, y3, k)
         stage = "halving"
         halv = seh_halving(y, y3, profile.alpha, profile.delta, budget=budget)
         trace += halv.trace

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .certificates import ExtractionCertificate, build_certificate, require
+from .certificates import ExtractionCertificate, build_certificate, record, require
 from .errors import BudgetExceededError, InvariantViolationError, PreconditionError
 from .groups import (
     ENUM_CAP,
@@ -237,14 +237,11 @@ def solvable_extract(
             break
         h_keys = set(series.levels[level + 1].enum_keys)
         inside = cur & h_keys
-        if 2 * len(inside) >= len(cur):
-            trace.append(
-                require(
-                    f"descend[{level}]",
-                    {"c": len(cur), "ch": len(inside)},
-                    "2 * ch >= c",
-                )
-            )
+        descend = record(
+            f"descend[{level}]", {"c": len(cur), "ch": len(inside)}, "2 * ch >= c"
+        )
+        if descend.holds:
+            trace.append(descend)
             cur = inside
             level += 1
             continue

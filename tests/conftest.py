@@ -3,6 +3,7 @@
 Every helper here recomputes facts straight from an oracle's raw key
 operations (kmul, kinv), independently of the library's set calculus, so
 tests can freeze expected values derived outside the code under test.
+The trace helpers read sizes off trace records alone.
 """
 
 import itertools
@@ -91,6 +92,47 @@ def _closure_within(oracle, seeds):
                     done.add(c)
                     changed = True
     return done
+
+
+def bitset_triple_sum_size(akeys, bkeys, ckeys):
+    """|A+B+C| for integer key sets: each sumset ORs the bitset of one
+    summand shifted by every key of the other, and the bits are counted."""
+
+    def sumset(mask, keys):
+        lo = min(keys)
+        out = 0
+        for k in keys:
+            out |= mask << (k - lo)
+        return out
+
+    lo = min(akeys)
+    a = 0
+    for k in akeys:
+        a |= 1 << (k - lo)
+    return sumset(sumset(a, bkeys), ckeys).bit_count()
+
+
+def trace_sizes(trace, stage):
+    """The sizes of the one record of *stage* in a trace."""
+    (sizes,) = [r.sizes for r in trace if r.stage == stage]
+    return sizes
+
+
+def halving_stage_sizes(trace, y3_size):
+    """|UVW| at each halving stage, read off the halving trace alone:
+    |Y^3|, then each step's ``next``, or the fallback's ``uvw``."""
+    return [y3_size] + [
+        r.sizes["uvw"] if r.stage == "halving-fallback" else r.sizes["next"]
+        for r in trace[:-1]  # the last record is halving-final
+    ]
+
+
+def planned_halving_steps(y_size, y3_size, alpha):
+    """The halving plan n = t + 1, t the least with 2^t alpha |Y| >= |Y^3|."""
+    t = 0
+    while (alpha.numerator * y_size << t) < alpha.denominator * y3_size:
+        t += 1
+    return t + 1
 
 
 @pytest.fixture

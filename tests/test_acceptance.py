@@ -43,29 +43,15 @@ from prodfree import (
 )
 from prodfree.cli import main as cli_main
 from conftest import (
+    bitset_triple_sum_size,
+    halving_stage_sizes,
     naive_is_product_free,
     naive_product_keys,
+    planned_halving_steps,
+    trace_sizes,
 )
 
 Q8_GENS = [(0, 2, 1, 0), (1, 1, 1, 2)]
-
-
-def bitset_triple_sum_size(akeys, bkeys, ckeys):
-    """|A+B+C| for integer key sets: each sumset ORs the bitset of one
-    summand shifted by every key of the other, and the bits are counted."""
-
-    def sumset(mask, keys):
-        lo = min(keys)
-        out = 0
-        for k in keys:
-            out |= mask << (k - lo)
-        return out
-
-    lo = min(akeys)
-    a = 0
-    for k in akeys:
-        a |= 1 << (k - lo)
-    return sumset(sumset(a, bkeys), ckeys).bit_count()
 
 
 def test_criterion_01_cyclic_intervals_all_moduli():
@@ -299,10 +285,8 @@ def test_criterion_06_iterated_halving_invariants():
     for spec in specs:
         y = generate(spec)
         assert len(y) <= 2000, spec
-        res = seh_halving(
-            y, power_set(y, 3, budget=40_000_000), Fraction(1, 2), delta,
-            budget=40_000_000,
-        )
+        y3 = power_set(y, 3, budget=40_000_000)
+        res = seh_halving(y, y3, Fraction(1, 2), delta, budget=40_000_000)
 
         first = res.stages[0]
         assert list(first.u.keys) == list(y.keys)
@@ -310,14 +294,13 @@ def test_criterion_06_iterated_halving_invariants():
             bitset_triple_sum_size(st.u.keys, st.v.keys, st.w.keys)
             for st in res.stages
         ]
-        for st, recomputed in zip(res.stages, sizes):
-            assert st.product_size == recomputed, spec
+        assert halving_stage_sizes(res.trace, len(y3)) == sizes, spec
 
         for prev, cur in zip(res.stages, res.stages[1:]):
             for new, old in ((cur.u, prev.u), (cur.v, prev.v), (cur.w, prev.w)):
                 assert new.key_set() <= old.key_set(), spec  # (i)
 
-        if res.used_fallback:
+        if res.trace[0].stage == "halving-fallback":
             fallbacks_seen.add(spec)
             assert len(res.u) == len(res.v) == len(res.w) == 2, spec
             assert sizes[-1] <= 8, spec
@@ -332,7 +315,7 @@ def test_criterion_06_iterated_halving_invariants():
                 assert 2 * sizes[i + 1] <= sizes[i], spec  # (iii)
 
         assert 2 * sizes[-1] <= len(y), spec  # |UVW| <= |Y| / 2
-        assert len(res.stages) <= res.planned_steps + 1
+        assert len(res.stages) <= planned_halving_steps(len(y), len(y3), Fraction(1, 2)) + 1
 
     assert fallbacks_seen == fallback_specs
 
@@ -364,7 +347,8 @@ def test_criterion_07_triple_localization_identity():
         oracle = y.oracle
         uvw = product_set(product_set(u, v), w)
         res = localize_small_triple(y, u, v, w, uvw)
-        assert res.pair_total == len(u) * len(v) * len(w)
+        pair_total = trace_sizes(res.trace, "localize-count")["pair_sum"]
+        assert pair_total == len(u) * len(v) * len(w)
 
         if len(u) * len(v) * len(w) <= 250_000:
             buckets: dict = {}
@@ -373,7 +357,7 @@ def test_criterion_07_triple_localization_identity():
                     for b in w.keys:
                         gh = (oracle.kmul(a, z), oracle.kmul(z, b))
                         buckets[gh] = buckets.get(gh, 0) + 1
-            assert sum(buckets.values()) == res.pair_total
+            assert sum(buckets.values()) == pair_total
             assert buckets[(res.g.key, res.h.key)] == len(res.z)
             assert len(res.z) == max(buckets.values())
 
@@ -386,7 +370,7 @@ def test_criterion_07_triple_localization_identity():
             for c in res.z.keys
         }
         assert zzz == res.zzz.key_set()
-        assert len(zzz) <= res.uvw_size
+        assert len(zzz) <= len(uvw)
         assert 2 * len(zzz) <= len(y)
 
 

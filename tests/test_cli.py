@@ -107,14 +107,20 @@ def test_analyze_of_a_sparse_cyclic_set_takes_the_shifted_adds(capsys, monkeypat
     assert not fft_calls
 
 
-# argv -> sha256 of its stdout.  The thm33 certificate (with its trailing
-# newline) is the one FROZEN_CERT_SHA256 in test_pipeline.py freezes, and
-# the analyze output equals the frozen heisenberg-ball:11:2 one above.
+# argv -> sha256 of its stdout.  Each thm33 certificate (with its trailing
+# newline) is one FROZEN_CERT_SHA256 in test_pipeline.py freezes: the
+# singleton branch, the main branch's longest halving chain and the halving
+# fallback.  The analyze output equals the frozen heisenberg-ball:11:2 one
+# above.
 HASH_SEED_RUNS = {
     ("extract", "solvable", "full-group-minus-identity:heisenberg:7"):
         "229700df3b1eb0470e67beb1e68d0c6a15c3d0ff047b3b45a031b022dd5f6ba5",
     ("extract", "thm33", "heisenberg-ball:11:1"):
         "1681a5264357bd44874c668fc144b0ff4c8f4b194f5983dc9d3f6bb735bd0942",
+    ("extract", "thm33", "gap:3:5,5,5:1,11,121"):
+        "d9acdb4c11ca77a2f045c1931fc43350d35065d65ad114213d88b5d9c01b101f",
+    ("extract", "thm33", "gap:3:2,2,2:1,20,400"):
+        "a77ef281ca251be26f212393bcaa15e5736bfd33ff1713fe339db4d94f072af2",
     ("analyze", "heisenberg-ball:11:2", "--k", "2", "--side", "two-sided"):
         FROZEN_ANALYZE_SHA256["heisenberg-ball:11:2", "left"],
 }

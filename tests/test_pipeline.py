@@ -31,10 +31,14 @@ from prodfree.groups import closure_keys, subgroup_view
 from prodfree.pipeline import _bucket_best
 from prodfree.sets import DEFAULT_PRODUCT_BUDGET
 from conftest import (
+    bitset_triple_sum_size,
+    halving_stage_sizes,
     naive_is_product_free,
     naive_product_keys,
     naive_triple_product_keys,
     patch_irfft,
+    planned_halving_steps,
+    trace_sizes,
 )
 
 HALF = Fraction(1, 2)
@@ -249,23 +253,29 @@ def test_finder_is_deterministic(int_group):
 def test_halving_worked_example(int_group):
     """{1..16} at alpha = delta = 1/2 halves three times: 46, 22, 10, 4."""
     y = MultSet(int_group, range(1, 17))
-    res = seh_halving(y, power_set(y, 3), HALF, HALF)
-    assert not res.used_fallback
-    assert [s.product_size for s in res.stages] == [46, 22, 10, 4]
-    assert res.planned_steps == 4
+    y3 = power_set(y, 3)
+    res = seh_halving(y, y3, HALF, HALF)
+    assert [r.stage for r in res.trace] == [
+        "halving-1", "halving-2", "halving-3", "halving-final"
+    ]
+    sizes = halving_stage_sizes(res.trace, len(y3))
+    assert sizes == [46, 22, 10, 4]
+    assert trace_sizes(res.trace, "halving-final")["uvw"] == sizes[-1]
+    assert planned_halving_steps(len(y), len(y3), HALF) == 4
     assert res.u.keys == res.v.keys == res.w.keys == (1, 2)
-    for stage in res.stages:
+    for stage, size in zip(res.stages, sizes, strict=True):
         want = naive_triple_product_keys(
             int_group, stage.u.keys, stage.v.keys, stage.w.keys
         )
-        assert stage.product_size == len(want)
+        assert size == len(want)
     for prev, nxt in zip(res.stages, res.stages[1:]):
         assert nxt.u.key_set() <= prev.u.key_set()
         assert nxt.v.key_set() <= prev.v.key_set()
         assert nxt.w.key_set() <= prev.w.key_set()
         assert 2 * len(nxt.u) >= len(prev.u)
-        assert 2 * nxt.product_size <= prev.product_size
-    assert 2 * res.stages[-1].product_size <= len(y)
+    for prev_size, next_size in zip(sizes, sizes[1:]):
+        assert 2 * next_size <= prev_size
+    assert 2 * sizes[-1] <= len(y)
 
 
 def test_halving_needs_enough_points(int_group):
@@ -279,24 +289,23 @@ def test_halving_fallback_on_high_tripling_gap(int_group):
     y = generate("gap:3:1,1,1:1,5,25")
     assert len(y) == 27
     y3 = naive_triple_product_keys(int_group, y.keys, y.keys, y.keys)
-    t = 0
-    while (len(y) << t) < 2 * len(y3):  # 2^t * |Y|/2 < |Y^3|
-        t += 1
-    n = t + 1
+    n = planned_halving_steps(len(y), len(y3), HALF)
     assert (n, 2 * 5 ** (n - 2) > 2 ** (n - 2) * 27) == (5, True)
     res = seh_halving(y, power_set(y, 3), HALF, TWO_FIFTHS)
-    assert res.used_fallback
-    assert res.planned_steps == 5
+    assert [r.stage for r in res.trace] == ["halving-fallback", "halving-final"]
     assert len(res.u) == len(res.v) == len(res.w) == 2
-    assert res.stages[-1].product_size <= 8
-    assert 2 * res.stages[-1].product_size <= len(y)
+    size = trace_sizes(res.trace, "halving-fallback")["uvw"]
+    assert size == len(naive_triple_product_keys(int_group, res.u.keys, res.v.keys, res.w.keys))
+    assert size <= 8
+    assert 2 * size <= len(y)
 
 
 def test_halving_stops_early_once_alpha_is_met(int_group):
     y = MultSet(int_group, range(1, 41))
-    res = seh_halving(y, power_set(y, 3), HALF, TWO_FIFTHS)
-    assert len(res.stages) - 1 < res.planned_steps
-    assert 2 * res.stages[-1].product_size <= len(y)
+    y3 = power_set(y, 3)
+    res = seh_halving(y, y3, HALF, TWO_FIFTHS)
+    assert len(res.stages) - 1 < planned_halving_steps(len(y), len(y3), HALF)
+    assert 2 * trace_sizes(res.trace, "halving-final")["uvw"] <= len(y)
 
 
 def test_a_step_that_fails_to_halve_is_an_invariant_violation(int_group, monkeypatch):
@@ -320,7 +329,7 @@ def test_halving_is_deterministic(int_group):
     y = MultSet(int_group, range(-20, 21))
     a = seh_halving(y, power_set(y, 3), HALF, TWO_FIFTHS)
     b = seh_halving(y, power_set(y, 3), HALF, TWO_FIFTHS)
-    assert [s.product_size for s in a.stages] == [s.product_size for s in b.stages]
+    assert a.trace == b.trace
     assert a.u.keys == b.u.keys
 
 
@@ -352,7 +361,7 @@ def test_localize_worked_example(int_group):
     res = localize_small_triple(y, part, part, part, power_set(part, 3))
     assert (res.g.key, res.h.key) == (3, 3)
     assert res.z.keys == (1, 2)
-    assert res.pair_total == 8
+    assert trace_sizes(res.trace, "localize-count")["pair_sum"] == 8
     assert res.zzz.keys == (-3, -2, -1, 0)
     assert len(res.z) * len(y) ** 2 >= 4 * len(part) ** 3
     assert 2 * len(res.zzz) <= len(y)
@@ -376,7 +385,7 @@ def test_localize_matches_naive_buckets_random(int_group):
         res = localize_small_triple(y, u, v, w, _uvw(u, v, w))
         assert (res.g.key, res.h.key) == want_gh
         assert len(res.z) == best
-        assert res.pair_total == len(u) * len(v) * len(w)
+        assert trace_sizes(res.trace, "localize-count")["pair_sum"] == len(u) * len(v) * len(w)
 
 
 def _naive_best_bucket(g, u, v, w):
@@ -492,7 +501,7 @@ def test_localize_generic_path_heisenberg():
     w = MultSet(g, [e, g.kdecode("1,0,1;0,1,0;0,0,1")])
     buckets = _naive_buckets(g, u.keys, v.keys, w.keys)
     res = localize_small_triple(y, u, v, w, _uvw(u, v, w))
-    assert res.pair_total == sum(buckets.values()) == 8
+    assert trace_sizes(res.trace, "localize-count")["pair_sum"] == sum(buckets.values()) == 8
     best = max(buckets.values())
     assert len(res.z) == best
     assert (res.g.key, res.h.key) == min(
@@ -629,6 +638,43 @@ def test_extract_certificate_bytes_are_frozen(spec):
     assert digests == [frozen] * 2
 
 
+THM33_CHAIN_SPECS = sorted(
+    spec
+    for spec, (algorithm, _) in FROZEN_CERT_SHA256.items()
+    if algorithm == "thm33" and spec != "heisenberg-ball:11:1"  # the singleton
+)
+
+
+@pytest.mark.parametrize("spec", THM33_CHAIN_SPECS)
+def test_the_trace_holds_each_checked_size_once_and_links(spec):
+    """Where two stages share a size, the certificate's trace alone shows
+    that they agree: Petridis hands |Y^3| to halving, each step's next is
+    the following step's prev, the last next (or the fallback's UVW) is the
+    final UVW, and every record speaks of one Y."""
+    x = generate(spec)
+    trace = product_free_extract(x).to_json_dict()["trace"]
+    sizes = {r["stage"]: r["sizes"] for r in trace}
+    assert len(sizes) == len(trace)
+    assert sizes["petridis-size"]["x"] == len(x)
+    y3 = sizes["petridis-tripling"]["y3"]
+    assert y3 == bitset_triple_sum_size(x.keys, x.keys, x.keys)  # Y = X in int
+    steps = []
+    while f"halving-{len(steps) + 1}" in sizes:
+        steps.append(sizes[f"halving-{len(steps) + 1}"])
+    if "halving-fallback" in sizes:
+        assert steps == []
+        last = sizes["halving-fallback"]["uvw"]
+    else:
+        assert steps[0]["prev"] == y3
+        for step, following in zip(steps, steps[1:]):
+            assert step["next"] == following["prev"]
+        last = steps[-1]["next"]
+    assert sizes["halving-final"]["uvw"] == last
+    count = sizes["localize-count"]
+    assert count["pair_sum"] == count["u"] * count["v"] * count["w"]
+    assert len({s["y"] for s in sizes.values() if "y" in s}) == 1
+
+
 def _short_arcs():
     """Sets on a short arc of a finite abelian group: the low/high split's
     triple products stay apart, so thm33 completes its main branch."""
@@ -760,7 +806,7 @@ def test_extract_computes_each_product_once(spec, calls, monkeypatch):
     assert halv.uvw.key_set() == naive_triple_product_keys(
         g, halv.u.keys, halv.v.keys, halv.w.keys
     )
-    assert halv.stages[-1].product_size == len(halv.uvw)
+    assert trace_sizes(halv.trace, "halving-final")["uvw"] == len(halv.uvw)
 
 
 def test_stage_traces_are_the_certificate_trace():
@@ -787,7 +833,6 @@ def test_fallback_trace_is_the_certificate_trace():
     x2 = product_set(x, x)
     y, y3 = petridis_subset(x, x2, Fraction(len(x2), len(x)))
     halv = seh_halving(y, y3, HALF, TWO_FIFTHS)
-    assert halv.used_fallback
     assert [r.stage for r in halv.trace] == ["halving-fallback", "halving-final"]
     assert product_free_extract(x).trace[2:4] == list(halv.trace)
 
@@ -810,8 +855,9 @@ def _failing_pigeonhole(monkeypatch):
     real = pipeline.record
 
     def zero_yg(stage, sizes, inequality):
-        assert stage == "pigeonhole"
-        return real(stage, {**sizes, "yg": 0}, inequality)
+        if stage == "pigeonhole":
+            sizes = {**sizes, "yg": 0}
+        return real(stage, sizes, inequality)
 
     monkeypatch.setattr(pipeline, "record", zero_yg)
 

@@ -106,7 +106,7 @@ def test_product_set_matches_naive(spec):
 
 
 def test_numpy_path_agrees_with_naive(int_group):
-    # 71 * 71 = 5041 pairs, past the vectorisation threshold
+    # int sums kernel: _plan picks the one-axis FFT, 2048 cells for 5041 pairs
     rng = random.Random(9)
     keys = rng.sample(range(-500, 500), 71)
     x = MultSet(int_group, keys)
@@ -182,7 +182,7 @@ def test_counting_kernel_guard_failure_falls_back_exactly(monkeypatch):
 def test_cyclic_subgroup_view_reduces_by_the_ambient_modulus():
     g = build_group("cyclic:1000")
     h = subgroup_view(g, range(0, 1000, 10))
-    x = MultSet(h, range(0, 1000, 10))  # 10^4 pairs, past the threshold
+    x = MultSet(h, range(0, 1000, 10))  # a subgroup view: _operands picks kmul
     assert product_set(x, x).key_set() == frozenset(naive_product_keys(g, x.keys, x.keys))
     assert count_incident_pairs(x) == naive_incident_pairs(g, x.keys)
 
@@ -372,7 +372,7 @@ def test_incident_pairs_tiny_example(int_group):
 
 
 def test_incident_pairs_numpy_path(int_group):
-    x = MultSet(int_group, range(-40, 41))  # 81^2 pairs, vectorised
+    x = MultSet(int_group, range(-40, 41))  # _plan's one-axis FFT: 256 cells, 81^2 pairs
     assert count_incident_pairs(x) == naive_incident_pairs(int_group, x.keys)
     assert is_product_free(x) == naive_is_product_free(int_group, x.keys)
 
