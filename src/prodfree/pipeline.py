@@ -60,6 +60,7 @@ from .sets import (
     DEFAULT_PRODUCT_BUDGET,
     MultSet,
     _product_counts,
+    _shared,
     frac_str,
     inverse_set,
     is_product_free,
@@ -236,10 +237,12 @@ def find_homogeneous_tuple(
     of these sizes can have, so if any choice of parts puts one product
     wholly below the other, this one does.  In other groups key order
     carries no such meaning and the split is simply the one candidate
-    tried.  Both triple products come from :func:`sets.triple_product`, one
-    FFT over the three parts where their first product takes a grid.  The
-    exact disjointness check alone accepts the split, so correctness never
-    rests on how it was chosen.  A miss raises SearchExhaustedError saying
+    tried.  A repeated input gives one low and one high part, so the
+    halving's triples, which start from (Y, Y, Y), stay one set three
+    times.  Both triple products come from :func:`sets.triple_product`, one
+    FFT over the parts, one transform per distinct part, where their first
+    product takes a grid.  The exact disjointness check alone accepts the
+    split, so correctness never rests on how it was chosen.  A miss raises SearchExhaustedError saying
     why: the two triple products share elements (how many), or the pair
     budget stopped a product.
     """
@@ -253,12 +256,12 @@ def find_homogeneous_tuple(
     delta = Fraction(target_delta)
     if not 0 < delta < 1:
         raise PreconditionError(f"target density must lie in (0,1), got {delta}")
-    need = [
-        max(2, _ceil_div(len(s) * delta.numerator, delta.denominator))
-        for s in inputs
-    ]
-    low = tuple(MultSet._from_sorted(oracle, s.keys[:m]) for s, m in zip(inputs, need))
-    high = tuple(MultSet._from_sorted(oracle, s.keys[-m:]) for s, m in zip(inputs, need))
+
+    def need(s: MultSet) -> int:
+        return max(2, _ceil_div(len(s) * delta.numerator, delta.denominator))
+
+    low = tuple(_shared(lambda s: MultSet._from_sorted(oracle, s.keys[: need(s)]), inputs))
+    high = tuple(_shared(lambda s: MultSet._from_sorted(oracle, s.keys[-need(s) :]), inputs))
     miss = f"no homogeneous tuple of density {delta}: the low/high split"
     try:
         up, vp = [triple_product(a, b, c, budget=pair_budget) for a, b, c in (low, high)]
@@ -386,28 +389,32 @@ def _bucket_best(
     In an abelian group every triple in bucket (g, h) has
     w u^-1 = h g^-1 = d.  With P_d = U meet W d^-1, the bucket (g, g d)
     holds one triple per pair (u, z) in P_d x V with u z = g, so at most
-    |P_d|.  One count of W U^-1 gives every |P_d|, and the total is
-    sum_d |P_d| |V| = |U||V||W|.  Classes are visited by decreasing |P_d|,
-    ties by increasing d, and the visit stops at the first |P_d| below the
-    best count, not at one equal to it: that class may still tie with a
-    smaller (g, h).  Other groups count the bucket of every triple; their
-    total is |U||V||W| by cancellation.
+    |P_d|.  One count of W U^-1 (:func:`sets._product_counts`: sorted
+    classes d and their sizes) gives every |P_d|, and the total is
+    sum_d |P_d| |V| = |U||V||W|.  One stable argsort of the negated sizes
+    visits the classes by decreasing |P_d|, ties by increasing d, and the
+    visit stops at the first |P_d| below the best count, not at one equal
+    to it: that class may still tie with a smaller (g, h).  In each class
+    the count of P_d V names g, its largest count's least key.  Other
+    groups count the bucket of every triple; their total is |U||V||W| by
+    cancellation.
     """
     kmul = oracle.kmul
     if oracle.abelian:
-        sizes = _product_counts(w, inverse_set(u))
+        classes, sizes = _product_counts(w, inverse_set(u))
         best = None  # (-count, g, h)
-        for d, size in sorted(sizes.items(), key=lambda ds: (-ds[1], ds[0])):
-            if best is not None and size < -best[0]:
+        for i in np.argsort(-sizes, kind="stable").tolist():
+            if best is not None and sizes[i] < -best[0]:
                 break
+            d = classes.item(i)
             d_inv = oracle.kinv(d)
             p = u.restrict(kmul(wk, d_inv) for wk in w.keys)
-            counts = _product_counts(p, v)
-            count = max(counts.values())
-            g = min(gk for gk, c in counts.items() if c == count)
-            cand = (-count, g, kmul(g, d))
+            keys, counts = _product_counts(p, v)
+            j = int(np.argmax(counts))
+            g = keys.item(j)
+            cand = (-int(counts[j]), g, kmul(g, d))
             best = cand if best is None else min(best, cand)
-        return best[1], best[2], -best[0], sum(sizes.values()) * len(v)
+        return best[1], best[2], -best[0], int(sizes.sum()) * len(v)
     buckets: Counter = Counter()
     for zk in v.keys:
         gs = [kmul(uk, zk) for uk in u.keys]
@@ -481,6 +488,26 @@ def localize_small_triple(
     trace.append(require("localize-compress", {"zzz": len(zzz), "y": len(y)}, "2 * zzz <= y"))
     g_el, h_el = Element(oracle.domain, g), Element(oracle.domain, h)
     return LocalizeResult(z, g_el, h_el, zzz, tuple(trace))
+
+
+def _pigeonhole_shift(y: MultSet, z: MultSet, zzz: MultSet) -> tuple[object, int]:
+    """The shift g outside Z^-1 Z Z^-1 whose translate g Z meets Y most, the
+    least such g on ties, and that count |Y meet g Z|.
+
+    |Y meet g Z| is the number of pairs in Y x Z^-1 with product g, so one
+    count of Y Z^-1 (:func:`sets._product_counts`, sorted products) holds
+    every bucket; one binary search of Z^-1 Z Z^-1's sorted keys masks out
+    the shifts inside it, as ``sets._incident_count`` reads X's, and
+    ``argmax`` takes the largest count's least key.  No budget here:
+    |Y||Z| <= |Y|^2, the pairs of Y^3's first product."""
+    keys, counts = _product_counts(y, inverse_set(z))
+    inside = np.fromiter(zzz.keys, dtype=keys.dtype, count=len(zzz))
+    at = np.minimum(np.searchsorted(inside, keys), len(inside) - 1)
+    outside = np.flatnonzero(inside[at] != keys)
+    if not len(outside):
+        raise InvariantViolationError("every shift bucket fell inside Z^-1 Z Z^-1")
+    i = outside[np.argmax(counts[outside])]
+    return keys.item(i), int(counts[i])
 
 
 def _theorem_guarantee(profile: BoundsProfile, x_size: int, k: Fraction) -> Fraction:
@@ -557,15 +584,7 @@ def product_free_extract(
             f"stage {stage!r} failed: {exc}", certificate=partial(stage, MultSet(oracle, ()))
         ) from exc
 
-    zzz_set = loc.zzz.key_set()
-    # no budget here: |Y||Z| <= |Y|^2, the pairs of Y^3's first product
-    shifts = _product_counts(y, inverse_set(loc.z))
-    for gk in zzz_set:
-        shifts.pop(gk, None)
-    if not shifts:
-        raise InvariantViolationError("every shift bucket fell inside Z^-1 Z Z^-1")
-    best = max(shifts.values())
-    gk = min(cand for cand, c in shifts.items() if c == best)
+    gk, best = _pigeonhole_shift(y, loc.z, loc.zzz)
     g_translate = MultSet(oracle, (oracle.kmul(gk, zk) for zk in loc.z.keys))
     if not is_product_free(g_translate, budget=budget):
         raise InvariantViolationError(
@@ -583,7 +602,7 @@ def product_free_extract(
     )
     trace += [
         pigeonhole,
-        require("product-free-shift", {"overlap": 1 if gk in zzz_set else 0}, "overlap == 0"),
+        require("product-free-shift", {"overlap": 1 if gk in loc.zzz else 0}, "overlap == 0"),
     ]
     if not pigeonhole.holds:
         raise StageFailedError(

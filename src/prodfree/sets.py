@@ -27,9 +27,13 @@ by the group alone:
   ``heisenberg:p`` above p = 97, ``int`` keys from 2^60 on -- runs
   through the oracle's ``kmul``.
 
-Triple localization (``pipeline._bucket_best``) counts its (g, h)
-buckets through :func:`_product_counts` in every abelian group, one
-difference class h g^-1 at a time.
+Counting callers read :func:`_product_counts`, whose answer on every path
+is the sorted distinct products and an int64 array of their pair counts:
+triple localization (``pipeline._bucket_best``) counts its (g, h) buckets
+from it in every abelian group, one difference class h g^-1 at a time, and
+the pigeonhole (``pipeline._pigeonhole_shift``) its shift buckets.  A
+repeated operand -- X X, the halving's A A A, localization's Z^-1 Z Z^-1
+-- is one key array, which the FFT transforms once (:func:`_grid_counts`).
 The covering translates t X and X t of ``approx_report`` are bitmasks over
 X^2's keys.  In ``int``, when X + X fills the box of X's fold (intervals,
 progressions, full boxes of a GAP), each is one shift of a single bitset
@@ -75,15 +79,19 @@ def frac_str(x: Fraction) -> str:
 
 
 class MultSet:
-    """Immutable subset of a group, canonically ordered."""
+    """Immutable subset of a group, canonically ordered.
+
+    The sorted keys are the set; the frozenset of them is built on the first
+    membership test (``in``, :meth:`key_set`, :meth:`restrict`, :meth:`union`,
+    ...), so a product that is only counted or read in order never hashes
+    its keys."""
 
     __slots__ = ("oracle", "keys", "_keyset")
 
     def __init__(self, oracle: GroupOracle, keys: Iterable[Any]):
-        ks = sorted(set(keys))
         self.oracle = oracle
-        self.keys = tuple(ks)
-        self._keyset = frozenset(ks)
+        self.keys = tuple(sorted(set(keys)))
+        self._keyset = None
 
     @classmethod
     def _from_sorted(cls, oracle: GroupOracle, keys: list) -> "MultSet":
@@ -92,7 +100,7 @@ class MultSet:
         x = cls.__new__(cls)
         x.oracle = oracle
         x.keys = tuple(keys)
-        x._keyset = frozenset(x.keys)
+        x._keyset = None
         return x
 
     @classmethod
@@ -116,8 +124,8 @@ class MultSet:
 
     def __contains__(self, item) -> bool:
         if isinstance(item, Element):
-            return item.domain == self.oracle.domain and item.key in self._keyset
-        return item in self._keyset
+            return item.domain == self.oracle.domain and item.key in self.key_set()
+        return item in self.key_set()
 
     def __eq__(self, other) -> bool:
         return (
@@ -136,23 +144,27 @@ class MultSet:
 
     # -- conveniences ----------------------------------------------------
     def key_set(self) -> frozenset:
+        """The keys as a frozenset, built on the first call."""
+        if self._keyset is None:
+            self._keyset = frozenset(self.keys)
         return self._keyset
 
     def encoded(self) -> list[str]:
         return [self.oracle.kencode(k) for k in self.keys]
 
     def restrict(self, keys: Iterable[Any]) -> "MultSet":
-        return MultSet(self.oracle, (k for k in keys if k in self._keyset))
+        member = self.key_set()
+        return MultSet(self.oracle, (k for k in keys if k in member))
 
     def union(self, other: "MultSet") -> "MultSet":
         _require_same(self, other)
-        return MultSet(self.oracle, self._keyset | other._keyset)
+        return MultSet(self.oracle, self.key_set() | other.key_set())
 
     def intersect_keys(self, keys) -> "MultSet":
-        return MultSet(self.oracle, self._keyset & set(keys))
+        return MultSet(self.oracle, self.key_set() & set(keys))
 
     def minus_keys(self, keys) -> "MultSet":
-        return MultSet(self.oracle, self._keyset - set(keys))
+        return MultSet(self.oracle, self.key_set() - set(keys))
 
 
 def _require_same(x: MultSet, y: MultSet) -> None:
@@ -227,6 +239,13 @@ def _fold_axes(keys, m: int):
     return c + int(q[0]) * m, q - q[0], r
 
 
+def _shared(f, items) -> list:
+    """``[f(item) for item in items]``, with f called once per distinct
+    object: repeats of one object get the very same result."""
+    done: dict = {}
+    return [done[id(i)] if id(i) in done else done.setdefault(id(i), f(i)) for i in items]
+
+
 def _int_grid(keys, n: int) -> _Grid:
     """The FFT grid of an ``int`` product A B (or (A B) C, one operand per
     key array) that :func:`_plan` counts on n cells.
@@ -247,6 +266,8 @@ def _int_grid(keys, n: int) -> _Grid:
     distinct sums.  The choice of m decides only the grid's size, never
     the counts.  The largest operand is folded first: its own spans bound
     the grid below, so a fold they already reject never folds the others.
+    Repeats of one key array share one fold and one cell array, which
+    :func:`_grid_counts` then transforms once.
 
     Both FFT paths cost about the same per cell, but the two-axis one has a
     fixed cost of about 0.2 ms (the stride, the two folds, three rfftn
@@ -268,16 +289,17 @@ def _int_grid(keys, n: int) -> _Grid:
             q_span, r_span = int(fold[1][-1]) + 1, int(fold[2].max()) + 1
             least = (1 << (q_span - 1).bit_length()) * (1 << (r_span - 1).bit_length())
             if r_span <= m and FOLD_GAIN * least <= n:
-                folds = [fold if i == largest else _fold_axes(k, m) for i, k in enumerate(keys)]
+                folds = _shared(
+                    lambda k: fold if k is keys[largest] else _fold_axes(k, m), keys
+                )
                 rows = sum(int(q[-1]) for _, q, _ in folds) + 1
                 cols = sum(int(r.max()) for _, _, r in folds) + 1
                 width = 1 << (cols - 1).bit_length()
                 shape = (1 << (rows - 1).bit_length(), width)
                 if cols <= m and FOLD_GAIN * math.prod(shape) <= n:
-                    cells = tuple(q * width + r for _, q, r in folds)
+                    cells = tuple(_shared(lambda f: f[1] * width + f[2], folds))
                     return _Grid(shape, cells, sum(c for c, _, _ in folds), width, m)
-    firsts = [int(k[0]) for k in keys]
-    return _Grid((n,), tuple(k - f for k, f in zip(keys, firsts)), sum(firsts))
+    return _Grid((n,), tuple(_shared(lambda k: k - k[0], keys)), sum(int(k[0]) for k in keys))
 
 
 def _grid_counts(grid: _Grid):
@@ -288,28 +310,41 @@ def _grid_counts(grid: _Grid):
 
     The counts are the convolution of the operands' indicator arrays,
     cyclic along each axis (zero-padded past the operands in ``int``, so
-    there nothing wraps): one real FFT per operand, their product, one
-    inverse.  Its absolute error is about u log2(n) sqrt(|A||B|), or
-    u log2(n) sqrt(|A||B||C|) for three operands, with u = 2^-53: the norm
-    of each indicator array is the square root of its size.  That is below
-    1e-6 for any grid that fits in memory, so rounding gives the exact
-    count; the guard checks that every entry lies within 1/4 of an
-    integer."""
+    there nothing wraps): one real FFT per distinct operand, the product of
+    one spectrum per operand, in operand order, and one inverse.  An
+    operand that comes again is the very same cell array (:func:`_operands`
+    and :func:`_triple_grid` hand the same key array to a repeated set, and
+    :func:`_int_grid` keeps it shared), so A A A takes one forward
+    transform, X X one and Z^-1 Z Z^-1 two.  Equal inputs give bitwise-equal
+    spectra, so the product, the counts and the guard are those of one
+    transform per operand.  Its absolute error is about
+    u log2(n) sqrt(|A||B|), or u log2(n) sqrt(|A||B||C|) for three operands,
+    with u = 2^-53: the norm of each indicator array is the square root of
+    its size.  That is below 1e-6 for any grid that fits in memory, so
+    rounding gives the exact count; the guard checks that every entry lies
+    within 1/4 of an integer."""
     shape = grid.shape
     n = math.prod(shape)
     axes = tuple(range(len(shape)))
     product = None
-    for cells in grid.cells:
-        indicator = np.zeros(n)
-        indicator[cells] = 1.0
-        if len(shape) == 1:
-            # the same transform without rfftn's per-call set-up, which
-            # shows on passes of many small int sumsets
-            spectrum = np.fft.rfft(indicator)
-        else:
-            spectrum = np.fft.rfftn(indicator.reshape(shape), axes=axes)
+    kept: dict = {}  # the spectra of operands that come again, by id
+    for i, cells in enumerate(grid.cells):
+        spectrum = kept.get(id(cells))
+        if spectrum is None:
+            indicator = np.zeros(n)
+            indicator[cells] = 1.0
+            if len(shape) == 1:
+                # the same transform without rfftn's per-call set-up, which
+                # shows on passes of many small int sumsets
+                spectrum = np.fft.rfft(indicator)
+            else:
+                spectrum = np.fft.rfftn(indicator.reshape(shape), axes=axes)
+            if any(c is cells for c in grid.cells[i + 1 :]):
+                kept[id(cells)] = spectrum
         if product is None:
             product = spectrum
+        elif product is kept.get(id(grid.cells[0])):
+            product = product * spectrum  # the kept spectrum stays as it is
         else:
             product *= spectrum
     if len(shape) == 1:
@@ -462,7 +497,7 @@ def _operands(x: MultSet, y: MultSet) -> _Operands | None:
     it with its moduli; an oracle with a product law takes the law.
     Subgroup views and quotients have neither ``component_moduli`` nor a
     law.  An empty operand takes ``kmul``, whose loops give the empty
-    answers.
+    answers.  X X gets one key array for both operands.
     """
     o = x.oracle
     if not (len(x) and len(y)):
@@ -474,7 +509,8 @@ def _operands(x: MultSet, y: MultSet) -> _Operands | None:
         kernel = o.law is not None or o.component_moduli is not None and o.order < 2**60
     if not kernel:
         return None
-    return _Operands(_values(x.keys), _values(y.keys), o.component_moduli, o.law)
+    a = _values(x.keys)
+    return _Operands(a, a if y is x else _values(y.keys), o.component_moduli, o.law)
 
 
 def _distinct_products(x: MultSet, y: MultSet, budget: int):
@@ -522,6 +558,33 @@ def product_set(
     return _products_as_set(x.oracle, products, operands)
 
 
+def _arc(residues, m: int) -> int:
+    """The length of the shortest arc of Z_m that holds every residue."""
+    residues = _sorted_distinct(residues)
+    return m + 1 - int(np.diff(residues, append=residues[0] + m).max())
+
+
+def _reach_cells(a, b, moduli: tuple[int, ...] | None) -> int:
+    """A bound on |A B| for sorted int64 keys, finer than the box's order or
+    the key range of A + B on sparse operands.  In a box, each digit j of a
+    product lies on the sum of the arcs of Z_Mj holding digit j of A and of
+    B (:func:`_arc`), so |A B| is at most the product over j of their
+    lengths' sum less one, capped at M_j.  In ``int``, where A B takes the
+    two-axis fold of :func:`_int_grid`, each distinct sum has a cell of
+    its own, so |A B| is at most the grid's cells; otherwise the key
+    range."""
+    if moduli:
+        cells, stride = 1, 1
+        for m in reversed(moduli):
+            cells *= min(m, _arc(a // stride % m, m) + _arc(b // stride % m, m) - 1)
+            stride *= m
+        return cells
+    pair = _plan((a, b))
+    if isinstance(pair, _Grid) and pair.width:
+        return math.prod(pair.shape)
+    return int(a[-1] + b[-1]) - int(a[0] + b[0]) + 1
+
+
 def _triple_grid(x: MultSet, y: MultSet, z: MultSet, budget: int) -> _Grid | None:
     """The grid on which :func:`triple_product` convolves X, Y and Z at
     once, or None for the two ``product_set`` calls: where :func:`_plan`
@@ -529,21 +592,24 @@ def _triple_grid(x: MultSet, y: MultSet, z: MultSet, budget: int) -> _Grid | Non
     only where X Y itself would take one, so no product moves from the
     exact path or the shifted adds onto a larger FFT.  Neither product of
     the chain may raise BudgetExceededError: |X||Y| <= budget, and
-    |X Y||Z| <= budget, as |X Y| is at most the key range of X + Y or the
-    box's order.  Every key of Z must stay below 2^60 in absolute value, as
-    X's and Y's do on the kernel."""
+    |X Y||Z| <= budget, with |X Y| bounded by the box's order or the key
+    range of X + Y, or where that bound is too loose by the cells X Y can
+    reach (:func:`_reach_cells`).  Every key of Z must stay below 2^60 in
+    absolute value, as X's and Y's do on the kernel.  A repeated set is one
+    key array: Z is X gives the grid the same operand twice."""
     if not (x.oracle.domain == y.oracle.domain == z.oracle.domain) or not len(z):
         return None
     operands = _operands(x, y)
     if operands is None or operands.table is not None:
         return None
     a, b, moduli, _ = operands
-    if max(abs(z.keys[0]), abs(z.keys[-1])) >= 2**60:
+    if max(abs(z.keys[0]), abs(z.keys[-1])) >= 2**60 or len(a) * len(b) > budget:
         return None
     reach = x.oracle.order if moduli else int(a[-1] + b[-1]) - int(a[0] + b[0]) + 1
-    if len(a) * len(b) > budget or reach * len(z) > budget:
+    if reach * len(z) > budget and _reach_cells(a, b, moduli) * len(z) > budget:
         return None
-    plan = _plan((a, b, _values(z.keys)), moduli)
+    c = a if z is x else b if z is y else _values(z.keys)
+    plan = _plan((a, b, c), moduli)
     return plan if isinstance(plan, _Grid) else None
 
 
@@ -566,18 +632,27 @@ def triple_product(
     return MultSet._from_sorted(x.oracle, counted[0].tolist())
 
 
-def _product_counts(x: MultSet, y: MultSet) -> Counter:
-    """How many pairs (a, b) in X x Y give each product a b.
+def _product_counts(x: MultSet, y: MultSet):
+    """How many pairs (a, b) in X x Y give each product a b: the sorted
+    distinct products and their int64 pair counts.  A kernel product
+    answers with :func:`_pair_counts`' int arrays; a ``kmul`` product sorts
+    its tally once, into an object array of keys.  Either way
+    ``keys.item(i)`` is a group key a caller can hand back to ``kmul`` and
+    ``kencode``.
 
     Takes no budget: callers bound |X||Y| before calling.
     """
     _require_same(x, y)
     operands = _operands(x, y)
     if operands is not None:
-        values, counts = _pair_counts(*operands)
-        return Counter(dict(zip(values.tolist(), counts.tolist())))
+        return _pair_counts(*operands)
     kmul = x.oracle.kmul
-    return Counter(kmul(a, b) for a in x.keys for b in y.keys)
+    tally = Counter(kmul(a, b) for a in x.keys for b in y.keys)
+    keys = sorted(tally)
+    return (
+        np.fromiter(keys, dtype=object, count=len(keys)),
+        np.fromiter((tally[k] for k in keys), dtype=np.int64, count=len(keys)),
+    )
 
 
 def inverse_set(x: MultSet) -> MultSet:
@@ -619,7 +694,7 @@ def count_incident_pairs(x: MultSet, budget: int = DEFAULT_PRODUCT_BUDGET) -> in
         values, counts = _pair_counts(*operands)
         return _incident_count(values, counts, operands.a)
     kmul = x.oracle.kmul
-    member = x._keyset
+    member = x.key_set()
     return sum(
         1 for a in x.keys for b in x.keys if kmul(a, b) in member
     )

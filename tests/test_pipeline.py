@@ -17,6 +17,7 @@ from prodfree import (
     compute_bounds_profile,
     find_homogeneous_tuple,
     generate,
+    inverse_set,
     localize_small_triple,
     petridis_subset,
     power_set,
@@ -490,6 +491,131 @@ def test_bucket_best_fuzz_with_forced_ties(name):
         assert _bucket_best(g, u, v, w) == _naive_best_bucket(g, u, v, w)
     # the least-(g, h) tie-break across classes was exercised
     assert len(pool) == 1 or tied >= 5
+
+
+def _counter_bucket_best(g, u, v, w):
+    """The abelian class visit of _bucket_best on Counters: classes d of
+    W U^-1 by decreasing |P_d| then increasing d, stopping below the best
+    count; in each, the largest count of P_d V and its least key g."""
+    sizes = Counter(g.kmul(wk, g.kinv(uk)) for uk in u.keys for wk in w.keys)
+    best = None
+    for d, size in sorted(sizes.items(), key=lambda ds: (-ds[1], ds[0])):
+        if best is not None and size < -best[0]:
+            break
+        p = [uk for uk in u.keys if g.kmul(uk, d) in w.key_set()]
+        counts = Counter(g.kmul(a, b) for a in p for b in v.keys)
+        count = max(counts.values())
+        gk = min(k for k, c in counts.items() if c == count)
+        cand = (-count, gk, g.kmul(gk, d))
+        best = cand if best is None else min(best, cand)
+    return best[1], best[2], -best[0], sum(sizes.values()) * len(v)
+
+
+def _counter_pigeonhole(g, y, z, zzz):
+    """The pigeonhole's pick on a Counter: the shifts y z^-1 outside zzz,
+    the largest count and its least key, or None when none is left."""
+    shifts = Counter(g.kmul(a, g.kinv(b)) for a in y.keys for b in z.keys)
+    for k in zzz.keys:
+        shifts.pop(k, None)
+    if not shifts:
+        return None
+    best = max(shifts.values())
+    return min(k for k, c in shifts.items() if c == best), best
+
+
+@pytest.mark.parametrize("name", ["int", "cyclic:1000-view", "sym:4"])
+def test_bucket_and_pigeonhole_ties_match_a_counter_reference(name):
+    # the kernel's int64 answers (int) and the kmul path's object arrays
+    # (an abelian subgroup view; sym:4, whose keys are tuples) pick the
+    # same keys, as Python keys, as Counters did
+    g, pool = _fuzz_group(name)
+    pool = list(pool)
+    rng = random.Random(f"ties {name}")
+    tied = 0
+    for _ in range(60):
+        u, v, w = _random_triple(g, pool, rng)
+        assert (sets._operands(u, v) is None) == (name != "int")
+        if g.abelian:
+            got = _bucket_best(g, u, v, w)
+            assert got == _counter_bucket_best(g, u, v, w)
+            assert [type(k) for k in got[:2]] == [type(u.keys[0])] * 2
+        y = MultSet(g, rng.sample(pool, rng.randint(2, min(30, len(pool)))))
+        z = MultSet(g, rng.sample(y.keys, rng.randint(1, min(4, len(y)))))
+        z_inv = inverse_set(z)
+        zzz = product_set(product_set(z_inv, z), z_inv)
+        want = _counter_pigeonhole(g, y, z, zzz)
+        if want is None:
+            with pytest.raises(InvariantViolationError, match="fell inside"):
+                pipeline._pigeonhole_shift(y, z, zzz)
+            continue
+        got = pipeline._pigeonhole_shift(y, z, zzz)
+        assert got == want and type(got[0]) is type(y.keys[0])
+        shifts = Counter(g.kmul(a, g.kinv(b)) for a in y.keys for b in z.keys)
+        tied += sum(c == want[1] for k, c in shifts.items() if k not in zzz) > 1
+    assert tied >= 10
+
+
+def test_the_halving_parts_of_one_set_are_one_set():
+    y = generate("interval:100")
+    tup = find_homogeneous_tuple(y, y, y, TWO_FIFTHS)
+    assert tup.u_parts[0] is tup.u_parts[1] is tup.u_parts[2]
+    assert tup.v_parts[0] is tup.v_parts[1] is tup.v_parts[2]
+    # distinct inputs keep parts of their own
+    z = MultSet(y.oracle, y.keys)
+    tup = find_homogeneous_tuple(y, z, y, TWO_FIFTHS)
+    assert tup.u_parts[0] is tup.u_parts[2] is not tup.u_parts[1]
+    assert tup.u_parts[0] == tup.u_parts[1]
+
+
+def _box_101():
+    box = build_group("abelian:1000,1000")
+    return MultSet(box, [a % 1000 * 1000 + b % 1000 for a in range(-50, 51) for b in range(-50, 51)])
+
+
+# the certificate each gives at --budget 2000000000, hashed before the
+# finer bounds of sets._reach_cells let their first halving triples fuse
+FUSED_HALVING_SHA256 = {
+    "gap:3:10,10,10:1,100,100000": (
+        4,
+        "30317aa8524f8f2b837e183e846fd17bb182e07808a455f9c4836a35981f52cc",
+    ),
+    "abelian:1000,1000 101x101 box": (
+        4,
+        "ba0426fa4c31910f37ed8384f7e7482923ef6aa8a550978eb183ca64c4516c10",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_HALVING_SHA256))
+def test_halving_triples_take_one_grid_wherever_their_first_product_does(name, monkeypatch):
+    fused, frozen = FUSED_HALVING_SHA256[name]
+    x = _box_101() if name.endswith("box") else generate(name)
+    budget = 2 * 10**9
+    x2 = product_set(x, x, budget=budget)
+    y, y3 = petridis_subset(x, x2, Fraction(len(x2), len(x)), budget=budget)
+    routes, chain = [], []
+    real_grid, real_product = sets._triple_grid, sets.product_set
+
+    def spy_grid(a, b, c, budget):
+        grid = real_grid(a, b, c, budget)
+        first = sets._plan((sets._values(a.keys),) * 2, a.oracle.component_moduli)
+        routes.append((len(a), isinstance(first, sets._Grid), grid is not None))
+        assert a is b is c
+        return grid
+
+    monkeypatch.setattr(sets, "_triple_grid", spy_grid)
+    monkeypatch.setattr(sets, "product_set", lambda *a, **k: chain.append(1) or real_product(*a, **k))
+    seh_halving(y, y3, HALF, TWO_FIFTHS, budget=budget)
+    # the first `fused` triples (3705 and 1482 keys in the GAP, 4081 and 1633
+    # in the box) convolve on one grid; the later ones sort their first
+    # product, so no triple runs the chain for the budget's sake
+    assert [took for _, first, took in routes] == [first for _, first, _ in routes]
+    assert sum(took for _, _, took in routes) >= fused
+    assert all(took for _, _, took in routes[:fused])
+    assert len(chain) == 2 * (len(routes) - sum(took for _, _, took in routes))
+    monkeypatch.undo()
+    cert = _run_algorithm("thm33", x, delta=TWO_FIFTHS, alpha=HALF, budget=budget)
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == frozen
 
 
 def test_localize_generic_path_heisenberg():

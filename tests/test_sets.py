@@ -67,11 +67,65 @@ def test_multset_equality_and_hash(int_group):
     assert a != MultSet(build_group("cyclic:7"), [1, 2])
 
 
+@pytest.mark.parametrize("made_by", ["__init__", "_from_sorted"])
+def test_a_lazy_key_set_behaves_like_a_built_one(int_group, made_by):
+    keys = [12, -3, 7, 5]
+
+    def lazy():
+        if made_by == "__init__":
+            x = MultSet(int_group, keys)
+        else:
+            x = MultSet._from_sorted(int_group, sorted(keys))
+        assert x._keyset is None
+        return x
+
+    def built():
+        x = lazy()
+        x.key_set()
+        return x
+
+    other = MultSet(int_group, [1, 7, 12])
+    uses = [
+        lambda s: (s == built(), built() == s, s == other, s != other),
+        lambda s: hash(s) == hash(built()),
+        lambda s: (7 in s, 8 in s, Element("int", 7) in s, Element("int", 8) in s),
+        lambda s: Element("cyclic:13", 7) in s,
+        lambda s: s.restrict([7, 8, -3, 7]),
+        lambda s: (s.union(other), other.union(s)),
+        lambda s: s.intersect_keys([7, 8, 12]),
+        lambda s: s.minus_keys([7, 8]),
+        lambda s: s.key_set(),
+    ]
+    for use in uses:
+        assert use(lazy()) == use(built())
+    x = lazy()
+    assert x == built() and hash(x) == hash(built()) and x._keyset is None
+    first = x.key_set()
+    assert first == frozenset(keys) and x.key_set() is first
+    assert x.restrict(keys)._keyset is None and x.union(other)._keyset is None
+
+
+def test_counted_products_never_hash_their_keys():
+    x = generate("gap:2:10,10:1,100")
+    square = product_set(x, x)
+    cube = triple_product(x, x, x)
+    assert square._keyset is None and cube._keyset is None
+
+
 def test_from_elements_checks_domain(int_group):
     good = [Element("int", 4)]
     assert MultSet.from_elements(int_group, good).keys == (4,)
     with pytest.raises(DomainMismatchError):
         MultSet.from_elements(int_group, [Element("cyclic:7", 4)])
+
+
+def _tally(answer) -> Counter:
+    """A ``_product_counts`` answer -- sorted keys, int64 pair counts -- as a
+    Counter of products."""
+    keys, counts = answer
+    assert counts.dtype == np.int64 and len(keys) == len(counts)
+    assert keys.tolist() == sorted(keys.tolist())
+    return Counter(dict(zip(keys.tolist(), counts.tolist())))
 
 
 def test_set_algebra_helpers(int_group):
@@ -265,7 +319,7 @@ def test_box_products_take_the_gated_path(spec, nx, ny, path, fft_calls, monkeyp
     plan = _plan((_int_keys(x.keys), _int_keys(y.keys)), g.component_moduli)
     routes = {"fft": isinstance(plan, sets._Grid), "exact": plan is None, "direct": plan == "shift"}
     assert routes[path]
-    assert _product_counts(x, y) == want
+    assert _tally(_product_counts(x, y)) == want
     assert product_set(x, y).key_set() == frozenset(want)
     assert len(fft_calls) == (2 if path == "fft" else 0)
     assert len(shift_calls) == (2 if path == "direct" else 0)
@@ -663,7 +717,7 @@ def test_table_path_matches_raw_kmul(name):
             plan = _plan(operands[:2], table=g.law)
             assert plan == ("bincount" if g.order <= len(x) * len(y) else None)
         want = Counter(g.kmul(a, b) for a in x.keys for b in y.keys)
-        assert _product_counts(x, y) == want
+        assert _tally(_product_counts(x, y)) == want
         assert product_set(x, y).key_set() == frozenset(want)
         assert count_incident_pairs(x) == naive_incident_pairs(g, x.keys)
         square = product_set(x, x)
@@ -683,7 +737,7 @@ def test_table_path_budget_and_empty_sets():
     # an empty operand gives empty answers on every kernel
     for g in (g, build_group("int"), build_group("cyclic:1000"), build_group("abelian:40,40")):
         x, empty = MultSet(g, range(12)), MultSet(g, [])
-        assert _product_counts(x, empty) == Counter() == _product_counts(empty, x)
+        assert _tally(_product_counts(x, empty)) == Counter() == _tally(_product_counts(empty, x))
         assert count_incident_pairs(empty) == 0 and is_product_free(empty)
         assert len(product_set(x, empty)) == 0 == len(product_set(empty, x))
         for triple in ((empty, x, x), (x, empty, x), (x, x, empty)):
@@ -786,10 +840,10 @@ def test_fold_guard_failure_falls_back_exactly(monkeypatch):
     blocks = [(x, x), (MultSet(x.oracle, x.keys[:cut]), MultSet(x.oracle, x.keys[-cut:]))]
     for u, v in blocks:
         assert len(_plan((_int_keys(u.keys), _int_keys(v.keys))).shape) == 2
-    want = [(_product_counts(u, v), product_set(u, v)) for u, v in blocks]
+    want = [(_tally(_product_counts(u, v)), product_set(u, v)) for u, v in blocks]
     free, incident = is_product_free(x), count_incident_pairs(x)
     calls = patch_irfft(monkeypatch, 0.6)
-    got = [(_product_counts(u, v), product_set(u, v)) for u, v in blocks]
+    got = [(_tally(_product_counts(u, v)), product_set(u, v)) for u, v in blocks]
     assert (is_product_free(x), count_incident_pairs(x)) == (free, incident)
     assert len(calls) == 2 * len(blocks) + 2
     assert got == want
@@ -845,7 +899,7 @@ def test_sparse_table_path_sorts_instead_of_counting(monkeypatch):
     tracemalloc.start()
     square = product_set(x, x)
     cube = product_set(square, x)
-    counts = _product_counts(square, x)
+    counts = _tally(_product_counts(square, x))
     incident = count_incident_pairs(square)
     masks = _translates(x, square, "two-sided")
     peak = tracemalloc.get_traced_memory()[1]
@@ -864,7 +918,7 @@ def test_sparse_table_path_sorts_instead_of_counting(monkeypatch):
     assert _plan(edge[:2], table=d6.law) == "bincount"
     assert _plan((edge[0], edge[2]), table=d6.law) is None
     lengths.clear(), sorts.clear()
-    assert _product_counts(MultSet(d6, [1, 4, 7]), MultSet(d6, [0, 2, 5, 11])) == Counter(
+    assert _tally(_product_counts(MultSet(d6, [1, 4, 7]), MultSet(d6, [0, 2, 5, 11]))) == Counter(
         d6.kmul(a, b) for a in (1, 4, 7) for b in (0, 2, 5, 11)
     )
     assert (lengths, sorts) == ([12], [])

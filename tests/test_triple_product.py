@@ -11,7 +11,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from prodfree import BudgetExceededError, MultSet, build_group, product_set, triple_product
+from prodfree import (
+    BudgetExceededError,
+    MultSet,
+    build_group,
+    inverse_set,
+    product_set,
+    triple_product,
+)
 from prodfree import sets
 from prodfree.families import generate
 from conftest import naive_product_keys, patch_irfft
@@ -69,6 +76,10 @@ def _triple_cases():
     for n in (6, 50):
         g = build_group(f"dihedral:{n}")
         cases.append(("dihedral", g, *(_subset(rng, np.arange(g.order), 24) for _ in range(3))))
+    # a 12 x 12 block about 0: each digit of X Y lies on an arc of 23 of 30
+    g = build_group("abelian:30,30")
+    block = sorted(a % 30 * 30 + b % 30 for a in range(-6, 6) for b in range(-6, 6))
+    cases.append(("box-arc", g, block, block, _subset(rng, block, 100)))
     return cases
 
 
@@ -123,6 +134,7 @@ def test_budget_errors_match_the_chain(case):
         a, b = operands.a, operands.b
         reach = x.oracle.order if operands.moduli else int(a[-1] + b[-1] - a[0] - b[0]) + 1
         edges.add(reach * len(z))
+        edges.add(sets._reach_cells(a, b, operands.moduli) * len(z))
     for edge in edges:
         for budget in (edge - 1, edge, edge + 1):
             want = _outcome(lambda: _chain(x, y, z, budget))
@@ -166,3 +178,95 @@ def test_a_triple_whose_first_product_sorts_keeps_the_chain():
     assert sets._plan((a, a)) is None and sets._plan((a, a, c)) is None
     assert sets._triple_grid(x, y, z, sets.DEFAULT_PRODUCT_BUDGET) is None
     assert triple_product(x, y, z).keys == _chain(x, y, z, sets.DEFAULT_PRODUCT_BUDGET).keys
+
+
+def test_the_fuzz_has_reach_bounds_below_the_range():
+    # the budget edges above then check _reach_cells where it admits a
+    # triple that the key range or the box's order would send to the chain
+    finer = Counter()
+    for case in CASES:
+        x, y, z = _sets(case)
+        operands = sets._operands(x, y)
+        if operands is None or operands.table is not None:
+            continue
+        a, b, moduli = operands.a, operands.b, operands.moduli
+        reach = x.oracle.order if moduli else int(a[-1] + b[-1] - a[0] - b[0]) + 1
+        cells = sets._reach_cells(a, b, moduli)
+        assert len(product_set(x, y)) <= cells <= reach
+        if cells < reach and sets._triple_grid(x, y, z, 10**9) is not None:
+            finer[case[0]] += 1
+    assert finer["int-gap"] and finer["box-arc"]
+
+
+def _transforms(monkeypatch):
+    """From now on, count the forward and the inverse real FFTs."""
+    calls = Counter()
+    for name, kind in (("rfft", "forward"), ("rfftn", "forward"), ("irfft", "inverse"), ("irfftn", "inverse")):
+
+        def spy(*args, _transform=getattr(np.fft, name), _kind=kind, **kwargs):
+            calls[_kind] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    return calls
+
+
+def _grid_sets():
+    """A set whose X X and X X X take each kind of FFT grid, by name: the
+    one-axis ``int`` grid, the ``int`` fold, ``cyclic:N`` and a two-factor
+    box."""
+    rng = np.random.default_rng(33)
+    block = _gap_blocks("gap:2:10,10:1,300")[0]
+    return {
+        "int-line": (build_group("int"), _subset(rng, np.arange(-100, 200), 150), 1),
+        "int-fold": (build_group("int"), block, 2),
+        "cyclic": (build_group("cyclic:1009"), _subset(rng, np.arange(1009), 60), 1),
+        "box": (build_group("abelian:12,15"), _subset(rng, np.arange(180), 40), 2),
+    }
+
+
+def _naive_counts(g, *operands):
+    """How many tuples of the operands' keys give each product, by a tally
+    of one operand at a time."""
+    counts = Counter({g.identity_key: 1})
+    for keys in operands:
+        step = Counter()
+        for p, c in counts.items():
+            for k in keys:
+                step[g.kmul(p, k)] += c
+        counts = step
+    return counts
+
+
+@pytest.mark.parametrize("name", ["int-line", "int-fold", "cyclic", "box"])
+def test_each_distinct_operand_is_transformed_once(name, monkeypatch):
+    g, keys, rank = _grid_sets()[name]
+    x = MultSet(g, keys)
+    z_inv = inverse_set(x)
+    copies = [MultSet(g, keys) for _ in range(3)]
+    calls = _transforms(monkeypatch)
+    budget = sets.DEFAULT_PRODUCT_BUDGET
+    cases = {
+        "X X": ((x, x), 1),
+        "A A A": ((x, x, x), 1),
+        "Z^-1 Z Z^-1": ((z_inv, x, z_inv), 2),
+        "three copies": (tuple(copies), 3),
+        "two copies": (tuple(copies[:2]), 2),
+    }
+    answers = {}
+    for label, (operands, forward) in cases.items():
+        calls.clear()
+        if len(operands) == 2:
+            got = sets._product_counts(*operands)
+        else:
+            grid = sets._triple_grid(*operands, budget)
+            assert isinstance(grid, sets._Grid) and len(grid.shape) == rank, label
+            got = sets._grid_counts(grid)
+        assert calls == {"forward": forward, "inverse": 1}, label
+        want = _naive_counts(g, *(s.keys for s in operands))
+        assert dict(zip(got[0].tolist(), got[1].tolist())) == want, label
+        answers[label] = got
+    # repeats of one set and equal copies give bitwise the same answer
+    for shared, copied in (("A A A", "three copies"), ("X X", "two copies")):
+        for a, b in zip(answers[shared], answers[copied]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
